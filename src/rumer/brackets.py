@@ -16,6 +16,7 @@ every vertex degree, so straightening is multidegree-preserving term by term.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Union
 
@@ -131,7 +132,7 @@ class BracketPolynomial:
         for mono, coeff in items:
             if mono.n != n:
                 raise ValueError(f"monomial {mono} lives on {mono.n} vertices, not {n}")
-            coeff = int(coeff)
+            coeff = operator.index(coeff)
             if coeff:
                 new = collected.get(mono, 0) + coeff
                 if new:
@@ -187,11 +188,12 @@ class BracketPolynomial:
         return self + (-other)
 
     def __rmul__(self, scalar: int) -> "BracketPolynomial":
+        scalar = operator.index(scalar)
         return BracketPolynomial(self.n, {m: scalar * c for m, c in self.terms.items()})
 
     def __mul__(self, other: Union[int, "BracketPolynomial"]) -> "BracketPolynomial":
-        if isinstance(other, int):
-            return other * self
+        if not isinstance(other, BracketPolynomial):
+            return self.__rmul__(other)
         self._require_same_n(other)
         out: dict[BracketMonomial, int] = {}
         for m1, c1 in self.terms.items():
@@ -242,7 +244,7 @@ class BracketPolynomial:
         terms = []
         for t in data["terms"]:
             mono = BracketMonomial(n, tuple(Edge(int(i), int(j)) for i, j in t["factors"]))
-            terms.append((mono, int(t["coeff"])))
+            terms.append((mono, t["coeff"]))
         return cls(n, terms)
 
     def __str__(self) -> str:

@@ -35,6 +35,8 @@ from .render import render_svg
 
 OK, FAIL, USAGE = 0, 1, 2
 DEFAULT_MAX_SCHEMES = 10**7
+#: Smallest accepted value of each numeric option, by argparse dest.
+MINIMUM = {"n": 1, "m": 0, "max_schemes": 0, "size": 1}
 
 
 def _parse_multidegree(text: str) -> tuple[int, ...]:
@@ -79,6 +81,16 @@ def _fuel_from_env() -> int | None:
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return USAGE
+
+
+def _out_of_range(args) -> str | None:
+    """Usage message for the first numeric option below its minimum, if any."""
+    for name, low in MINIMUM.items():
+        value = getattr(args, name, None)
+        first = value[0] if isinstance(value, tuple) else value  # LO of a LO..HI range
+        if first is not None and first < low:
+            return f"--{name.replace('_', '-')} must be at least {low}, got {first}"
+    return None
 
 
 def _emit(payload: str, out: str | None) -> None:
@@ -259,10 +271,6 @@ def _verify_cell(n: int, m: int, fuel: int | None) -> dict:
 def _cmd_verify(args) -> int:
     n_lo, n_hi = args.n
     m_lo, m_hi = args.m
-    if n_lo < 1:
-        return _usage_error("--n must start at 1 or above")
-    if m_lo < 0:
-        return _usage_error("--m must start at 0 or above")
     fuel = _fuel_from_env()
     for n in range(n_lo, n_hi + 1):
         for m in range(m_lo, m_hi + 1):
@@ -371,6 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    problem = _out_of_range(args)
+    if problem:
+        return _usage_error(problem)
     return args.func(args)
 
 

@@ -8,6 +8,7 @@ tolerance would hide rank deficiency.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Mapping, Sequence, Union
@@ -61,12 +62,12 @@ class XPolynomial:
         items = terms.items() if isinstance(terms, Mapping) else terms
         collected: dict[ExponentVector, int] = {}
         for evec, coeff in items:
-            evec = tuple(int(x) for x in evec)
+            evec = tuple(map(operator.index, evec))
             if len(evec) != 2 * n:
                 raise ValueError(f"exponent vector {evec} is not of length {2 * n}")
             if any(x < 0 for x in evec):
                 raise ValueError(f"negative exponent in {evec}")
-            coeff = int(coeff)
+            coeff = operator.index(coeff)
             if coeff:
                 new = collected.get(evec, 0) + coeff
                 if new:
@@ -126,11 +127,12 @@ class XPolynomial:
         return self + (-other)
 
     def __rmul__(self, scalar: int) -> "XPolynomial":
+        scalar = operator.index(scalar)
         return XPolynomial(self.n, {e: scalar * c for e, c in self.terms.items()})
 
     def __mul__(self, other: Union[int, "XPolynomial"]) -> "XPolynomial":
-        if isinstance(other, int):
-            return other * self
+        if not isinstance(other, XPolynomial):
+            return self.__rmul__(other)
         self._require_same_n(other)
         return XPolynomial(self.n, _mul_terms(self.terms, other.terms))
 
@@ -268,23 +270,30 @@ def _graded_lex(evec: ExponentVector) -> tuple:
     return (sum(evec), evec)
 
 
-def _reduce_row(row: dict[ExponentVector, int]) -> dict[ExponentVector, int]:
+def _reduce_row(row: dict[int, int]) -> dict[int, int]:
     g = 0
     for c in row.values():
         g = gcd(g, c)
         if g == 1:
             return row
     if g > 1:
-        return {e: c // g for e, c in row.items()}
+        return {k: c // g for k, c in row.items()}
     return row
 
 
 def rank_of_span(polys: Sequence[XPolynomial]) -> int:
     """Exact rank of the span of the given polynomials.
 
-    Rows are sparse coefficient vectors indexed by exponent vectors; columns
-    are visited in graded lexicographic order and eliminated fraction-free
-    over the integers.  The result does not depend on the input order.
+    The distinct exponent vectors are sorted once in graded lexicographic
+    order and numbered, so a row is a sparse map from column index to integer
+    coefficient and its leading column is its smallest key.  Rows are
+    inserted one by one into an echelon form keyed by leading column: while
+    an incoming row's lead already has a pivot, both are scaled by the
+    leading coefficients over their gcd and subtracted, then the row is
+    divided by its content.  A row that vanishes is dependent; otherwise it
+    becomes a new pivot, and the rank is the number of pivots.  All
+    arithmetic is exact integer arithmetic, and the result does not depend
+    on the input order.
     """
     polys = list(polys)
     if not polys:
@@ -293,34 +302,28 @@ def rank_of_span(polys: Sequence[XPolynomial]) -> int:
     for p in polys:
         if p.n != n:
             raise ValueError("all polynomials must share the same vertex count")
-    rows = [_reduce_row(dict(p.terms)) for p in polys if p.terms]
-    rank = 0
-    while rows:
-        pivot_col = min((min(r, key=_graded_lex) for r in rows), key=_graded_lex)
-        pivot_row = next(r for r in rows if pivot_col in r)
-        pivot_val = pivot_row[pivot_col]
-        reduced: list[dict[ExponentVector, int]] = []
-        for r in rows:
-            if r is pivot_row:
-                continue
-            factor = r.get(pivot_col)
-            if factor is None:
-                reduced.append(r)
-                continue
-            combined: dict[ExponentVector, int] = {}
-            for e, c in r.items():
-                combined[e] = c * pivot_val
-            for e, c in pivot_row.items():
-                new = combined.get(e, 0) - c * factor
+    columns = sorted({e for p in polys for e in p.terms}, key=_graded_lex)
+    index = {e: k for k, e in enumerate(columns)}
+    pivots: dict[int, dict[int, int]] = {}
+    for p in polys:
+        row = _reduce_row({index[e]: c for e, c in p.terms.items()})
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            g = gcd(row[lead], pivot[lead])
+            scale, factor = pivot[lead] // g, row[lead] // g
+            combined = {k: c * scale for k, c in row.items()}
+            for k, c in pivot.items():
+                new = combined.get(k, 0) - c * factor
                 if new:
-                    combined[e] = new
+                    combined[k] = new
                 else:
-                    combined.pop(e, None)
-            if combined:
-                reduced.append(_reduce_row(combined))
-        rows = reduced
-        rank += 1
-    return rank
+                    del combined[k]
+            row = _reduce_row(combined)
+    return len(pivots)
 
 
 def verify_basis(n: int, m: int, fuel: int | None = None) -> dict:

@@ -87,6 +87,22 @@ class TestPolynomial:
         assert data["n"] == 4
         assert BracketPolynomial.from_json_dict(data) == p
 
+    def test_non_integral_coefficients_rejected(self):
+        a = poly("[1,2]", 4)
+        m = BracketMonomial(2, (Edge(1, 2),))
+        with pytest.raises(TypeError):
+            2.5 * a
+        with pytest.raises(TypeError):
+            a * 2.5
+        with pytest.raises(TypeError):
+            BracketPolynomial(2, [(m, 0.9)])
+        with pytest.raises(TypeError):
+            BracketPolynomial.monomial(2, (Edge(1, 2),), coeff=1.0)
+        data = a.to_json_dict()
+        data["terms"][0]["coeff"] = 2.5
+        with pytest.raises(TypeError):
+            BracketPolynomial.from_json_dict(data)
+
 
 class TestPluckerExpand:
     def test_basic_rewrite(self):

@@ -221,3 +221,26 @@ def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--n", "0", "--m", "1"],
+        ["count", "--n", "2", "--m", "-1"],
+        ["count", "--n", "4", "--m", "2", "--method", "enumerate", "--max-schemes", "-1"],
+        ["enumerate", "--n", "3", "--m", "-2"],
+        ["enumerate", "--multidegree", "1,1", "--max-schemes", "-1"],
+        ["straighten", "[1,2]", "--n", "0"],
+        ["verify", "--n", "0..2", "--m", "0..1"],
+        ["verify", "--n", "2..2", "--m=-1..1"],
+        ["verify", "--n", "2..2", "--m", "0..0", "--max-schemes", "-1"],
+        ["render", "--diagram", "n=2; (1,2)", "--size", "0"],
+    ],
+)
+def test_out_of_range_value_is_one_line_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be at least" in err

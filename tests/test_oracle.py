@@ -1,11 +1,17 @@
 """Coordinate expansion, group action, and exact rank computation."""
 import random
+from fractions import Fraction
 
 import pytest
 
 from rumer.brackets import BracketPolynomial, parse
-from rumer.counting import rho_closed
-from rumer.diagrams import enumerate_rumer, enumerate_valence_schemes
+from rumer.counting import compositions, n_recurrence, rho_closed
+from rumer.diagrams import (
+    enumerate_rumer,
+    enumerate_rumer_by_multidegree,
+    enumerate_valence_schemes,
+    enumerate_valence_schemes_by_multidegree,
+)
 from rumer.oracle import (
     GENERATORS,
     UnimodularMatrix,
@@ -42,6 +48,18 @@ class TestXPolynomial:
     def test_length_validation(self):
         with pytest.raises(ValueError):
             XPolynomial(2, {(1, 0): 1})
+
+    def test_non_integral_values_rejected(self):
+        a = x(1, 1, 1)
+        with pytest.raises(TypeError):
+            XPolynomial(1, {(1, 0): 0.9})
+        with pytest.raises(TypeError):
+            XPolynomial(1, {(0.5, 0): 1})
+        with pytest.raises(TypeError):
+            a * 2.5
+        with pytest.raises(TypeError):
+            2.5 * a
+        assert (a * 3).terms == (3 * a).terms == {(1, 0): 3}
 
     def test_variable_index_layout(self):
         assert variable_index(1, 1) == 0
@@ -125,7 +143,72 @@ class TestAct:
         assert g.total_degree() == f.total_degree()
 
 
+def reference_rank(polys):
+    """Dense Gaussian elimination over the rationals, columns in any order."""
+    columns = sorted({e for p in polys for e in p.terms})
+    rows = [[Fraction(p.terms.get(e, 0)) for e in columns] for p in polys]
+    rank = 0
+    for col in range(len(columns)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            if factor:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def random_rows(rng, n, count):
+    """Sparse integer polynomials of mixed degree, with zero, duplicate,
+    scaled and combined rows, and coefficients above 2**64."""
+    def random_poly():
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            evec = tuple(rng.randint(0, 2) for _ in range(2 * n))
+            terms[evec] = rng.choice([-1, 1]) * rng.choice(
+                [1, 2, 3, 7, 2**64 + 13, 3**50]
+            )
+        return XPolynomial(n, terms)
+
+    rows = [random_poly() for _ in range(count)]
+    for _ in range(count // 2):
+        p, q = rng.choice(rows), rng.choice(rows)
+        kind = rng.randrange(4)
+        if kind == 0:
+            rows.append(XPolynomial.zero(n))
+        elif kind == 1:
+            rows.append(p)
+        elif kind == 2:
+            rows.append(rng.choice([-1, 5, 2**70]) * p)
+        else:
+            rows.append(rng.randint(-9, 9) * p + (2**65 + 1) * q)
+    return rows
+
+
 class TestRank:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_rational_reference(self, seed):
+        rng = random.Random(seed)
+        n = rng.choice([1, 2])
+        rows = random_rows(rng, n, rng.randint(1, 30))
+        expected = reference_rank(rows)
+        assert rank_of_span(rows) == expected
+        for _ in range(3):
+            rng.shuffle(rows)
+            assert rank_of_span(rows) == expected
+
+    def test_reference_sees_dependence(self):
+        f, g = x(2, 1, 1), x(2, 2, 2)
+        assert reference_rank([f, g, f + 3 * g]) == 2
+        assert reference_rank([f * f, f * g, g * g, f]) == 4
+
+    def test_mixed_vertex_counts_rejected(self):
+        with pytest.raises(ValueError):
+            rank_of_span([x(1, 1, 1), x(2, 1, 1)])
+
     def test_single_polynomial(self):
         assert rank_of_span([expand(parse("[1,2]", 2))]) == 1
 
@@ -163,6 +246,17 @@ class TestRank:
                     for s in enumerate_valence_schemes(n, m)
                 ]
                 assert rank_of_span(fs) == rho_closed(n, m), (n, m)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("m", range(0, 4))
+def test_each_multidegree_block_has_full_rank(n, m):
+    for d in compositions(2 * m, n):
+        fs = [
+            expand(BracketPolynomial.monomial(n, s.edges))
+            for s in enumerate_valence_schemes_by_multidegree(d)
+        ]
+        assert rank_of_span(fs) == n_recurrence(d) == len(enumerate_rumer_by_multidegree(d)), d
 
 
 class TestVerifyBasis:
