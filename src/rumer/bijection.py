@@ -9,6 +9,7 @@ This pair of maps is exactly what drives the counting recurrence.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .counting import binomial, even_triangle, triangle_range
@@ -108,7 +109,7 @@ def verify_psi_bijection(degrees) -> dict:
 
     Failures are report contents, never exceptions.
     """
-    d = tuple(int(x) for x in degrees)
+    d = tuple(operator.index(x) for x in degrees)
     if len(d) < 2:
         raise ValueError("need at least two degree entries to merge")
     if any(x < 0 for x in d):

@@ -240,10 +240,11 @@ class BracketPolynomial:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BracketPolynomial":
-        n = int(data["n"])
+        n = operator.index(data["n"])
         terms = []
         for t in data["terms"]:
-            mono = BracketMonomial(n, tuple(Edge(int(i), int(j)) for i, j in t["factors"]))
+            edges = (Edge(operator.index(i), operator.index(j)) for i, j in t["factors"])
+            mono = BracketMonomial(n, tuple(edges))
             terms.append((mono, t["coeff"]))
         return cls(n, terms)
 

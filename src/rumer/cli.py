@@ -83,6 +83,15 @@ def _usage_error(message: str) -> int:
     return USAGE
 
 
+class _UsageError(Exception):
+    """A usage error found inside a subcommand; main reports it and exits 2."""
+
+
+def _check_max_schemes(predicted: int, limit: int) -> None:
+    if predicted > limit:
+        raise _UsageError(f"{predicted} diagrams exceed the --max-schemes guard ({limit})")
+
+
 def _out_of_range(args) -> str | None:
     """Usage message for the first numeric option below its minimum, if any."""
     for name, low in MINIMUM.items():
@@ -124,11 +133,7 @@ def _cmd_count(args) -> int:
         if method in ("recurrence", "all"):
             counts["recurrence"] = n_recurrence(d)
         if method in ("enumerate", "all"):
-            predicted = n_recurrence(d)
-            if predicted > args.max_schemes:
-                return _usage_error(
-                    f"{predicted} diagrams exceed the --max-schemes guard ({args.max_schemes})"
-                )
+            _check_max_schemes(n_recurrence(d), args.max_schemes)
             counts["enumerate"] = len(enumerate_rumer_by_multidegree(d))
         label = {"multidegree": list(d)}
     else:
@@ -147,11 +152,7 @@ def _cmd_count(args) -> int:
         if method in ("recurrence", "all"):
             counts["recurrence"] = rho_sum_over_compositions(n, m)
         if method in ("enumerate", "all"):
-            predicted = rho_closed(n, m)
-            if predicted > args.max_schemes:
-                return _usage_error(
-                    f"{predicted} diagrams exceed the --max-schemes guard ({args.max_schemes})"
-                )
+            _check_max_schemes(rho_closed(n, m), args.max_schemes)
             counts["enumerate"] = len(enumerate_rumer(n, m))
         label = {"n": n, "m": m}
 
@@ -188,21 +189,13 @@ def _cmd_enumerate(args) -> int:
     if args.multidegree is not None:
         if args.n is not None or args.m is not None:
             return _usage_error("--multidegree excludes --n/--m")
-        predicted = n_recurrence(args.multidegree)
-        if predicted > args.max_schemes:
-            return _usage_error(
-                f"{predicted} diagrams exceed the --max-schemes guard ({args.max_schemes})"
-            )
+        _check_max_schemes(n_recurrence(args.multidegree), args.max_schemes)
         diagrams = enumerate_rumer_by_multidegree(args.multidegree)
         label = {"multidegree": list(args.multidegree)}
     else:
         if args.n is None or args.m is None:
             return _usage_error("need --n and --m, or --multidegree")
-        predicted = rho_closed(args.n, args.m)
-        if predicted > args.max_schemes:
-            return _usage_error(
-                f"{predicted} diagrams exceed the --max-schemes guard ({args.max_schemes})"
-            )
+        _check_max_schemes(rho_closed(args.n, args.m), args.max_schemes)
         diagrams = enumerate_rumer(args.n, args.m)
         label = {"n": args.n, "m": args.m}
 
@@ -241,15 +234,15 @@ def _cmd_straighten(args) -> int:
 
 
 def _verify_cell(n: int, m: int, fuel: int | None) -> dict:
+    basis = verify_basis(n, m, fuel=fuel)
     counts = {
         "formula": rho_closed(n, m),
         "recurrence": rho_sum_over_compositions(n, m),
-        "enumerate": len(enumerate_rumer(n, m)),
+        "enumerate": basis["rumer_count"],  # verify_basis enumerates the cell
     }
     if n >= 3:
         counts["product"] = rho_product(n, m)
     counts_agree = len(set(counts.values())) == 1
-    basis = verify_basis(n, m, fuel=fuel)
     bijection_failures = []
     if n >= 2:
         for d in compositions(2 * m, n):
@@ -382,7 +375,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     problem = _out_of_range(args)
     if problem:
         return _usage_error(problem)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        return _usage_error(str(exc))
 
 
 if __name__ == "__main__":

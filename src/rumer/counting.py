@@ -2,13 +2,17 @@
 
 Three independent routes are provided: a 2x2 determinant of binomial
 coefficients, a factored product formula valid for n >= 3, and a
-branching recurrence over per-vertex bond counts.  All arithmetic is
-exact; Python integers never overflow.
+branching recurrence over per-vertex bond counts.  The recurrence folds
+vertex degrees into one merged degree, right to left, as an iterative
+dynamic program: with fixed degrees (n_recurrence), or with every degree
+left free and the sum over all degree prescriptions taken in the same
+pass (rho_sum_over_compositions).  All arithmetic is exact; Python
+integers never overflow.
 """
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+import operator
 from typing import Iterator, Sequence
 
 
@@ -31,27 +35,30 @@ def triangle_range(a: int, b: int) -> range:
     return range(a + b, abs(a - b) - 1, -2)
 
 
-@lru_cache(maxsize=None)
-def _count_for_valences(d: tuple[int, ...]) -> int:
-    if len(d) == 1:
-        return 1 if d[0] == 0 else 0
-    a, b = d[-2], d[-1]
-    return sum(_count_for_valences(d[:-2] + (mu,)) for mu in triangle_range(a, b))
-
-
 def n_recurrence(degrees: Sequence[int]) -> int:
     """Number of non-crossing multigraphs with the prescribed vertex degrees.
 
-    Computed by collapsing the last two degrees into a single one ranging
-    over all even-triangle-compatible values, down to the one-vertex base
-    case.  Memoized on the whole remaining tuple.
+    Folds the degrees into one merged degree mu, right to left: folding in
+    a degree a takes mu to every c in triangle_range(a, mu).  The count is
+    the number of ways to end at mu = 0.  A merged degree above the degree
+    still to be folded in can no longer reach 0 and is dropped.
     """
-    d = tuple(int(x) for x in degrees)
+    d = tuple(operator.index(x) for x in degrees)
     if not d:
         raise ValueError("degree tuple must be non-empty")
     if any(x < 0 for x in d):
         raise ValueError(f"degrees must be nonnegative, got {d}")
-    return _count_for_valences(d)
+    ways = {d[-1]: 1}  # merged degree -> number of ways
+    left = sum(d) - d[-1]
+    for a in reversed(d[:-1]):
+        left -= a
+        folded: dict[int, int] = {}
+        for mu, count in ways.items():
+            for c in triangle_range(a, mu):
+                if c <= left:
+                    folded[c] = folded.get(c, 0) + count
+        ways = folded
+    return ways.get(0, 0)
 
 
 def rho_closed(n: int, m: int) -> int:
@@ -100,18 +107,53 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         raise ValueError(f"need at least one part, got {parts}")
     if total < 0:
         raise ValueError(f"total must be nonnegative, got {total}")
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    current = [0] * parts
+    current[-1] = total
+    while True:
+        yield tuple(current)
+        # Successor: move one unit from the last nonzero entry to the entry
+        # before it, and put the rest of that entry's value at the end.
+        p = parts - 1
+        while p and not current[p]:
+            p -= 1
+        if not p:
+            return
+        rest = current[p] - 1
+        current[p] = 0
+        current[p - 1] += 1
+        current[-1] = rest
 
 
 def rho_sum_over_compositions(n: int, m: int) -> int:
-    """Diagram count as the recurrence summed over all degree prescriptions."""
+    """Diagram count as the recurrence summed over all degree prescriptions.
+
+    Runs the fold of n_recurrence with every vertex degree left free, so
+    the sum over all C(2m+n-1, n-1) compositions of 2m is taken in one
+    pass.  The state is (degree used so far, merged degree mu) -> ways,
+    and the count is the number of ways to end at (2m, 0).
+    """
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
     if m < 0:
         raise ValueError(f"bond count must be nonnegative, got m={m}")
-    return sum(n_recurrence(d) for d in compositions(2 * m, n))
+    total = 2 * m
+    # ways[used][mu]; a merged degree above total - used can no longer reach
+    # 0, so each row stops there.  The last vertex takes any degree.
+    ways = [[0] * (total - used + 1) for used in range(total + 1)]
+    for s in range(m + 1):
+        ways[s][s] = 1
+    for _ in range(n - 1):
+        # Fold in one more vertex, of any degree a.  The pairs (a, c) with c in
+        # triangle_range(a, mu) are a = x + y, c = mu - x + y, each for exactly
+        # one 0 <= x <= mu and y >= 0: x of its bonds close against the merged
+        # vertex and y pass on.  So the fold is a running sum along
+        # (used, mu) += (1, -1) over x, then along (1, 1) over y.
+        for used in range(1, total + 1):
+            row, prev = ways[used], ways[used - 1]
+            for mu in range(total - used + 1):
+                row[mu] += prev[mu + 1]
+        for used in range(1, total + 1):
+            row, prev = ways[used], ways[used - 1]
+            for mu in range(1, total - used + 1):
+                row[mu] += prev[mu - 1]
+    return ways[total][0]

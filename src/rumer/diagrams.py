@@ -9,6 +9,7 @@ floating-point geometry is involved anywhere.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
@@ -111,7 +112,10 @@ class ValenceScheme:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ValenceScheme":
-        return cls(int(data["n"]), [Edge(int(i), int(j)) for i, j in data["edges"]])
+        return cls(
+            operator.index(data["n"]),
+            [Edge(operator.index(i), operator.index(j)) for i, j in data["edges"]],
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "ValenceScheme":
@@ -206,7 +210,7 @@ def arc_lengths(scheme: ValenceScheme, e: Edge) -> tuple[int, int]:
 
 
 def _validated_degrees(degrees: Sequence[int]) -> tuple[int, ...]:
-    d = tuple(int(x) for x in degrees)
+    d = tuple(operator.index(x) for x in degrees)
     if not d:
         raise ValueError("multidegree must have at least one entry")
     if any(x < 0 for x in d):

@@ -122,6 +122,10 @@ class TestVerifyBijection:
         with pytest.raises(ValueError):
             verify_psi_bijection((2,))
 
+    def test_rejects_non_integral_degrees(self):
+        with pytest.raises(TypeError):
+            verify_psi_bijection((1.5, 1.5))
+
     def test_sweep_of_prescriptions(self):
         for parts in (2, 3, 4):
             for total in range(0, 5):

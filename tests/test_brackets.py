@@ -103,6 +103,14 @@ class TestPolynomial:
         with pytest.raises(TypeError):
             BracketPolynomial.from_json_dict(data)
 
+    def test_non_integral_json_indices_rejected(self):
+        data = poly("[1,2]", 4).to_json_dict()
+        with pytest.raises(TypeError):
+            BracketPolynomial.from_json_dict({**data, "n": 4.9})
+        data["terms"][0]["factors"] = [[1.5, 2.7]]
+        with pytest.raises(TypeError):
+            BracketPolynomial.from_json_dict(data)
+
 
 class TestPluckerExpand:
     def test_basic_rewrite(self):

@@ -3,8 +3,11 @@ import json
 
 import pytest
 
+import rumer.cli
+import rumer.oracle
 from rumer.brackets import FuelExhaustedError
 from rumer.cli import main
+from rumer.counting import rho_closed
 
 
 def run(capsys, *argv):
@@ -62,6 +65,14 @@ class TestCount:
         assert code == 2
         assert out == ""
         assert "--max-schemes" in err
+
+    def test_recurrence_on_many_vertices(self, capsys):
+        code, out, err = run(
+            capsys, "count", "--n", "1500", "--m", "1", "--method", "recurrence",
+            "--format", "json",
+        )
+        assert code == 0, err
+        assert json.loads(out)["count"] == rho_closed(1500, 1)
 
     def test_product_needs_three_vertices(self, capsys):
         code, _, err = run(capsys, "count", "--n", "2", "--m", "1", "--method", "product")
@@ -182,6 +193,21 @@ class TestVerify:
         assert code == 2
         assert "--max-schemes" in err
 
+    def test_enumerates_each_cell_once(self, capsys, monkeypatch):
+        calls = []
+        enumerate_rumer = rumer.oracle.enumerate_rumer
+
+        def counted(n, m):
+            calls.append((n, m))
+            return enumerate_rumer(n, m)
+
+        for module in (rumer.cli, rumer.oracle):
+            monkeypatch.setattr(module, "enumerate_rumer", counted)
+        code, out, _ = run(capsys, "verify", "--n", "2..3", "--m", "0..1", "--format", "json")
+        assert code == 0
+        assert calls == [(2, 0), (2, 1), (3, 0), (3, 1)]
+        assert [cell["counts"]["enumerate"] for cell in json.loads(out)["cells"]] == [1, 1, 1, 3]
+
     def test_bad_range_syntax(self, capsys):
         with pytest.raises(SystemExit) as info:
             run(capsys, "verify", "--n", "3..2", "--m", "0..1")
@@ -206,6 +232,12 @@ class TestRender:
         code, _, err = run(capsys, "render", "--diagram", "nope")
         assert code == 2
         assert "bad diagram" in err
+
+    def test_non_integral_json_is_one_line_usage_error(self, capsys):
+        code, out, err = run(capsys, "render", "--diagram", '{"n": 4.9, "edges": [[1,2]]}')
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad diagram") and err.count("\n") == 1
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "diagram.svg"
@@ -244,3 +276,19 @@ def test_out_of_range_value_is_one_line_usage_error(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "must be at least" in err
+
+
+@pytest.mark.parametrize(
+    "argv,predicted",
+    [
+        (["count", "--n", "6", "--m", "5", "--method", "enumerate"], 5292),
+        (["count", "--multidegree", "2,2,2,2", "--method", "all"], 3),
+        (["enumerate", "--n", "6", "--m", "5"], 5292),
+        (["enumerate", "--multidegree", "2,2,2,2"], 3),
+    ],
+)
+def test_max_schemes_guard_message(capsys, argv, predicted):
+    code, out, err = run(capsys, *argv, "--max-schemes", "2")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {predicted} diagrams exceed the --max-schemes guard (2)\n"

@@ -4,6 +4,10 @@ Derived expected values were frozen from hand unrolling of the recurrence and
 from brute-force diagram enumeration; both routes are spelled out next to the
 assertions they justify.
 """
+import math
+from functools import lru_cache
+from itertools import islice, product
+
 import pytest
 
 from rumer.counting import (
@@ -166,3 +170,66 @@ class TestSumOverCompositions:
         for n in range(2, 7):
             for m in range(0, 5):
                 assert rho_sum_over_compositions(n, m) == rho_closed(n, m), (n, m)
+
+
+@lru_cache(maxsize=None)
+def reference_count(d: tuple[int, ...]) -> int:
+    """The memoized recursion the fold replaced, kept as an independent reference.
+
+    Collapses the last two degrees a, b into each even-triangle-compatible
+    mu, spelled out here rather than taken from triangle_range.
+    """
+    if len(d) == 1:
+        return 1 if d[0] == 0 else 0
+    a, b = d[-2], d[-1]
+    return sum(reference_count(d[:-2] + (mu,)) for mu in range(abs(a - b), a + b + 1, 2))
+
+
+class TestFoldAgainstReference:
+    def test_n_recurrence_on_every_composition(self):
+        for n in range(1, 8):
+            for total in range(0, 11):
+                for d in compositions(total, n):
+                    assert n_recurrence(d) == reference_count(d), d
+
+    def test_sum_over_compositions_small_grid(self):
+        for n in range(1, 9):
+            for m in range(0, 6):
+                summed = sum(reference_count(d) for d in compositions(2 * m, n))
+                assert rho_sum_over_compositions(n, m) == summed == rho_closed(n, m), (n, m)
+
+    @pytest.mark.parametrize("n,m", [(12, 4), (9, 6), (10, 6)])
+    def test_sum_over_compositions_benchmark_cells(self, n, m):
+        assert rho_sum_over_compositions(n, m) == rho_closed(n, m)
+
+    def test_small_n_large_m(self):
+        assert rho_sum_over_compositions(3, 100) == rho_closed(3, 100)
+        assert rho_sum_over_compositions(1, 5) == 0
+
+
+class TestDeepInputs:
+    def test_catalan_at_two_thousand_vertices(self):
+        assert n_recurrence((1,) * 2000) == math.comb(2000, 1000) // 1001
+
+    def test_sum_over_compositions_many_vertices(self):
+        assert rho_sum_over_compositions(1500, 1) == rho_closed(1500, 1)
+
+    def test_compositions_many_parts(self):
+        head = list(islice(compositions(2, 1500), 3))
+        assert [d[-3:] for d in head] == [(0, 0, 2), (0, 1, 1), (0, 2, 0)]
+        assert sum(1 for _ in compositions(1, 1500)) == 1500
+
+
+class TestCompositionsReference:
+    def test_matches_filtered_product(self):
+        for parts in range(1, 5):
+            for total in range(0, 6):
+                expected = [t for t in product(range(total + 1), repeat=parts) if sum(t) == total]
+                assert list(compositions(total, parts)) == expected, (total, parts)
+
+
+def test_non_integral_degrees_rejected():
+    with pytest.raises(TypeError):
+        n_recurrence((1.5, 1.5))
+    with pytest.raises(TypeError):
+        n_recurrence((1.0, 1))

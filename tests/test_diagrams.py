@@ -136,6 +136,12 @@ class TestScheme:
         assert data == {"n": 4, "edges": [[1, 2], [1, 2], [3, 4]]}
         assert ValenceScheme.from_json_dict(data) == g
 
+    def test_json_non_integers_rejected(self):
+        with pytest.raises(TypeError):
+            ValenceScheme.from_json('{"n": 4.9, "edges": [[1.5, 2.7]]}')
+        with pytest.raises(TypeError):
+            ValenceScheme.from_json('{"n": 4, "edges": [[1, 2.0]]}')
+
 
 class TestRumerPredicate:
     def test_nested_disjoint(self):
@@ -228,6 +234,13 @@ class TestEnumerateByMultidegree:
             for diagram in enumerate_rumer_by_multidegree(d):
                 assert is_rumer(diagram.scheme)
                 assert diagram.multidegree() == d
+
+
+def test_non_integral_multidegree_rejected():
+    with pytest.raises(TypeError):
+        enumerate_rumer_by_multidegree((1.5, 1.5))
+    with pytest.raises(TypeError):
+        enumerate_valence_schemes_by_multidegree((1, 1.0))
 
 
 class TestEnumerateRumer:
