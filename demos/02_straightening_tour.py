@@ -36,7 +36,7 @@ p = parse("[1,4][2,5][3,6]", 6)
 flat = straighten(p)
 print("independent expansion check for [1,4][2,5][3,6]:")
 print("  expansions equal:", expand(flat) == expand(p))
-print("  all terms non-crossing:", all(is_rumer(t.scheme()) for t in flat.terms))
+print("  all terms non-crossing:", all(is_rumer(t) for t in flat.terms))
 print("  term count:", len(flat.terms))
 print()
 

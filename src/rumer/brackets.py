@@ -1,8 +1,9 @@
-"""Bracket monomials, integer bracket polynomials, and straightening.
+"""Integer bracket polynomials and straightening.
 
 A bracket p_ij stands for the 2x2 determinant of the coordinate columns of
 vertices i and j; a bracket monomial is a product of brackets and is
-identified with its valence scheme.  The quadratic exchange rule
+identified with its valence scheme: a ValenceScheme is the monomial type, and
+a BracketPolynomial maps schemes to coefficients.  The quadratic exchange rule
 
     p_ac p_bd = p_ab p_cd + p_ad p_bc        (a < b < c < d)
 
@@ -17,16 +18,10 @@ every vertex degree, so straightening is multidegree-preserving term by term.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Iterable, NamedTuple
 
-from .diagrams import (
-    Edge,
-    ValenceScheme,
-    arc_vertices,
-    edges_cross,
-    is_rumer,
-)
+from .diagrams import Edge, ValenceScheme, edges_cross, is_rumer, occupied_arcs
+from .sparse import SparseCombination, combine
 
 #: Rewrite budget guarding the straightening recursion.  Exhaustion raises
 #: FuelExhaustedError; the result is never silently truncated.
@@ -72,143 +67,43 @@ def bracket(a: int, b: int) -> SignedBracket:
     return SignedBracket(Edge(b, a), -1)
 
 
-@dataclass(frozen=True)
-class BracketMonomial:
-    """Product of brackets p_ij with i < j, kept as a sorted factor multiset.
-
-    The valence scheme of the monomial is exactly this multiset.
-    """
-
-    n: int
-    factors: tuple[Edge, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need at least one vertex, got n={self.n}")
-        factors = []
-        for f in self.factors:
-            if not isinstance(f, Edge):
-                f = Edge(*f)
-            if f.j > self.n:
-                raise ValueError(f"factor {f} does not fit on {self.n} vertices")
-            factors.append(f)
-        object.__setattr__(self, "factors", tuple(sorted(factors)))
-
-    def degree(self) -> int:
-        return len(self.factors)
-
-    def scheme(self) -> ValenceScheme:
-        return ValenceScheme(self.n, self.factors)
-
-    def __str__(self) -> str:
-        if not self.factors:
-            return "1"
-        return "".join(f"[{e.i},{e.j}]" for e in self.factors)
+def _monomial_text(mono: ValenceScheme) -> str:
+    """A scheme as a bracket monomial: "[1,2][3,4]", or "1" with no edges."""
+    return "".join(f"[{i},{j}]" for i, j in mono.edges) or "1"
 
 
-def monomial_scheme(monomial: BracketMonomial) -> ValenceScheme:
-    """The valence scheme whose edge multiset is the factor multiset."""
-    return monomial.scheme()
-
-
-class BracketPolynomial:
+class BracketPolynomial(SparseCombination):
     """Integer-coefficient linear combination of bracket monomials.
 
-    Zero coefficients are never stored; two polynomials are equal iff their
-    term maps are equal.
+    A monomial is the ValenceScheme whose edge multiset is its factor
+    multiset.  Zero coefficients are never stored; two polynomials are equal
+    iff their term maps are equal.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        n: int,
-        terms: Union[Mapping[BracketMonomial, int], Iterable[tuple[BracketMonomial, int]]] = (),
-    ):
-        if n < 1:
-            raise ValueError(f"need at least one vertex, got n={n}")
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        collected: dict[BracketMonomial, int] = {}
-        for mono, coeff in items:
-            if mono.n != n:
-                raise ValueError(f"monomial {mono} lives on {mono.n} vertices, not {n}")
-            coeff = operator.index(coeff)
-            if coeff:
-                new = collected.get(mono, 0) + coeff
-                if new:
-                    collected[mono] = new
-                elif mono in collected:
-                    del collected[mono]
-        self.n = n
-        self.terms = collected
-
-    @classmethod
-    def zero(cls, n: int) -> "BracketPolynomial":
-        return cls(n)
+    def _check_key(self, mono: ValenceScheme) -> ValenceScheme:
+        if mono.n != self.n:
+            raise ValueError(
+                f"monomial {_monomial_text(mono)} lives on {mono.n} vertices, not {self.n}"
+            )
+        return mono
 
     @classmethod
     def monomial(cls, n: int, factors: Iterable = (), coeff: int = 1) -> "BracketPolynomial":
-        return cls(n, {BracketMonomial(n, tuple(factors)): coeff})
+        return cls(n, {ValenceScheme(n, tuple(factors)): coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BracketPolynomial)
-            and self.n == other.n
-            and self.terms == other.terms
+    def _multiply(self, other: "BracketPolynomial") -> dict[ValenceScheme, int]:
+        n = self.n
+        return combine(
+            (ValenceScheme(n, m1.edges + m2.edges), c1 * c2)
+            for m1, c1 in self.terms.items()
+            for m2, c2 in other.terms.items()
         )
 
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def _require_same_n(self, other: "BracketPolynomial") -> None:
-        if self.n != other.n:
-            raise ValueError(f"vertex counts differ: {self.n} vs {other.n}")
-
-    def __add__(self, other: "BracketPolynomial") -> "BracketPolynomial":
-        self._require_same_n(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            new = out.get(mono, 0) + coeff
-            if new:
-                out[mono] = new
-            else:
-                out.pop(mono, None)
-        return BracketPolynomial(self.n, out)
-
-    def __neg__(self) -> "BracketPolynomial":
-        return BracketPolynomial(self.n, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "BracketPolynomial") -> "BracketPolynomial":
-        return self + (-other)
-
-    def __rmul__(self, scalar: int) -> "BracketPolynomial":
-        scalar = operator.index(scalar)
-        return BracketPolynomial(self.n, {m: scalar * c for m, c in self.terms.items()})
-
-    def __mul__(self, other: Union[int, "BracketPolynomial"]) -> "BracketPolynomial":
-        if not isinstance(other, BracketPolynomial):
-            return self.__rmul__(other)
-        self._require_same_n(other)
-        out: dict[BracketMonomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                prod = BracketMonomial(self.n, m1.factors + m2.factors)
-                new = out.get(prod, 0) + c1 * c2
-                if new:
-                    out[prod] = new
-                else:
-                    out.pop(prod, None)
-        return BracketPolynomial(self.n, out)
-
-    def sorted_terms(self) -> list[tuple[BracketMonomial, int]]:
+    def sorted_terms(self) -> list[tuple[ValenceScheme, int]]:
         """Terms in canonical order: by factor count, then factor list."""
-        return sorted(self.terms.items(), key=lambda t: (len(t[0].factors), t[0].factors))
+        return sorted(self.terms.items(), key=lambda t: (len(t[0].edges), t[0].edges))
 
     def to_text(self) -> str:
         if not self.terms:
@@ -217,12 +112,12 @@ class BracketPolynomial:
         for k, (mono, coeff) in enumerate(self.sorted_terms()):
             sign = "-" if coeff < 0 else "+"
             mag = abs(coeff)
-            if not mono.factors:
+            if not mono.edges:
                 body = str(mag)
             elif mag == 1:
-                body = str(mono)
+                body = _monomial_text(mono)
             else:
-                body = f"{mag}*{mono}"
+                body = f"{mag}*{_monomial_text(mono)}"
             if k == 0:
                 pieces.append(body if coeff > 0 else f"-{body}")
             else:
@@ -233,7 +128,7 @@ class BracketPolynomial:
         return {
             "n": self.n,
             "terms": [
-                {"coeff": coeff, "factors": [[e.i, e.j] for e in mono.factors]}
+                {"coeff": coeff, "factors": [list(e) for e in mono.edges]}
                 for mono, coeff in self.sorted_terms()
             ],
         }
@@ -244,8 +139,7 @@ class BracketPolynomial:
         terms = []
         for t in data["terms"]:
             edges = (Edge(operator.index(i), operator.index(j)) for i, j in t["factors"])
-            mono = BracketMonomial(n, tuple(edges))
-            terms.append((mono, t["coeff"]))
+            terms.append((ValenceScheme(n, tuple(edges)), t["coeff"]))
         return cls(n, terms)
 
     def __str__(self) -> str:
@@ -265,14 +159,14 @@ def plucker_expand(e1: Edge, e2: Edge, n: int | None = None) -> BracketPolynomia
     """
     if not edges_cross(e1, e2):
         raise ValueError(f"edges {e1} and {e2} do not cross; nothing to rewrite")
-    a, b, c, d = sorted((e1.i, e1.j, e2.i, e2.j))
+    a, b, c, d = sorted((*e1, *e2))
     if n is None:
         n = d
     return BracketPolynomial(
         n,
         {
-            BracketMonomial(n, (Edge(a, b), Edge(c, d))): 1,
-            BracketMonomial(n, (Edge(a, d), Edge(b, c))): 1,
+            ValenceScheme(n, (Edge(a, b), Edge(c, d))): 1,
+            ValenceScheme(n, (Edge(a, d), Edge(b, c))): 1,
         },
     )
 
@@ -292,8 +186,8 @@ class _Fuel:
         self.left -= 1
 
 
-def _without_one(factors: tuple[Edge, ...], e: Edge) -> tuple[Edge, ...]:
-    out = list(factors)
+def _without_one(edges: tuple[Edge, ...], e: Edge) -> tuple[Edge, ...]:
+    out = list(edges)
     out.remove(e)
     return tuple(out)
 
@@ -306,59 +200,52 @@ def _min_arc_target(scheme: ValenceScheme) -> tuple[int, Edge, int | None]:
     smallest non-isolated vertex inside one of e's minimal arcs (None when
     g == 1, in which case e is split off instead of rewritten).
     """
-    degs = scheme.multidegree()
-    best_g: int | None = None
-    best_e: Edge | None = None
+    n, degs = scheme.n, scheme.multidegree()
+    best: tuple[int, Edge] | None = None
     for e in sorted(set(scheme.edges)):
-        for arc in arc_vertices(scheme.n, e):
-            g = sum(1 for v in arc if degs[v - 1] > 0) + 1
-            if best_g is None or g < best_g:
-                best_g, best_e = g, e
-    assert best_g is not None and best_e is not None
-    if best_g == 1:
-        return best_g, best_e, None
-    candidates = []
-    for arc in arc_vertices(scheme.n, best_e):
-        interior = [v for v in arc if degs[v - 1] > 0]
-        if len(interior) + 1 == best_g:
-            candidates.extend(interior)
-    return best_g, best_e, min(candidates)
+        for interior in occupied_arcs(n, degs, e):
+            if best is None or len(interior) < best[0]:
+                best = len(interior), e
+    assert best is not None
+    size, e = best
+    if size == 0:
+        return 1, e, None
+    pivots = [v for arc in occupied_arcs(n, degs, e) if len(arc) == size for v in arc]
+    return size + 1, e, min(pivots)
 
 
-def _straighten_monomial(mono: BracketMonomial, fuel: _Fuel) -> dict[BracketMonomial, int]:
+def _straighten_monomial(mono: ValenceScheme, fuel: _Fuel) -> dict[ValenceScheme, int]:
     n = mono.n
-    if not mono.factors:
-        return {mono: 1}
-    scheme = mono.scheme()
-    if is_rumer(scheme):
-        return {mono: 1}
-    g, e, k = _min_arc_target(scheme)
-    if g == 1:
-        # e's minimal arc contains no bond end, so nothing in the rest of the
-        # monomial can ever cross e; straighten the rest and reattach.
-        rest = BracketMonomial(n, _without_one(mono.factors, e))
-        return {
-            BracketMonomial(n, sub.factors + (e,)): coeff
-            for sub, coeff in _straighten_monomial(rest, fuel).items()
-        }
-    f = min(edge for edge in set(mono.factors) if edge.touches(k))
-    if not edges_cross(e, f):
-        raise RuntimeError(
-            f"internal error: bond {f} through {k} should cross minimal-arc edge {e}"
+    split_off: tuple[Edge, ...] = ()
+    while mono.edges and not is_rumer(mono):
+        g, e, k = _min_arc_target(mono)
+        if g == 1:
+            # e's minimal arc contains no bond end, so nothing in the rest of
+            # the monomial can ever cross e or a parallel copy of it; split
+            # them all off here and reattach them to every output term.
+            rest = tuple(f for f in mono.edges if f != e)
+            split_off += (e,) * (len(mono.edges) - len(rest))
+            mono = ValenceScheme(n, rest)
+            continue
+        f = min(edge for edge in set(mono.edges) if edge.touches(k))
+        if not edges_cross(e, f):
+            raise RuntimeError(
+                f"internal error: bond {f} through {k} should cross minimal-arc edge {e}"
+            )
+        fuel.spend()
+        rest = _without_one(_without_one(mono.edges, e), f)
+        a, b, c, d = sorted((*e, *f))
+        out = combine(
+            term
+            for pair in ((Edge(a, b), Edge(c, d)), (Edge(a, d), Edge(b, c)))
+            for term in _straighten_monomial(ValenceScheme(n, rest + pair), fuel).items()
         )
-    fuel.spend()
-    rest = _without_one(_without_one(mono.factors, e), f)
-    a, b, c, d = sorted((e.i, e.j, f.i, f.j))
-    out: dict[BracketMonomial, int] = {}
-    for pair in ((Edge(a, b), Edge(c, d)), (Edge(a, d), Edge(b, c))):
-        replacement = BracketMonomial(n, rest + pair)
-        for sub, coeff in _straighten_monomial(replacement, fuel).items():
-            new = out.get(sub, 0) + coeff
-            if new:
-                out[sub] = new
-            else:
-                del out[sub]
-    return out
+        break
+    else:
+        out = {mono: 1}
+    if not split_off:
+        return out
+    return {ValenceScheme(n, sub.edges + split_off): coeff for sub, coeff in out.items()}
 
 
 def straighten(poly: BracketPolynomial, fuel: int | None = None) -> BracketPolynomial:
@@ -371,19 +258,17 @@ def straighten(poly: BracketPolynomial, fuel: int | None = None) -> BracketPolyn
     is_rumer at runtime rather than trusting the reattachment argument.
     """
     budget = _Fuel(DEFAULT_FUEL if fuel is None else fuel)
-    out: dict[BracketMonomial, int] = {}
-    for mono, coeff in poly.terms.items():
-        for rmono, rcoeff in _straighten_monomial(mono, budget).items():
-            new = out.get(rmono, 0) + coeff * rcoeff
-            if new:
-                out[rmono] = new
-            else:
-                del out[rmono]
-    result = BracketPolynomial(poly.n, out)
-    for mono in result.terms:
-        if not is_rumer(mono.scheme()):
-            raise RuntimeError(f"internal error: straightened term {mono} still crosses")
-    return result
+    out = combine(
+        (rmono, coeff * rcoeff)
+        for mono, coeff in poly.terms.items()
+        for rmono, rcoeff in _straighten_monomial(mono, budget).items()
+    )
+    for mono in out:
+        if not is_rumer(mono):
+            raise RuntimeError(
+                f"internal error: straightened term {_monomial_text(mono)} still crosses"
+            )
+    return BracketPolynomial._of(poly.n, out)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -454,7 +339,7 @@ def parse(text: str, n: int) -> BracketPolynomial:
             raise LoopBracketError(f"bracket [{a},{b}] pairs a vertex with itself", a_pos)
         return bracket(a, b)
 
-    def parse_term(sign: int) -> tuple[BracketMonomial, int]:
+    def parse_term(sign: int) -> tuple[ValenceScheme, int]:
         coeff = sign
         if peek()[0] == "int":
             tok = take()
@@ -467,9 +352,9 @@ def parse(text: str, n: int) -> BracketPolynomial:
             sb = parse_bracket()
             coeff *= sb.sign
             factors.append(sb.edge)
-        return BracketMonomial(n, tuple(factors)), coeff
+        return ValenceScheme(n, tuple(factors)), coeff
 
-    terms: list[tuple[BracketMonomial, int]] = []
+    terms: list[tuple[ValenceScheme, int]] = []
     sign = 1
     if peek()[0] in ("+", "-"):
         sign = -1 if take()[0] == "-" else 1

@@ -21,36 +21,45 @@ from .counting import compositions
 Multidegree = tuple[int, ...]
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
-    """Chord between two distinct vertices, stored normalized with i < j."""
+class Edge(tuple):
+    """Chord between two distinct vertices, stored normalized as the pair (i, j)
+    with i < j.  Edges compare, sort and hash as that pair."""
 
-    i: int
-    j: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.i == self.j:
-            raise ValueError(f"loop edge ({self.i},{self.j}) is not allowed")
-        if self.i > self.j:
-            i, j = self.j, self.i
-            object.__setattr__(self, "i", i)
-            object.__setattr__(self, "j", j)
-        if self.i < 1:
-            raise ValueError(f"vertex indices are 1-based, got ({self.i},{self.j})")
+    def __new__(cls, i: int, j: int) -> "Edge":
+        i, j = operator.index(i), operator.index(j)
+        if i == j:
+            raise ValueError(f"loop edge ({i},{j}) is not allowed")
+        if i > j:
+            i, j = j, i
+        if i < 1:
+            raise ValueError(f"vertex indices are 1-based, got ({i},{j})")
+        return tuple.__new__(cls, (i, j))
+
+    i = property(operator.itemgetter(0), doc="The smaller endpoint.")
+    j = property(operator.itemgetter(1), doc="The larger endpoint.")
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return tuple(self)
 
     def touches(self, v: int) -> bool:
-        return v == self.i or v == self.j
+        return v == self[0] or v == self[1]
 
     def other(self, v: int) -> int:
         """The endpoint opposite to v."""
-        if v == self.i:
-            return self.j
-        if v == self.j:
-            return self.i
+        i, j = self
+        if v == i:
+            return j
+        if v == j:
+            return i
         raise ValueError(f"vertex {v} is not an endpoint of {self}")
 
     def __str__(self) -> str:
-        return f"({self.i},{self.j})"
+        return f"({self[0]},{self[1]})"
+
+    def __repr__(self) -> str:
+        return f"Edge(i={self[0]}, j={self[1]})"
 
 
 def _coerce_edges(edges: Iterable) -> tuple[Edge, ...]:
@@ -66,32 +75,36 @@ def _coerce_edges(edges: Iterable) -> tuple[Edge, ...]:
 class ValenceScheme:
     """Loop-free multigraph on vertices 1..n; the edge multiset is kept sorted.
 
-    Two schemes are equal iff they have the same n and the same sorted edge
-    list, so schemes are usable as dict keys and set members.
+    Read as a bracket monomial, the scheme is the product of the brackets
+    [i,j] over its edges, so bracket polynomials are keyed by schemes.  Two
+    schemes are equal iff they have the same n and the same sorted edge list,
+    so schemes are usable as dict keys and set members.
     """
 
     n: int
     edges: tuple[Edge, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need at least one vertex, got n={self.n}")
+        n = operator.index(self.n)
+        if n < 1:
+            raise ValueError(f"need at least one vertex, got n={n}")
         edges = _coerce_edges(self.edges)
         for e in edges:
-            if e.j > self.n:
-                raise ValueError(f"edge {e} does not fit on {self.n} vertices")
+            if e[1] > n:
+                raise ValueError(f"edge {e} does not fit on {n} vertices")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
 
     def degree(self, v: int) -> int:
         if not 1 <= v <= self.n:
             raise ValueError(f"vertex {v} out of range 1..{self.n}")
-        return sum(1 for e in self.edges for end in (e.i, e.j) if end == v)
+        return sum(1 for e in self.edges for end in e if end == v)
 
     def multidegree(self) -> Multidegree:
         degs = [0] * self.n
-        for e in self.edges:
-            degs[e.i - 1] += 1
-            degs[e.j - 1] += 1
+        for i, j in self.edges:
+            degs[i - 1] += 1
+            degs[j - 1] += 1
         return tuple(degs)
 
     def to_text(self) -> str:
@@ -108,7 +121,7 @@ class ValenceScheme:
         return cls(n, [Edge(int(a), int(b)) for a, b in pairs])
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "edges": [[e.i, e.j] for e in self.edges]}
+        return {"n": self.n, "edges": [list(e) for e in self.edges]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ValenceScheme":
@@ -161,8 +174,7 @@ def edges_cross(e1: Edge, e2: Edge) -> bool:
     Chords that share an endpoint, and parallel copies of the same chord,
     never cross.
     """
-    a, b = e1.i, e1.j
-    c, d = e2.i, e2.j
+    a, b, c, d = e1[0], e1[1], e2[0], e2[1]  # indexing beats unpacking a tuple subclass
     return a < c < b < d or c < a < d < b
 
 
@@ -179,20 +191,22 @@ def is_rumer(scheme: ValenceScheme) -> bool:
     return first_crossing(scheme) is None
 
 
-def multidegree_of(scheme: ValenceScheme) -> Multidegree:
-    """Per-vertex count of incident edge ends; the sum is twice the edge count."""
-    return scheme.multidegree()
-
-
 def arc_vertices(n: int, e: Edge) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Vertices strictly inside each of the two circular arcs bounded by e.
 
     The first arc runs from e.i to e.j through ascending indices, the second
     wraps around through n and back to 1.
     """
-    inside = tuple(range(e.i + 1, e.j))
-    outside = tuple(range(e.j + 1, n + 1)) + tuple(range(1, e.i))
+    i, j = e
+    inside = tuple(range(i + 1, j))
+    outside = tuple(range(j + 1, n + 1)) + tuple(range(1, i))
     return inside, outside
+
+
+def occupied_arcs(n: int, degs: Multidegree, e: Edge) -> tuple[list[int], list[int]]:
+    """The non-isolated vertices (degs[v - 1] > 0) inside each arc of e."""
+    inside, outside = arc_vertices(n, e)
+    return [v for v in inside if degs[v - 1]], [v for v in outside if degs[v - 1]]
 
 
 def arc_lengths(scheme: ValenceScheme, e: Edge) -> tuple[int, int]:
@@ -202,11 +216,8 @@ def arc_lengths(scheme: ValenceScheme, e: Edge) -> tuple[int, int]:
     """
     if e not in scheme.edges:
         raise ValueError(f"edge {e} is not an edge of {scheme}")
-    degs = scheme.multidegree()
-    lengths = []
-    for arc in arc_vertices(scheme.n, e):
-        lengths.append(sum(1 for v in arc if degs[v - 1] > 0) + 1)
-    return lengths[0], lengths[1]
+    first, second = occupied_arcs(scheme.n, scheme.multidegree(), e)
+    return len(first) + 1, len(second) + 1
 
 
 def _validated_degrees(degrees: Sequence[int]) -> tuple[int, ...]:
@@ -238,14 +249,16 @@ def _degree_constrained_edge_lists(
             yield tuple(chosen)
             return
         w_start = v + 1
-        if last is not None and last.i == v:
-            w_start = max(w_start, last.j)  # parallel copy of last is allowed
+        if last is not None and last[0] == v:
+            w_start = max(w_start, last[1])  # parallel copy of last is allowed
         for w in range(w_start, n + 1):
             if not remaining[w]:
                 continue
-            e = Edge(v, w)
-            if noncrossing and any(edges_cross(e, c) for c in chosen):
+            # every chosen edge (a, b) starts at or before v, so it crosses
+            # (v, w) exactly when a < v < b < w
+            if noncrossing and any(c[0] < v < c[1] < w for c in chosen):
                 continue
+            e = Edge(v, w)
             remaining[v] -= 1
             remaining[w] -= 1
             chosen.append(e)

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
-from typing import Iterable, Mapping, Sequence, Union
+from operator import add
+from typing import Iterable, Mapping, Sequence
 
 from .brackets import BracketPolynomial, straighten
 from .counting import rho_closed
-from .diagrams import enumerate_rumer, enumerate_valence_schemes, is_rumer
+from .diagrams import ValenceScheme, enumerate_rumer, enumerate_valence_schemes, is_rumer
+from .sparse import SparseCombination, combine
 
 ExponentVector = tuple[int, ...]
 
@@ -32,54 +35,28 @@ def variable_index(vertex: int, component: int) -> int:
 def _mul_terms(
     left: Mapping[ExponentVector, int], right: Mapping[ExponentVector, int]
 ) -> dict[ExponentVector, int]:
-    out: dict[ExponentVector, int] = {}
-    for e1, c1 in left.items():
-        for e2, c2 in right.items():
-            key = tuple(a + b for a, b in zip(e1, e2))
-            new = out.get(key, 0) + c1 * c2
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-    return out
+    return combine(
+        (tuple(map(add, e1, e2)), c1 * c2)
+        for e1, c1 in left.items()
+        for e2, c2 in right.items()
+    )
 
 
-class XPolynomial:
+class XPolynomial(SparseCombination):
     """Sparse integer polynomial in the 2n coordinate variables.
 
     Terms map exponent vectors of length 2n to nonzero integer coefficients.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        n: int,
-        terms: Union[Mapping[ExponentVector, int], Iterable[tuple[ExponentVector, int]]] = (),
-    ):
-        if n < 1:
-            raise ValueError(f"need at least one vertex, got n={n}")
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        collected: dict[ExponentVector, int] = {}
-        for evec, coeff in items:
-            evec = tuple(map(operator.index, evec))
-            if len(evec) != 2 * n:
-                raise ValueError(f"exponent vector {evec} is not of length {2 * n}")
-            if any(x < 0 for x in evec):
-                raise ValueError(f"negative exponent in {evec}")
-            coeff = operator.index(coeff)
-            if coeff:
-                new = collected.get(evec, 0) + coeff
-                if new:
-                    collected[evec] = new
-                elif evec in collected:
-                    del collected[evec]
-        self.n = n
-        self.terms = collected
-
-    @classmethod
-    def zero(cls, n: int) -> "XPolynomial":
-        return cls(n)
+    def _check_key(self, evec: Iterable[int]) -> ExponentVector:
+        evec = tuple(map(operator.index, evec))
+        if len(evec) != 2 * self.n:
+            raise ValueError(f"exponent vector {evec} is not of length {2 * self.n}")
+        if any(x < 0 for x in evec):
+            raise ValueError(f"negative exponent in {evec}")
+        return evec
 
     @classmethod
     def constant(cls, n: int, value: int) -> "XPolynomial":
@@ -91,50 +68,8 @@ class XPolynomial:
         evec[variable_index(vertex, component)] = 1
         return cls(n, {tuple(evec): 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, XPolynomial) and self.n == other.n and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def _require_same_n(self, other: "XPolynomial") -> None:
-        if self.n != other.n:
-            raise ValueError(f"vertex counts differ: {self.n} vs {other.n}")
-
-    def __add__(self, other: "XPolynomial") -> "XPolynomial":
-        self._require_same_n(other)
-        out = dict(self.terms)
-        for evec, coeff in other.terms.items():
-            new = out.get(evec, 0) + coeff
-            if new:
-                out[evec] = new
-            else:
-                del out[evec]
-        return XPolynomial(self.n, out)
-
-    def __neg__(self) -> "XPolynomial":
-        return XPolynomial(self.n, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "XPolynomial") -> "XPolynomial":
-        return self + (-other)
-
-    def __rmul__(self, scalar: int) -> "XPolynomial":
-        scalar = operator.index(scalar)
-        return XPolynomial(self.n, {e: scalar * c for e, c in self.terms.items()})
-
-    def __mul__(self, other: Union[int, "XPolynomial"]) -> "XPolynomial":
-        if not isinstance(other, XPolynomial):
-            return self.__rmul__(other)
-        self._require_same_n(other)
-        return XPolynomial(self.n, _mul_terms(self.terms, other.terms))
+    def _multiply(self, other: "XPolynomial") -> dict[ExponentVector, int]:
+        return _mul_terms(self.terms, other.terms)
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
@@ -161,18 +96,21 @@ def expand(poly: BracketPolynomial) -> XPolynomial:
     the empty monomial expands to the constant 1.
     """
     n = poly.n
-    total: dict[ExponentVector, int] = {}
-    for mono, coeff in poly.terms.items():
+
+    def expanded(mono: ValenceScheme, coeff: int) -> dict[ExponentVector, int]:
         prod: dict[ExponentVector, int] = {(0,) * (2 * n): coeff}
-        for e in mono.factors:
-            prod = _mul_terms(prod, _bracket_factor_terms(n, e.i, e.j))
-        for evec, c in prod.items():
-            new = total.get(evec, 0) + c
-            if new:
-                total[evec] = new
-            else:
-                del total[evec]
-    return XPolynomial(n, total)
+        for i, j in mono.edges:
+            prod = _mul_terms(prod, _bracket_factor_terms(n, i, j))
+        return prod
+
+    return XPolynomial._of(
+        n,
+        combine(
+            item
+            for mono, coeff in poly.terms.items()
+            for item in expanded(mono, coeff).items()
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -251,19 +189,17 @@ def act(sigma: UnimodularMatrix, f: XPolynomial) -> XPolynomial:
             power_cache[key] = cached
         return cached
 
-    total: dict[ExponentVector, int] = {}
-    for evec, coeff in f.terms.items():
+    def image(evec: ExponentVector, coeff: int) -> dict[ExponentVector, int]:
         prod: dict[ExponentVector, int] = {(0,) * (2 * n): coeff}
         for var, exponent in enumerate(evec):
             if exponent:
                 prod = _mul_terms(prod, image_power(var, exponent))
-        for key, c in prod.items():
-            new = total.get(key, 0) + c
-            if new:
-                total[key] = new
-            else:
-                del total[key]
-    return XPolynomial(n, total)
+        return prod
+
+    return XPolynomial._of(
+        n,
+        combine(item for evec, coeff in f.terms.items() for item in image(evec, coeff).items()),
+    )
 
 
 def _graded_lex(evec: ExponentVector) -> tuple:
@@ -315,14 +251,14 @@ def rank_of_span(polys: Sequence[XPolynomial]) -> int:
                 break
             g = gcd(row[lead], pivot[lead])
             scale, factor = pivot[lead] // g, row[lead] // g
-            combined = {k: c * scale for k, c in row.items()}
-            for k, c in pivot.items():
-                new = combined.get(k, 0) - c * factor
-                if new:
-                    combined[k] = new
-                else:
-                    del combined[k]
-            row = _reduce_row(combined)
+            row = _reduce_row(
+                combine(
+                    chain(
+                        ((k, c * scale) for k, c in row.items()),
+                        ((k, -c * factor) for k, c in pivot.items()),
+                    )
+                )
+            )
     return len(pivots)
 
 
@@ -354,14 +290,14 @@ def verify_basis(n: int, m: int, fuel: int | None = None) -> dict:
             failures.append({"scheme": scheme.to_text(), "reason": "expansion mismatch"})
         degs = scheme.multidegree()
         for mono in flat.terms:
-            if not is_rumer(mono.scheme()):
-                failures.append(
-                    {"scheme": scheme.to_text(), "reason": f"crossing term {mono}"}
-                )
-            elif mono.scheme().multidegree() != degs:
-                failures.append(
-                    {"scheme": scheme.to_text(), "reason": f"multidegree changed in {mono}"}
-                )
+            if not is_rumer(mono):
+                reason = "crossing term"
+            elif mono.multidegree() != degs:
+                reason = "multidegree changed in"
+            else:
+                continue
+            term = BracketPolynomial.monomial(n, mono.edges)
+            failures.append({"scheme": scheme.to_text(), "reason": f"{reason} {term}"})
     return {
         "n": n,
         "m": m,

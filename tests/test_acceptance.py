@@ -116,7 +116,7 @@ def test_criterion_5_straighten_and_basis_ranks():
             flat = straighten(poly)
             if expand(flat) != reference:
                 failures.append((n, m, f"expansion mismatch at {scheme}"))
-            if any(not is_rumer(mono.scheme()) for mono in flat.terms):
+            if any(not is_rumer(mono) for mono in flat.terms):
                 failures.append((n, m, f"crossing term from {scheme}"))
         if rank_of_span(all_expansions) != rho:
             failures.append((n, m, "full rank"))
@@ -194,6 +194,6 @@ def test_criterion_9_straighten_preserves_multidegree():
             degrees = scheme.multidegree()
             flat = straighten(BracketPolynomial.monomial(n, scheme.edges))
             for mono in flat.terms:
-                if mono.scheme().multidegree() != degrees:
+                if mono.multidegree() != degrees:
                     bad.append((scheme.to_text(), str(mono)))
     report(9, not bad, f"termwise multidegree preserved over the criterion-5 grid; bad={bad[:3]}")

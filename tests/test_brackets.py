@@ -3,16 +3,16 @@ and the text grammar.  Straightening results are never trusted on their own:
 every expected identity here is also confirmed through full coordinate
 expansion, which is an independent code path."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rumer.brackets import (
-    BracketMonomial,
     BracketPolynomial,
     FuelExhaustedError,
     LoopBracketError,
     PolynomialSyntaxError,
     VertexRangeError,
     bracket,
-    monomial_scheme,
     parse,
     plucker_expand,
     straighten,
@@ -38,28 +38,32 @@ class TestBracket:
 
 
 class TestMonomial:
+    """A bracket monomial is the valence scheme of its factor multiset."""
+
     def test_factors_sorted(self):
-        m = BracketMonomial(4, (Edge(3, 4), Edge(1, 2)))
-        assert m.factors == (Edge(1, 2), Edge(3, 4))
-        assert m == BracketMonomial(4, (Edge(1, 2), Edge(3, 4)))
+        m = ValenceScheme(4, (Edge(3, 4), Edge(1, 2)))
+        assert m.edges == (Edge(1, 2), Edge(3, 4))
+        assert m == ValenceScheme(4, (Edge(1, 2), Edge(3, 4)))
 
     def test_scheme_round_trip(self):
-        m = BracketMonomial(4, (Edge(1, 2), Edge(1, 2)))
-        g = monomial_scheme(m)
+        m = BracketPolynomial.monomial(4, (Edge(1, 2), Edge(1, 2)))
+        (g,) = m.terms
         assert g == ValenceScheme(4, [(1, 2), (1, 2)])
-        assert BracketMonomial(g.n, g.edges) == m
+        assert BracketPolynomial.monomial(g.n, g.edges) == m
 
     def test_empty(self):
-        assert monomial_scheme(BracketMonomial(3)) == ValenceScheme(3)
+        assert list(BracketPolynomial.monomial(3).terms) == [ValenceScheme(3)]
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            BracketMonomial(3, (Edge(1, 4),))
+            ValenceScheme(3, (Edge(1, 4),))
+        with pytest.raises(ValueError):
+            BracketPolynomial.monomial(3, (Edge(1, 4),))
 
 
 class TestPolynomial:
     def test_collects_terms(self):
-        m = BracketMonomial(2, (Edge(1, 2),))
+        m = ValenceScheme(2, (Edge(1, 2),))
         p = BracketPolynomial(2, [(m, 2), (m, -1)])
         assert p.terms == {m: 1}
         assert not BracketPolynomial(2, [(m, 1), (m, -1)])
@@ -70,6 +74,7 @@ class TestPolynomial:
         assert a + b == poly("[1,2]+[3,4]", 4)
         assert a - a == BracketPolynomial.zero(4)
         assert 3 * a == poly("3*[1,2]", 4)
+        assert (0 * a).is_zero() and 0 * a == BracketPolynomial.zero(4)
         assert a * b == poly("[1,2][3,4]", 4)
 
     def test_mixed_n_rejected(self):
@@ -89,7 +94,7 @@ class TestPolynomial:
 
     def test_non_integral_coefficients_rejected(self):
         a = poly("[1,2]", 4)
-        m = BracketMonomial(2, (Edge(1, 2),))
+        m = ValenceScheme(2, (Edge(1, 2),))
         with pytest.raises(TypeError):
             2.5 * a
         with pytest.raises(TypeError):
@@ -135,7 +140,7 @@ class TestPluckerExpand:
     def test_output_never_crosses(self):
         result = plucker_expand(Edge(1, 3), Edge(2, 4))
         for mono in result.terms:
-            assert is_rumer(mono.scheme())
+            assert is_rumer(mono)
 
 
 class TestStraighten:
@@ -178,8 +183,8 @@ class TestStraighten:
                 flat = straighten(p)
                 assert expand(flat) == expand(p), scheme
                 for mono in flat.terms:
-                    assert is_rumer(mono.scheme())
-                    assert mono.scheme().multidegree() == scheme.multidegree()
+                    assert is_rumer(mono)
+                    assert mono.multidegree() == scheme.multidegree()
 
     def test_fuel_exhaustion_is_loud(self):
         with pytest.raises(FuelExhaustedError):
@@ -191,7 +196,7 @@ class TestStraighten:
 class TestParse:
     def test_single_monomial(self):
         p = parse("[1,3][2,4]", 4)
-        assert p.terms == {BracketMonomial(4, (Edge(1, 3), Edge(2, 4))): 1}
+        assert p.terms == {ValenceScheme(4, (Edge(1, 3), Edge(2, 4))): 1}
 
     def test_coefficients_collect(self):
         assert parse("2*[1,2] - [1,2]", 2) == BracketPolynomial.monomial(2, [(1, 2)])
@@ -227,3 +232,51 @@ class TestParse:
 
     def test_zero_polynomial_round_trip(self):
         assert parse("[1,2]-[1,2]", 2).to_text() == "0"
+
+
+@st.composite
+def polynomials(draw, n=None):
+    """Random integer bracket polynomials on n <= 7 vertices with <= 4 chords per term."""
+    if n is None:
+        n = draw(st.integers(2, 7))
+    chord = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
+    term = st.tuples(st.lists(chord, max_size=4), st.integers(-5, 5))
+    terms = draw(st.lists(term, max_size=4))
+    return BracketPolynomial(n, [(ValenceScheme(n, chords), c) for chords, c in terms])
+
+
+@st.composite
+def polynomial_pairs(draw):
+    n = draw(st.integers(2, 7))
+    return draw(polynomials(n)), draw(polynomials(n))
+
+
+property_settings = settings(derandomize=True, max_examples=100, deadline=None)
+
+
+class TestStraightenProperties:
+    @property_settings
+    @given(polynomial_pairs(), st.integers(-4, 4))
+    def test_linear(self, pair, k):
+        p, q = pair
+        assert straighten(p + q) == straighten(p) + straighten(q)
+        assert straighten(k * p) == k * straighten(p)
+
+    @property_settings
+    @given(polynomials())
+    def test_idempotent(self, p):
+        once = straighten(p)
+        assert straighten(once) == once
+
+    @property_settings
+    @given(polynomials())
+    def test_preserves_each_term_multidegree(self, p):
+        for mono in p.terms:
+            flat = straighten(BracketPolynomial(p.n, {mono: 1}))
+            assert all(is_rumer(t) for t in flat.terms)
+            assert all(t.multidegree() == mono.multidegree() for t in flat.terms)
+
+    @property_settings
+    @given(polynomials())
+    def test_preserves_expansion(self, p):
+        assert expand(straighten(p)) == expand(p)

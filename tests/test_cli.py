@@ -1,7 +1,12 @@
 """Command-line contract: subcommands, formats, exit codes, guards."""
+import contextlib
+import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rumer.cli
 import rumer.oracle
@@ -148,6 +153,14 @@ class TestStraighten:
         assert doc["verified"] is True
         assert {"coeff": 1, "factors": [[1, 2], [3, 4]]} in doc["terms"]
 
+    def test_deep_split_off_chain(self, capsys):
+        # 1500 parallel [1,2] factors are split off before the exchange rule
+        # applies; a recursion one level per factor ended in a RecursionError
+        code, out, err = run(capsys, "straighten", "[1,2]" * 1500 + "[1,3][2,4]", "--n", "4")
+        assert code == 0
+        assert err == ""
+        assert out == "[1,2]" * 1501 + "[3,4] + " + "[1,2]" * 1500 + "[1,4][2,3]\n"
+
     def test_parse_error_reports_position(self, capsys):
         code, _, err = run(capsys, "straighten", "[1,5]", "--n", "4")
         assert code == 2
@@ -292,3 +305,90 @@ def test_max_schemes_guard_message(capsys, argv, predicted):
     assert code == 2
     assert out == ""
     assert err == f"error: {predicted} diagrams exceed the --max-schemes guard (2)\n"
+
+
+#: Per subcommand: the flag sets that make a working call, then the optional flags.
+REQUIRED = {
+    "count": [["--n", "--m"], ["--multidegree"]],
+    "enumerate": [["--n", "--m"], ["--multidegree"]],
+    "straighten": [["--n"]],
+    "verify": [["--n", "--m"]],
+    "render": [["--diagram"]],
+}
+OPTIONAL = {
+    "count": ["--method", "--format", "--max-schemes"],
+    "enumerate": ["--format", "--max-schemes"],
+    "straighten": ["--verify", "--format"],
+    "verify": ["--format", "--max-schemes"],
+    "render": ["--size", "--format"],
+}
+#: Values a flag accepts, by subcommand where that matters.
+GOOD = {
+    "--n": [str(k) for k in range(1, 7)],
+    "--m": [str(k) for k in range(0, 7)],
+    "straighten --n": ["4", "5", "6"],
+    "verify --n": ["2..4", "1..3", "2", "5", "6"],
+    "verify --m": ["0..2", "1..3", "0", "4", "6"],
+    "--max-schemes": ["100", "6", "0"],
+    "--size": ["100", "6", "1"],
+    "--multidegree": ["1,1,2", "2,2,2,2", "0", "3,3", "1,2,1,2"],
+    "--method": ["all", "formula", "product", "recurrence", "enumerate"],
+    "--format": ["text", "json"],
+    "count --format": ["text", "json", "csv"],
+    "render --format": ["svg"],
+    "--diagram": ["n=4; (1,3)(2,4)", "n=5; (1,2)(1,2)(3,5)", '{"n": 3, "edges": [[1, 2]]}'],
+}
+#: Values that parse but must be refused, then junk any flag may get instead.
+BAD = {
+    "straighten --n": ["1", "2", "3"],
+    "verify --n": ["3..1", "2..", "0..2"],
+    "verify --m": ["3..1", "2..", "0..2"],
+    "--multidegree": ["1,-1", ",", "1,x"],
+    "--diagram": [
+        "n=3; (1,1)", "n=2; (1,3)", "n=0;", '{"n": 2.5, "edges": []}', '{"edges": 1}',
+        '{"n": 3, "edges": [[1]]}', "[]",
+    ],
+}
+JUNK = [str(k) for k in range(-2, 1)] + ["", "x", "-", "--", "--help", "--bogus", "7..", "1.5"]
+POLYNOMIALS = ["[1,3][2,4]", "2*[3,1]-[2,1]", "[1,2][1,2][3,5]", "-[2,1]", "[1,", "[6,6]", "0"]
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand with its flags, at most one of them given a bad or junk
+    value, or else sometimes one loose token anywhere; integers run over
+    -2..6, and --out is never drawn, so nothing is written."""
+    sub = draw(st.sampled_from(sorted(REQUIRED)))
+    argv = [sub]
+    if sub == "straighten":
+        argv.append(draw(st.sampled_from(POLYNOMIALS)))
+    flags = draw(st.sampled_from(REQUIRED[sub])) + draw(
+        st.lists(st.sampled_from(OPTIONAL[sub]), max_size=3)
+    )
+    faulty = draw(st.sampled_from([None] * len(flags) + list(range(len(flags)))))
+    for k, flag in enumerate(flags):
+        argv.append(flag)
+        if flag == "--verify":
+            continue
+        key = f"{sub} {flag}" if f"{sub} {flag}" in GOOD else flag
+        values = BAD.get(key, []) + JUNK if k == faulty else GOOD[key]
+        argv.append(draw(st.sampled_from(values)))
+    if faulty is None and draw(st.sampled_from([False] * 4 + [True])):
+        loose = draw(st.sampled_from(JUNK + POLYNOMIALS + sorted(REQUIRED)))
+        argv.insert(draw(st.integers(0, len(argv))), loose)
+    return argv
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(argvs())
+def test_fuzzed_argv_only_ends_in_an_exit_code(argv):
+    """Any argv built from a small token alphabet ends in exit code 0, 1 or 2,
+    never in another exception.  The --max-schemes default is lowered so that
+    no single example runs a large cell."""
+    with mock.patch.object(rumer.cli, "DEFAULT_MAX_SCHEMES", 800), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv

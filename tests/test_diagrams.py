@@ -4,6 +4,8 @@ The oracle enumerates all size-m edge multisets and filters by degree and by
 a crossing predicate written in a different formulation than the library's,
 so agreement is meaningful.
 """
+import copy
+import pickle
 from itertools import combinations_with_replacement
 
 import pytest
@@ -21,7 +23,6 @@ from rumer.diagrams import (
     enumerate_valence_schemes_by_multidegree,
     first_crossing,
     is_rumer,
-    multidegree_of,
 )
 
 
@@ -84,6 +85,22 @@ class TestEdge:
         with pytest.raises(ValueError):
             e.other(3)
 
+    def test_text_forms_and_order(self):
+        assert repr(Edge(3, 1)) == "Edge(i=1, j=3)"
+        assert str(Edge(i=3, j=1)) == "(1,3)"
+        assert sorted([Edge(2, 3), Edge(1, 4), Edge(1, 2)]) == [Edge(1, 2), Edge(1, 4), Edge(2, 3)]
+
+    def test_copies_and_pickles(self):
+        e = Edge(3, 1)
+        assert copy.deepcopy(e) == e and type(copy.copy(e)) is Edge
+        assert pickle.loads(pickle.dumps(e)) == e
+
+    def test_rejects_non_integers(self):
+        with pytest.raises(TypeError):
+            Edge(1.5, 2)
+        with pytest.raises(TypeError):
+            Edge(1, 2.0)
+
 
 class TestEdgesCross:
     @pytest.mark.parametrize(
@@ -136,6 +153,14 @@ class TestScheme:
         assert data == {"n": 4, "edges": [[1, 2], [1, 2], [3, 4]]}
         assert ValenceScheme.from_json_dict(data) == g
 
+    def test_constructor_non_integers_rejected(self):
+        with pytest.raises(TypeError):
+            ValenceScheme(4.5, [(1.5, 2)])
+        with pytest.raises(TypeError):
+            ValenceScheme(4.0)
+        with pytest.raises(TypeError):
+            ValenceScheme(4, [(1.5, 2)])
+
     def test_json_non_integers_rejected(self):
         with pytest.raises(TypeError):
             ValenceScheme.from_json('{"n": 4.9, "edges": [[1.5, 2.7]]}')
@@ -168,13 +193,13 @@ class TestRumerPredicate:
 
 class TestMultidegree:
     def test_fixed_values(self):
-        assert multidegree_of(ValenceScheme(4, [(1, 2), (3, 4)])) == (1, 1, 1, 1)
-        assert multidegree_of(ValenceScheme(3)) == (0, 0, 0)
-        assert multidegree_of(ValenceScheme(2, [(1, 2), (1, 2)])) == (2, 2)
+        assert ValenceScheme(4, [(1, 2), (3, 4)]).multidegree() == (1, 1, 1, 1)
+        assert ValenceScheme(3).multidegree() == (0, 0, 0)
+        assert ValenceScheme(2, [(1, 2), (1, 2)]).multidegree() == (2, 2)
 
     def test_sum_is_twice_edge_count(self):
         for scheme in enumerate_valence_schemes(5, 2):
-            assert sum(multidegree_of(scheme)) == 4
+            assert sum(scheme.multidegree()) == 4
 
 
 class TestArcLengths:
@@ -194,7 +219,7 @@ class TestArcLengths:
         # both arcs' interior non-isolated vertices plus the two endpoints
         # cover every non-isolated vertex exactly once
         for scheme in enumerate_valence_schemes(5, 2):
-            nonisolated = sum(1 for d in multidegree_of(scheme) if d)
+            nonisolated = sum(1 for d in scheme.multidegree() if d)
             for e in set(scheme.edges):
                 l1, l2 = arc_lengths(scheme, e)
                 assert l1 >= 1 and l2 >= 1

@@ -49,6 +49,15 @@ class TestXPolynomial:
         with pytest.raises(ValueError):
             XPolynomial(2, {(1, 0): 1})
 
+    def test_other_polynomial_type_rejected(self):
+        # a bracket polynomial and a coordinate polynomial on the same n do
+        # not mix; this used to return a bracket polynomial with a tuple key
+        bracket_poly, coordinate_poly = parse("[1,2]", 2), XPolynomial.constant(2, 3)
+        with pytest.raises(TypeError):
+            bracket_poly + coordinate_poly
+        with pytest.raises(TypeError):
+            coordinate_poly - bracket_poly
+
     def test_non_integral_values_rejected(self):
         a = x(1, 1, 1)
         with pytest.raises(TypeError):
