@@ -8,29 +8,24 @@ a BracketPolynomial maps schemes to coefficients.  The quadratic exchange rule
     p_ac p_bd = p_ab p_cd + p_ad p_bc        (a < b < c < d)
 
 replaces a crossing pair of chords by the two non-crossing pairs on the same
-four vertices.  `straighten` applies it until every monomial is a Rumer
-diagram, following the minimal-arc strategy: an edge whose arc contains no
-other bond ends is split off and reattached afterwards, otherwise the bond
-through the innermost vertex of a minimal arc necessarily crosses it and the
-exchange rule applies.  Each rewrite touches only four vertices and preserves
-every vertex degree, so straightening is multidegree-preserving term by term.
+four vertices.  Each exchange lowers the number of crossing pairs of bonds in
+both of its terms: a third chord crosses the new pair at most as often as it
+crossed the old pair, and the old pair's own crossing is gone.  So
+straightening ends whichever crossing pair is rewritten; `straighten` takes
+monomials in descending crossing count and rewrites each at its first
+crossing pair until every monomial is a Rumer diagram.  Each rewrite touches
+only four vertices and preserves every vertex degree, so straightening is
+multidegree-preserving term by term.
 """
 from __future__ import annotations
 
 import operator
+from collections import Counter
+from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .diagrams import Edge, ValenceScheme, edges_cross, is_rumer, occupied_arcs
+from .diagrams import Edge, ValenceScheme, edges_cross, first_crossing, is_rumer
 from .sparse import SparseCombination, combine
-
-#: Rewrite budget guarding the straightening recursion.  Exhaustion raises
-#: FuelExhaustedError; the result is never silently truncated.
-DEFAULT_FUEL = 10**6
-
-
-class FuelExhaustedError(RuntimeError):
-    """Straightening exceeded its rewrite budget; this signals an internal bug,
-    not a property of the input."""
 
 
 class ParseError(ValueError):
@@ -149,6 +144,13 @@ class BracketPolynomial(SparseCombination):
         return f"BracketPolynomial(n={self.n}, {self.to_text()!r})"
 
 
+def _exchange(e1: Edge, e2: Edge) -> tuple[tuple[Edge, Edge], tuple[Edge, Edge]]:
+    """The exchange rule on the four ends a < b < c < d of two crossing chords:
+    the pairs (a,b)(c,d) and (a,d)(b,c), whose products sum to p_ac p_bd."""
+    a, b, c, d = sorted((*e1, *e2))
+    return (Edge(a, b), Edge(c, d)), (Edge(a, d), Edge(b, c))
+
+
 def plucker_expand(e1: Edge, e2: Edge, n: int | None = None) -> BracketPolynomial:
     """Rewrite the product of two crossing brackets as the sum of the two
     non-crossing products on the same four vertices:
@@ -159,116 +161,67 @@ def plucker_expand(e1: Edge, e2: Edge, n: int | None = None) -> BracketPolynomia
     """
     if not edges_cross(e1, e2):
         raise ValueError(f"edges {e1} and {e2} do not cross; nothing to rewrite")
-    a, b, c, d = sorted((*e1, *e2))
     if n is None:
-        n = d
-    return BracketPolynomial(
-        n,
-        {
-            ValenceScheme(n, (Edge(a, b), Edge(c, d))): 1,
-            ValenceScheme(n, (Edge(a, d), Edge(b, c))): 1,
-        },
-    )
+        n = max(e1[1], e2[1])
+    return BracketPolynomial(n, {ValenceScheme(n, pair): 1 for pair in _exchange(e1, e2)})
 
 
-class _Fuel:
-    __slots__ = ("left",)
-
-    def __init__(self, amount: int):
-        self.left = amount
-
-    def spend(self) -> None:
-        if self.left <= 0:
-            raise FuelExhaustedError(
-                "rewrite budget exhausted; straightening should terminate long "
-                "before this, so the tie-breaking logic is suspect"
-            )
-        self.left -= 1
+def _crossings(mono: ValenceScheme) -> int:
+    """Number of crossing pairs of bonds, parallel copies counted."""
+    mult = Counter(mono.edges)
+    # the edges come sorted, so (a, b) before (c, d) has a <= c, and the two
+    # cross exactly when a < c < b < d
+    return sum(mult[e] * mult[f] for e, f in combinations(mult, 2) if e[0] < f[0] < e[1] < f[1])
 
 
-def _without_one(edges: tuple[Edge, ...], e: Edge) -> tuple[Edge, ...]:
-    out = list(edges)
-    out.remove(e)
-    return tuple(out)
-
-
-def _min_arc_target(scheme: ValenceScheme) -> tuple[int, Edge, int | None]:
-    """Locate the globally minimal arc and the rewrite pivot.
-
-    Returns (g, e, k): g is the minimal arc length over all arcs of all
-    edges, e the lexicographically smallest edge achieving it, and k the
-    smallest non-isolated vertex inside one of e's minimal arcs (None when
-    g == 1, in which case e is split off instead of rewritten).
-    """
-    n, degs = scheme.n, scheme.multidegree()
-    best: tuple[int, Edge] | None = None
-    for e in sorted(set(scheme.edges)):
-        for interior in occupied_arcs(n, degs, e):
-            if best is None or len(interior) < best[0]:
-                best = len(interior), e
-    assert best is not None
-    size, e = best
-    if size == 0:
-        return 1, e, None
-    pivots = [v for arc in occupied_arcs(n, degs, e) if len(arc) == size for v in arc]
-    return size + 1, e, min(pivots)
-
-
-def _straighten_monomial(mono: ValenceScheme, fuel: _Fuel) -> dict[ValenceScheme, int]:
-    n = mono.n
-    split_off: tuple[Edge, ...] = ()
-    while mono.edges and not is_rumer(mono):
-        g, e, k = _min_arc_target(mono)
-        if g == 1:
-            # e's minimal arc contains no bond end, so nothing in the rest of
-            # the monomial can ever cross e or a parallel copy of it; split
-            # them all off here and reattach them to every output term.
-            rest = tuple(f for f in mono.edges if f != e)
-            split_off += (e,) * (len(mono.edges) - len(rest))
-            mono = ValenceScheme(n, rest)
-            continue
-        f = min(edge for edge in set(mono.edges) if edge.touches(k))
-        if not edges_cross(e, f):
-            raise RuntimeError(
-                f"internal error: bond {f} through {k} should cross minimal-arc edge {e}"
-            )
-        fuel.spend()
-        rest = _without_one(_without_one(mono.edges, e), f)
-        a, b, c, d = sorted((*e, *f))
-        out = combine(
-            term
-            for pair in ((Edge(a, b), Edge(c, d)), (Edge(a, d), Edge(b, c)))
-            for term in _straighten_monomial(ValenceScheme(n, rest + pair), fuel).items()
-        )
-        break
-    else:
-        out = {mono: 1}
-    if not split_off:
-        return out
-    return {ValenceScheme(n, sub.edges + split_off): coeff for sub, coeff in out.items()}
-
-
-def straighten(poly: BracketPolynomial, fuel: int | None = None) -> BracketPolynomial:
+def straighten(poly: BracketPolynomial) -> BracketPolynomial:
     """Rewrite a bracket polynomial into the non-crossing (Rumer) basis.
 
     The result is equal to the input as a polynomial function, every
     surviving monomial has a non-crossing scheme, and each output monomial
     carries the multidegree of the input monomial it descends from.  The
-    map is linear and idempotent.  Every final term is checked against
-    is_rumer at runtime rather than trusting the reattachment argument.
+    map is linear and idempotent.
+
+    Monomials wait in buckets keyed by crossing count and are taken from the
+    highest count down.  Both exchange children have fewer crossings than
+    their parent, so a monomial is complete, with every contribution merged
+    into its coefficient, when its bucket is taken, and it is rewritten once.
+    Both the descent and the non-crossing output are checked at runtime.
     """
-    budget = _Fuel(DEFAULT_FUEL if fuel is None else fuel)
-    out = combine(
-        (rmono, coeff * rcoeff)
-        for mono, coeff in poly.terms.items()
-        for rmono, rcoeff in _straighten_monomial(mono, budget).items()
-    )
+    n = poly.n
+    levels: list[dict[ValenceScheme, int]] = [{}]
+    for mono, coeff in poly.terms.items():
+        k = _crossings(mono)
+        levels.extend({} for _ in range(k + 1 - len(levels)))
+        levels[k][mono] = coeff
+    while len(levels) > 1:
+        k = len(levels) - 1
+        for mono, coeff in levels.pop().items():
+            e, f = first_crossing(mono)
+            rest = list(mono.edges)
+            rest.remove(e)
+            rest.remove(f)
+            for pair in _exchange(e, f):
+                child = ValenceScheme(n, (*rest, *pair))
+                j = _crossings(child)
+                if j >= k:
+                    raise RuntimeError(
+                        f"internal error: exchanging {e} and {f} in {_monomial_text(mono)} "
+                        f"leaves {j} crossings, not fewer than {k}"
+                    )
+                level = levels[j]
+                new = level.get(child, 0) + coeff
+                if new:
+                    level[child] = new
+                else:
+                    del level[child]
+    out = levels[0]
     for mono in out:
         if not is_rumer(mono):
             raise RuntimeError(
                 f"internal error: straightened term {_monomial_text(mono)} still crosses"
             )
-    return BracketPolynomial._of(poly.n, out)
+    return BracketPolynomial._of(n, out)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

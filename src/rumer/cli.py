@@ -3,15 +3,14 @@
 Machine-readable contract: with --format json every subcommand writes a
 single JSON document to stdout and diagnostics to stderr only.  Exit codes
 are stable: 0 success, 1 verification failure, 2 usage or parse error.
-Work guards are explicit flags with safe defaults, never silent truncation;
-the rewrite budget can be overridden with the RUMER_FUEL environment
-variable.
+Work guards are explicit flags with safe defaults, never silent truncation.
+Straightening needs no guard: every exchange lowers the crossing count, so it
+always ends.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -63,19 +62,6 @@ def _parse_range(text: str) -> tuple[int, int]:
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return lo, hi
-
-
-def _fuel_from_env() -> int | None:
-    raw = os.environ.get("RUMER_FUEL")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-        if value < 0:
-            raise ValueError
-    except ValueError:
-        raise SystemExit(_usage_error(f"RUMER_FUEL must be a nonnegative integer, got {raw!r}"))
-    return value
 
 
 def _usage_error(message: str) -> int:
@@ -216,7 +202,7 @@ def _cmd_straighten(args) -> int:
         poly = parse_polynomial(args.polynomial, args.n)
     except ParseError as exc:
         return _usage_error(str(exc))
-    flat = straighten(poly, fuel=_fuel_from_env())
+    flat = straighten(poly)
     verified = None
     if args.verify:
         verified = expand(flat) == expand(poly)
@@ -233,8 +219,8 @@ def _cmd_straighten(args) -> int:
     return OK if verified in (None, True) else FAIL
 
 
-def _verify_cell(n: int, m: int, fuel: int | None) -> dict:
-    basis = verify_basis(n, m, fuel=fuel)
+def _verify_cell(n: int, m: int) -> dict:
+    basis = verify_basis(n, m)
     counts = {
         "formula": rho_closed(n, m),
         "recurrence": rho_sum_over_compositions(n, m),
@@ -264,7 +250,6 @@ def _verify_cell(n: int, m: int, fuel: int | None) -> dict:
 def _cmd_verify(args) -> int:
     n_lo, n_hi = args.n
     m_lo, m_hi = args.m
-    fuel = _fuel_from_env()
     for n in range(n_lo, n_hi + 1):
         for m in range(m_lo, m_hi + 1):
             space = _scheme_space(n, m)
@@ -274,7 +259,7 @@ def _cmd_verify(args) -> int:
                     f"guard ({args.max_schemes})"
                 )
     cells = [
-        _verify_cell(n, m, fuel)
+        _verify_cell(n, m)
         for n in range(n_lo, n_hi + 1)
         for m in range(m_lo, m_hi + 1)
     ]

@@ -203,12 +203,6 @@ def arc_vertices(n: int, e: Edge) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return inside, outside
 
 
-def occupied_arcs(n: int, degs: Multidegree, e: Edge) -> tuple[list[int], list[int]]:
-    """The non-isolated vertices (degs[v - 1] > 0) inside each arc of e."""
-    inside, outside = arc_vertices(n, e)
-    return [v for v in inside if degs[v - 1]], [v for v in outside if degs[v - 1]]
-
-
 def arc_lengths(scheme: ValenceScheme, e: Edge) -> tuple[int, int]:
     """For each arc of e: the number of internal non-isolated vertices plus one.
 
@@ -216,8 +210,9 @@ def arc_lengths(scheme: ValenceScheme, e: Edge) -> tuple[int, int]:
     """
     if e not in scheme.edges:
         raise ValueError(f"edge {e} is not an edge of {scheme}")
-    first, second = occupied_arcs(scheme.n, scheme.multidegree(), e)
-    return len(first) + 1, len(second) + 1
+    degs = scheme.multidegree()
+    first, second = (sum(1 for v in arc if degs[v - 1]) + 1 for arc in arc_vertices(scheme.n, e))
+    return first, second
 
 
 def _validated_degrees(degrees: Sequence[int]) -> tuple[int, ...]:
@@ -237,37 +232,56 @@ def _degree_constrained_edge_lists(
     Edges are chosen in nondecreasing lexicographic order, so every multiset
     is produced exactly once and already canonically sorted.  The next edge
     must cover the smallest vertex that still has free valence: later edges
-    cannot reach it, so anything else is a dead end.
+    cannot reach it, so anything else is a dead end.  An odd degree sum, or a
+    degree above the sum of the others, has no multigraph at all and yields
+    nothing without a search.  The search runs on an explicit stack, so its
+    depth is the bond count, not Python's recursion limit.
     """
+    total = sum(degrees)
+    if total % 2 or 2 * max(degrees) > total:
+        return  # odd sum, or one vertex needs more partners than the rest have
     n = len(degrees)
-    remaining = [0] + list(degrees)  # 1-based
+    remaining = [0, *degrees]  # 1-based
     chosen: list[Edge] = []
 
-    def extend(last: Edge | None) -> Iterator[tuple[Edge, ...]]:
-        v = next((u for u in range(1, n + 1) if remaining[u]), None)
-        if v is None:
-            yield tuple(chosen)
-            return
-        w_start = v + 1
-        if last is not None and last[0] == v:
-            w_start = max(w_start, last[1])  # parallel copy of last is allowed
-        for w in range(w_start, n + 1):
-            if not remaining[w]:
-                continue
+    def free_from(u: int) -> int | None:
+        return next((x for x in range(u, n + 1) if remaining[x]), None)
+
+    def unchoose() -> None:
+        v, w = chosen.pop()
+        remaining[v] += 1
+        remaining[w] += 1
+
+    v = free_from(1)
+    if v is None:
+        yield ()
+        return
+    # One frame [v, next partner to try] per chosen edge plus the open one.
+    stack = [[v, v + 1]]
+    while stack:
+        frame = stack[-1]
+        v = frame[0]
+        for w in range(frame[1], n + 1):
             # every chosen edge (a, b) starts at or before v, so it crosses
             # (v, w) exactly when a < v < b < w
-            if noncrossing and any(c[0] < v < c[1] < w for c in chosen):
-                continue
-            e = Edge(v, w)
-            remaining[v] -= 1
-            remaining[w] -= 1
-            chosen.append(e)
-            yield from extend(e)
-            chosen.pop()
-            remaining[v] += 1
-            remaining[w] += 1
-
-    yield from extend(None)
+            if remaining[w] and not (noncrossing and any(c[0] < v < c[1] < w for c in chosen)):
+                break
+        else:
+            stack.pop()
+            if chosen:
+                unchoose()
+            continue
+        frame[1] = w + 1
+        remaining[v] -= 1
+        remaining[w] -= 1
+        chosen.append(Edge(v, w))
+        u = free_from(v)
+        if u is None:
+            yield tuple(chosen)
+            unchoose()
+        else:
+            # a parallel copy of (v, w) is allowed
+            stack.append([u, w if u == v else u + 1])
 
 
 def enumerate_rumer_by_multidegree(degrees: Sequence[int]) -> list[RumerDiagram]:
@@ -277,8 +291,6 @@ def enumerate_rumer_by_multidegree(degrees: Sequence[int]) -> list[RumerDiagram]
     multigraph can realize) yield the empty list: zero is the truthful count.
     """
     d = _validated_degrees(degrees)
-    if sum(d) % 2:
-        return []
     n = len(d)
     return [
         RumerDiagram(ValenceScheme(n, edges))
@@ -289,8 +301,6 @@ def enumerate_rumer_by_multidegree(degrees: Sequence[int]) -> list[RumerDiagram]
 def enumerate_valence_schemes_by_multidegree(degrees: Sequence[int]) -> list[ValenceScheme]:
     """All loop-free multigraphs (crossing allowed) with these vertex degrees."""
     d = _validated_degrees(degrees)
-    if sum(d) % 2:
-        return []
     n = len(d)
     return [
         ValenceScheme(n, edges)

@@ -262,7 +262,7 @@ def rank_of_span(polys: Sequence[XPolynomial]) -> int:
     return len(pivots)
 
 
-def verify_basis(n: int, m: int, fuel: int | None = None) -> dict:
+def verify_basis(n: int, m: int) -> dict:
     """Cross-check independence, spanning, and straightening at one (n, m).
 
     The report records the Rumer diagram count, the exact rank of their
@@ -282,7 +282,7 @@ def verify_basis(n: int, m: int, fuel: int | None = None) -> dict:
         expansion = expand(poly)
         all_expansions.append(expansion)
         try:
-            flat = straighten(poly, fuel=fuel)
+            flat = straighten(poly)
         except Exception as exc:  # report, never crash the sweep
             failures.append({"scheme": scheme.to_text(), "reason": f"straighten raised: {exc}"})
             continue

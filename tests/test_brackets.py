@@ -2,13 +2,17 @@
 and the text grammar.  Straightening results are never trusted on their own:
 every expected identity here is also confirmed through full coordinate
 expansion, which is an independent code path."""
+from itertools import combinations
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rumer.brackets import (
     BracketPolynomial,
-    FuelExhaustedError,
+    _crossings,
+    _exchange,
     LoopBracketError,
     PolynomialSyntaxError,
     VertexRangeError,
@@ -186,12 +190,6 @@ class TestStraighten:
                     assert is_rumer(mono)
                     assert mono.multidegree() == scheme.multidegree()
 
-    def test_fuel_exhaustion_is_loud(self):
-        with pytest.raises(FuelExhaustedError):
-            straighten(poly("[1,3][2,4]", 4), fuel=0)
-        # plenty of fuel: same input goes through
-        assert straighten(poly("[1,3][2,4]", 4), fuel=10)
-
 
 class TestParse:
     def test_single_monomial(self):
@@ -280,3 +278,62 @@ class TestStraightenProperties:
     @given(polynomials())
     def test_preserves_expansion(self, p):
         assert expand(straighten(p)) == expand(p)
+
+
+def brute_crossings(edges):
+    """Crossing pairs among all pairs of bond instances, by interleaving."""
+    return sum(1 for (a, b), (c, d) in combinations(edges, 2) if a < c < b < d or c < a < d < b)
+
+
+@st.composite
+def crossing_monomials(draw):
+    """A scheme on n <= 8 vertices with <= 6 chords, at least two of which
+    cross, and one of its crossing pairs as indices into its edge tuple."""
+    n = draw(st.integers(4, 8))
+    a, b, c, d = sorted(draw(st.lists(st.integers(1, n), min_size=4, max_size=4, unique=True)))
+    chord = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)
+    scheme = ValenceScheme(n, [(a, c), (b, d), *draw(st.lists(chord, max_size=4))])
+    pairs = [
+        (i, j)
+        for i, j in combinations(range(len(scheme.edges)), 2)
+        if brute_crossings((scheme.edges[i], scheme.edges[j]))
+    ]
+    return scheme, draw(st.sampled_from(pairs))
+
+
+class TestTermination:
+    """The argument that straightening ends, checked without straighten."""
+
+    def test_crossing_count_is_brute_force_count(self):
+        for n in range(2, 7):
+            for m in range(5):
+                for scheme in enumerate_valence_schemes(n, m):
+                    assert _crossings(scheme) == brute_crossings(scheme.edges), scheme
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(crossing_monomials())
+    def test_every_exchange_lowers_the_crossing_count(self, drawn):
+        scheme, (i, j) = drawn
+        e, f = scheme.edges[i], scheme.edges[j]
+        rest = [g for k, g in enumerate(scheme.edges) if k not in (i, j)]
+        before = brute_crossings(scheme.edges)
+        children = _exchange(e, f)
+        assert sorted(v for pair in children for v in (*pair[0], *pair[1])) == sorted(
+            (*e, *f) * 2
+        )
+        for pair in children:
+            child = ValenceScheme(scheme.n, rest + list(pair))
+            assert brute_crossings(child.edges) < before, (scheme, e, f, child)
+
+    def test_power_of_a_crossing_pair(self):
+        # a rewrite tree has 2**20 - 1 nodes; in descending crossing count
+        # each of the 210 distinct crossing monomials is rewritten once
+        p = BracketPolynomial.monomial(4, [(1, 3), (2, 4)] * 20)
+        expected = BracketPolynomial(
+            4,
+            [
+                (ValenceScheme(4, [(1, 2), (3, 4)] * k + [(1, 4), (2, 3)] * (20 - k)), comb(20, k))
+                for k in range(21)
+            ],
+        )
+        assert straighten(p) == expected

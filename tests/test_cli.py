@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import rumer.cli
 import rumer.oracle
-from rumer.brackets import FuelExhaustedError
 from rumer.cli import main
 from rumer.counting import rho_closed
 
@@ -92,6 +91,13 @@ class TestCount:
         code, _, err = run(capsys, "count")
         assert code == 2
 
+    def test_enumerate_many_parallel_bonds(self, capsys):
+        # the backtracker went one recursion level per bond
+        code, out, err = run(
+            capsys, "count", "--multidegree", "1500,1500", "--method", "enumerate"
+        )
+        assert (code, out, err) == (0, "1\n", "")
+
 
 class TestEnumerate:
     def test_text_listing_with_count_line(self, capsys):
@@ -106,6 +112,14 @@ class TestEnumerate:
         assert code == 0
         assert lines[-1] == "count: 3"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize(
+        "argv", [["--multidegree", "1500,1500"], ["--n", "2", "--m", "1500"]]
+    )
+    def test_many_parallel_bonds(self, capsys, argv):
+        # the backtracker went one recursion level per bond
+        code, out, err = run(capsys, "enumerate", *argv)
+        assert (code, out, err) == (0, "n=2; " + "(1,2)" * 1500 + "\ncount: 1\n", "")
 
     def test_infeasible_is_empty(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--multidegree", "1,0")
@@ -165,17 +179,6 @@ class TestStraighten:
         code, _, err = run(capsys, "straighten", "[1,5]", "--n", "4")
         assert code == 2
         assert "position" in err
-
-    def test_fuel_override_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("RUMER_FUEL", "0")
-        with pytest.raises(FuelExhaustedError):
-            run(capsys, "straighten", "[1,3][2,4]", "--n", "4")
-
-    def test_bad_fuel_value_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("RUMER_FUEL", "lots")
-        with pytest.raises(SystemExit) as info:
-            run(capsys, "straighten", "[1,2]", "--n", "2")
-        assert info.value.code == 2
 
 
 class TestVerify:
