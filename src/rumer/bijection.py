@@ -105,7 +105,11 @@ def verify_psi_bijection(degrees) -> dict:
     and be inverted by psi_section.  The merged images must be exactly the
     union of the non-crossing sets over the even-triangle range, and over
     all valence schemes (crossings allowed) every merged scheme must be hit
-    at least once and at most C(mu_n, m_{n+1} - r) times.
+    at least once and at most C(mu_n, m_{n+1} - r) times.  The non-crossing
+    diagrams themselves must be exactly the valence schemes that pass
+    is_rumer, in the same order: a brute-force route independent of the
+    generator.  Merged degrees mu for which no multigraph exists have empty
+    sets on both sides and are skipped.
 
     Failures are report contents, never exceptions.
     """
@@ -118,8 +122,15 @@ def verify_psi_bijection(degrees) -> dict:
     prefix = d[:-2]
     counterexamples: list[dict] = []
 
+    # the merged degrees mu for which some multigraph has degrees prefix + (mu,)
+    rest, top = sum(prefix), max(prefix, default=0)
+    merged_degrees = [
+        mu for mu in triangle_range(m_n, m_n1) if mu <= rest and 2 * top <= rest + mu
+    ]
+
+    diagrams = enumerate_rumer_by_multidegree(d)
     images: dict[ValenceScheme, RumerDiagram] = {}
-    for diagram in enumerate_rumer_by_multidegree(d):
+    for diagram in diagrams:
         result = psi(diagram.scheme)
         text = diagram.scheme.to_text()
         if result.mu_n != m_n + m_n1 - 2 * result.m_join:
@@ -148,7 +159,7 @@ def verify_psi_bijection(degrees) -> dict:
 
     expected = {
         diagram.scheme
-        for mu in triangle_range(m_n, m_n1)
+        for mu in merged_degrees
         for diagram in enumerate_rumer_by_multidegree(prefix + (mu,))
     }
     if expected != set(images):
@@ -158,11 +169,22 @@ def verify_psi_bijection(degrees) -> dict:
             {"reason": "image is not the even-triangle union", "missing": missing, "extra": extra}
         )
 
+    brute_force: list[ValenceScheme] = []
     preimage_count: dict[ValenceScheme, int] = {}
     for scheme in enumerate_valence_schemes_by_multidegree(d):
+        if is_rumer(scheme):
+            brute_force.append(scheme)
         merged = psi(scheme).scheme
         preimage_count[merged] = preimage_count.get(merged, 0) + 1
-    for mu in triangle_range(m_n, m_n1):
+    generated = [diagram.scheme for diagram in diagrams]
+    if generated != brute_force:
+        counterexamples.append({
+            "multidegree": list(d),
+            "reason": "generator disagrees with the brute-force filter",
+            "missing": sorted(s.to_text() for s in set(brute_force) - set(generated)),
+            "extra": sorted(s.to_text() for s in set(generated) - set(brute_force)),
+        })
+    for mu in merged_degrees:
         r = (m_n + m_n1 - mu) // 2
         bound = binomial(mu, m_n1 - r)
         for scheme in enumerate_valence_schemes_by_multidegree(prefix + (mu,)):

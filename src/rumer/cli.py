@@ -10,6 +10,7 @@ always ends.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -294,7 +295,10 @@ def _cmd_render(args) -> int:
     return OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change
+    it, and each new parser would leave reference cycles for the collector."""
     parser = argparse.ArgumentParser(
         prog="rumer",
         description="Count, enumerate, straighten, verify, and render non-crossing "

@@ -12,10 +12,8 @@ import json
 import operator
 import re
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Iterator, Sequence
-
-from .counting import compositions
+from itertools import combinations, combinations_with_replacement, product, repeat
+from typing import Callable, Iterable, Iterator, Sequence
 
 #: Per-vertex bond counts (m_1, ..., m_n).
 Multidegree = tuple[int, ...]
@@ -191,30 +189,6 @@ def is_rumer(scheme: ValenceScheme) -> bool:
     return first_crossing(scheme) is None
 
 
-def arc_vertices(n: int, e: Edge) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Vertices strictly inside each of the two circular arcs bounded by e.
-
-    The first arc runs from e.i to e.j through ascending indices, the second
-    wraps around through n and back to 1.
-    """
-    i, j = e
-    inside = tuple(range(i + 1, j))
-    outside = tuple(range(j + 1, n + 1)) + tuple(range(1, i))
-    return inside, outside
-
-
-def arc_lengths(scheme: ValenceScheme, e: Edge) -> tuple[int, int]:
-    """For each arc of e: the number of internal non-isolated vertices plus one.
-
-    e must be an edge of the scheme.
-    """
-    if e not in scheme.edges:
-        raise ValueError(f"edge {e} is not an edge of {scheme}")
-    degs = scheme.multidegree()
-    first, second = (sum(1 for v in arc if degs[v - 1]) + 1 for arc in arc_vertices(scheme.n, e))
-    return first, second
-
-
 def _validated_degrees(degrees: Sequence[int]) -> tuple[int, ...]:
     d = tuple(operator.index(x) for x in degrees)
     if not d:
@@ -224,10 +198,8 @@ def _validated_degrees(degrees: Sequence[int]) -> tuple[int, ...]:
     return d
 
 
-def _degree_constrained_edge_lists(
-    degrees: Sequence[int], noncrossing: bool
-) -> Iterator[tuple[Edge, ...]]:
-    """Backtracking core shared by the degree-constrained enumerators.
+def _degree_constrained_edge_lists(degrees: Sequence[int]) -> Iterator[tuple[Edge, ...]]:
+    """Backtracking core of enumerate_valence_schemes_by_multidegree.
 
     Edges are chosen in nondecreasing lexicographic order, so every multiset
     is produced exactly once and already canonically sorted.  The next edge
@@ -261,12 +233,8 @@ def _degree_constrained_edge_lists(
     while stack:
         frame = stack[-1]
         v = frame[0]
-        for w in range(frame[1], n + 1):
-            # every chosen edge (a, b) starts at or before v, so it crosses
-            # (v, w) exactly when a < v < b < w
-            if remaining[w] and not (noncrossing and any(c[0] < v < c[1] < w for c in chosen)):
-                break
-        else:
+        w = free_from(frame[1])
+        if w is None:
             stack.pop()
             if chosen:
                 unchoose()
@@ -284,45 +252,130 @@ def _degree_constrained_edge_lists(
             stack.append([u, w if u == v else u + 1])
 
 
-def enumerate_rumer_by_multidegree(degrees: Sequence[int]) -> list[RumerDiagram]:
-    """All non-crossing loop-free multigraphs with exactly these vertex degrees.
+#: moves(v, h, bonds): the (closed, opened) bond-end counts allowed at vertex v
+#: when h bond ends are open and `bonds` bonds are already closed.
+_Moves = Callable[[int, int, int], Iterable[tuple[int, int]]]
 
+
+def _ballot_walk(n: int, moves: _Moves) -> Iterator[tuple[Edge, ...]]:
+    """Non-crossing edge lists on n vertices, one per ballot sequence of moves.
+
+    The walk visits vertices 1..n with a stack of open bond ends.  At vertex v
+    it closes c ends from the top of the stack, each giving the edge (top, v),
+    then opens o new ends at v.  Closing an end below the top one would make
+    chords (a, v) and (b, w) with a < b < v < w, which cross; so the
+    non-crossing loop-free multigraphs are exactly the move sequences that
+    end with an empty stack, each met once.  `moves` must allow only moves
+    that still lead to such an end, so the walk has no dead branch.  It runs
+    on an explicit stack, so n is not bounded by Python's recursion limit.
+    """
+    # One frame per vertex on the path: the moves left to try there, and the
+    # open ends (their vertices, bottom to top) and edges before the vertex.
+    stack = [(iter(moves(1, 0, 0)), (), ())]
+    while stack:
+        untried, open_ends, edges = stack[-1]
+        move = next(untried, None)
+        if move is None:
+            stack.pop()
+            continue
+        v = len(stack)
+        c, o = move
+        keep = len(open_ends) - c
+        edges += tuple(map(Edge, open_ends[keep:], repeat(v)))
+        open_ends = open_ends[:keep] + (v,) * o
+        if v == n:
+            yield edges
+        else:
+            stack.append((iter(moves(v + 1, len(open_ends), len(edges))), open_ends, edges))
+
+
+def _moves_by_bonds(n: int, m: int) -> _Moves:
+    """Every move that can still end with m bonds and an empty stack: vertex
+    n-1 opens all the bonds still missing, vertex n closes every open end, and
+    any other vertex closes and opens any number of ends."""
+
+    def moves(v: int, h: int, bonds: int) -> Iterable[tuple[int, int]]:
+        if v == n:
+            # close every open end; only n = 1 with m > 0 can fail here
+            return ((h, 0),) if bonds + h == m else ()
+        k = m - bonds - h  # openings still to make
+        if v == n - 1:
+            return zip(range(h + 1), repeat(k))
+        return product(range(h + 1), range(k + 1))
+
+    return moves
+
+
+def _moves_by_degrees(d: Multidegree) -> _Moves:
+    """Every move of degree d[v-1] at v after which the rest is realizable.
+
+    Closing c of the h open ends at a vertex of degree a leaves
+    h' = h + a - 2c open, and they act as one more vertex of degree h' in
+    front of the vertices still to place.  With S and M the sum and the
+    maximum of those vertices' degrees, a non-crossing multigraph with these
+    degrees exists iff h' <= S and 2*M <= h' + S, as for a crossing one.  The
+    parity of h' + S is that of the degree sum, which the caller makes even.
+    """
+    n = len(d)
+    suffix_sum = [0] * (n + 1)  # of the degrees of vertices v+1..n
+    suffix_max = [0] * (n + 1)
+    for v in range(n - 1, 0, -1):
+        suffix_sum[v] = suffix_sum[v + 1] + d[v]
+        suffix_max[v] = max(suffix_max[v + 1], d[v])
+
+    def moves(v: int, h: int, bonds: int) -> Iterable[tuple[int, int]]:
+        a, rest, top = d[v - 1], suffix_sum[v], suffix_max[v]
+        lo = max(0, (h + a - rest + 1) // 2)
+        hi = min(h, a, (h + a + rest - 2 * top) // 2)
+        return zip(range(lo, hi + 1), range(a - lo, a - hi - 1, -1))
+
+    return moves
+
+
+def _sorted_diagrams(n: int, edge_lists: Iterable[tuple[Edge, ...]]) -> list[RumerDiagram]:
+    found = [RumerDiagram(ValenceScheme(n, edges)) for edges in edge_lists]
+    found.sort(key=lambda D: D.edges)
+    return found
+
+
+def enumerate_rumer_by_multidegree(degrees: Sequence[int]) -> list[RumerDiagram]:
+    """All non-crossing loop-free multigraphs with exactly these vertex degrees,
+    canonically ordered.
+
+    A ballot walk over the open-bond stack: vertex v closes c bond ends from
+    the top of the stack and opens d_v - c new ones, with c limited to the
+    values after which the remaining degrees, plus the open stack as one
+    extra vertex, are still realizable.  So every branch ends in a diagram.
     Infeasible prescriptions (odd degree sum, or degrees that no loop-free
     multigraph can realize) yield the empty list: zero is the truthful count.
     """
     d = _validated_degrees(degrees)
-    n = len(d)
-    return [
-        RumerDiagram(ValenceScheme(n, edges))
-        for edges in _degree_constrained_edge_lists(d, noncrossing=True)
-    ]
+    if sum(d) % 2:
+        return []
+    return _sorted_diagrams(len(d), _ballot_walk(len(d), _moves_by_degrees(d)))
 
 
 def enumerate_valence_schemes_by_multidegree(degrees: Sequence[int]) -> list[ValenceScheme]:
     """All loop-free multigraphs (crossing allowed) with these vertex degrees."""
     d = _validated_degrees(degrees)
     n = len(d)
-    return [
-        ValenceScheme(n, edges)
-        for edges in _degree_constrained_edge_lists(d, noncrossing=False)
-    ]
+    return [ValenceScheme(n, edges) for edges in _degree_constrained_edge_lists(d)]
 
 
 def enumerate_rumer(n: int, m: int) -> list[RumerDiagram]:
     """All Rumer diagrams with m bonds on n vertices, canonically ordered.
 
-    Computed as the union over all multidegrees with sum 2m; the per-degree
-    sets are pairwise disjoint, so no diagram appears twice.
+    A ballot walk over the open-bond stack: vertex v closes any number of the
+    open bond ends from the top of the stack and opens any number of new
+    ones, except that vertex n-1 opens all the bonds still missing and
+    vertex n closes every open end.  So every branch ends in a diagram, and
+    no multidegree is tried that has none.
     """
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
     if m < 0:
         raise ValueError(f"bond count must be nonnegative, got m={m}")
-    found = []
-    for d in compositions(2 * m, n):
-        found.extend(enumerate_rumer_by_multidegree(d))
-    found.sort(key=lambda D: D.edges)
-    return found
+    return _sorted_diagrams(n, _ballot_walk(n, _moves_by_bonds(n, m)))
 
 
 def enumerate_valence_schemes(n: int, m: int) -> Iterator[ValenceScheme]:

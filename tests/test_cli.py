@@ -1,7 +1,9 @@
 """Command-line contract: subcommands, formats, exit codes, guards."""
 import contextlib
+import gc
 import io
 import json
+from itertools import islice
 from unittest import mock
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rumer.cli
+import rumer.diagrams
 import rumer.oracle
 from rumer.cli import main
 from rumer.counting import rho_closed
@@ -121,6 +124,12 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", *argv)
         assert (code, out, err) == (0, "n=2; " + "(1,2)" * 1500 + "\ncount: 1\n", "")
 
+    def test_many_vertices(self, capsys):
+        # the ballot walk keeps one frame per vertex
+        degrees = ",".join(["1"] + ["0"] * 2998 + ["1"])
+        code, out, err = run(capsys, "enumerate", "--multidegree", degrees)
+        assert (code, out, err) == (0, "n=3000; (1,3000)\ncount: 1\n", "")
+
     def test_infeasible_is_empty(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--multidegree", "1,0")
         assert code == 0
@@ -229,6 +238,21 @@ class TestVerify:
             run(capsys, "verify", "--n", "3..2", "--m", "0..1")
         assert info.value.code == 2
 
+    def test_generator_dropping_a_diagram_fails(self, capsys, monkeypatch):
+        walk = rumer.diagrams._ballot_walk
+        monkeypatch.setattr(
+            rumer.diagrams, "_ballot_walk", lambda n, moves: islice(walk(n, moves), 1, None)
+        )
+        code, out, _ = run(capsys, "verify", "--n", "3..3", "--m", "2..2", "--format", "json")
+        assert code == 1
+        failures = json.loads(out)["cells"][0]["bijection_failures"]
+        assert any(
+            example.get("multidegree") == report["multidegree"]
+            and example["reason"] == "generator disagrees with the brute-force filter"
+            for report in failures
+            for example in report["counterexamples"]
+        )
+
 
 class TestRender:
     def test_text_form(self, capsys):
@@ -263,6 +287,22 @@ class TestRender:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("<?xml")
+
+
+def test_repeated_calls_leave_no_cyclic_garbage():
+    def call():
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["count", "--n", "2", "--m", "1"])
+
+    call()  # the first call may build the parser
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(20):
+            call()
+    finally:
+        gc.enable()
+    assert gc.collect() < 20
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

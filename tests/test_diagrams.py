@@ -9,13 +9,14 @@ import pickle
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rumer.counting import compositions, rho_closed
 from rumer.diagrams import (
     Edge,
     RumerDiagram,
     ValenceScheme,
-    arc_lengths,
     edges_cross,
     enumerate_rumer,
     enumerate_rumer_by_multidegree,
@@ -202,30 +203,6 @@ class TestMultidegree:
             assert sum(scheme.multidegree()) == 4
 
 
-class TestArcLengths:
-    def test_fixed_values(self):
-        g = ValenceScheme(4, [(1, 3), (2, 4)])
-        assert arc_lengths(g, Edge(1, 3)) == (2, 2)
-        g = ValenceScheme(4, [(1, 3)])
-        assert arc_lengths(g, Edge(1, 3)) == (1, 1)
-        g = ValenceScheme(4, [(1, 4), (2, 3)])
-        assert arc_lengths(g, Edge(1, 4)) == (3, 1)
-
-    def test_requires_edge_of_scheme(self):
-        with pytest.raises(ValueError):
-            arc_lengths(ValenceScheme(4, [(1, 3)]), Edge(2, 4))
-
-    def test_interior_counts_partition_the_nonisolated(self):
-        # both arcs' interior non-isolated vertices plus the two endpoints
-        # cover every non-isolated vertex exactly once
-        for scheme in enumerate_valence_schemes(5, 2):
-            nonisolated = sum(1 for d in scheme.multidegree() if d)
-            for e in set(scheme.edges):
-                l1, l2 = arc_lengths(scheme, e)
-                assert l1 >= 1 and l2 >= 1
-                assert (l1 - 1) + (l2 - 1) == nonisolated - 2
-
-
 class TestEnumerateByMultidegree:
     def test_four_vertices_all_valence_one(self):
         diagrams = enumerate_rumer_by_multidegree((1, 1, 1, 1))
@@ -298,6 +275,27 @@ class TestEnumerateRumer:
         for n in range(1, 7):
             for m in range(0, 4):
                 assert len(enumerate_rumer(n, m)) == rho_closed(n, m), (n, m)
+
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_one_vertex_has_no_bonds(self, m):
+        assert enumerate_rumer(1, m) == []
+
+
+class TestGeneratorAgainstBruteForce:
+    """The ballot walk, in canonical order, against filtering every valence
+    scheme by is_rumer: a route that shares no enumeration code with the walk."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=7))
+    def test_by_multidegree(self, degrees):
+        brute = [s for s in enumerate_valence_schemes_by_multidegree(degrees) if is_rumer(s)]
+        assert [d.scheme for d in enumerate_rumer_by_multidegree(degrees)] == brute
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 4))
+    def test_by_cell(self, n, m):
+        brute = [s for s in enumerate_valence_schemes(n, m) if is_rumer(s)]
+        assert [d.scheme for d in enumerate_rumer(n, m)] == brute
 
 
 class TestEnumerateValenceSchemes:
