@@ -17,6 +17,7 @@ from .diagrams import (
     Edge,
     RumerDiagram,
     ValenceScheme,
+    _realizable,
     enumerate_rumer_by_multidegree,
     enumerate_valence_schemes_by_multidegree,
     is_rumer,
@@ -122,11 +123,7 @@ def verify_psi_bijection(degrees) -> dict:
     prefix = d[:-2]
     counterexamples: list[dict] = []
 
-    # the merged degrees mu for which some multigraph has degrees prefix + (mu,)
-    rest, top = sum(prefix), max(prefix, default=0)
-    merged_degrees = [
-        mu for mu in triangle_range(m_n, m_n1) if mu <= rest and 2 * top <= rest + mu
-    ]
+    merged_degrees = [mu for mu in triangle_range(m_n, m_n1) if _realizable(prefix + (mu,))]
 
     diagrams = enumerate_rumer_by_multidegree(d)
     images: dict[ValenceScheme, RumerDiagram] = {}

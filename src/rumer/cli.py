@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="default: formula for --n/--m, recurrence for --multidegree",
     )
     count.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    count.add_argument("--max-schemes", type=int, default=DEFAULT_MAX_SCHEMES)
+    count.add_argument("--max-schemes", type=int)
     count.add_argument("--out")
     count.set_defaults(func=_cmd_count)
 
@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--m", type=int)
     enum.add_argument("--multidegree", type=_parse_multidegree)
     enum.add_argument("--format", choices=["text", "json"], default="text")
-    enum.add_argument("--max-schemes", type=int, default=DEFAULT_MAX_SCHEMES)
+    enum.add_argument("--max-schemes", type=int)
     enum.add_argument("--out")
     enum.set_defaults(func=_cmd_enumerate)
 
@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n", type=_parse_range, required=True, metavar="LO..HI")
     verify.add_argument("--m", type=_parse_range, required=True, metavar="LO..HI")
     verify.add_argument("--format", choices=["text", "json"], default="text")
-    verify.add_argument("--max-schemes", type=int, default=DEFAULT_MAX_SCHEMES)
+    verify.add_argument("--max-schemes", type=int)
     verify.add_argument("--out")
     verify.set_defaults(func=_cmd_verify)
 
@@ -361,6 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if "max_schemes" in vars(args) and args.max_schemes is None:
+        args.max_schemes = DEFAULT_MAX_SCHEMES  # read per call: the parser is cached
     problem = _out_of_range(args)
     if problem:
         return _usage_error(problem)

@@ -198,6 +198,13 @@ def _validated_degrees(degrees: Sequence[int]) -> tuple[int, ...]:
     return d
 
 
+def _realizable(degrees: Sequence[int]) -> bool:
+    """Whether some loop-free multigraph has these vertex degrees: the degree
+    sum is even and no vertex needs more partners than the others have."""
+    total = sum(degrees)
+    return total % 2 == 0 and 2 * max(degrees, default=0) <= total
+
+
 def _degree_constrained_edge_lists(degrees: Sequence[int]) -> Iterator[tuple[Edge, ...]]:
     """Backtracking core of enumerate_valence_schemes_by_multidegree.
 
@@ -209,9 +216,8 @@ def _degree_constrained_edge_lists(degrees: Sequence[int]) -> Iterator[tuple[Edg
     nothing without a search.  The search runs on an explicit stack, so its
     depth is the bond count, not Python's recursion limit.
     """
-    total = sum(degrees)
-    if total % 2 or 2 * max(degrees) > total:
-        return  # odd sum, or one vertex needs more partners than the rest have
+    if not _realizable(degrees):
+        return
     n = len(degrees)
     remaining = [0, *degrees]  # 1-based
     chosen: list[Edge] = []
@@ -350,7 +356,7 @@ def enumerate_rumer_by_multidegree(degrees: Sequence[int]) -> list[RumerDiagram]
     multigraph can realize) yield the empty list: zero is the truthful count.
     """
     d = _validated_degrees(degrees)
-    if sum(d) % 2:
+    if not _realizable(d):
         return []
     return _sorted_diagrams(len(d), _ballot_walk(len(d), _moves_by_degrees(d)))
 

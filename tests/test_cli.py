@@ -305,6 +305,17 @@ def test_repeated_calls_leave_no_cyclic_garbage():
     assert gc.collect() < 20
 
 
+def test_default_guard_is_read_per_call(capsys):
+    # the parser is built once; its --max-schemes default must not freeze
+    argv = ("count", "--n", "4", "--m", "2", "--method", "enumerate")
+    assert run(capsys, *argv)[0] == 0
+    with mock.patch.object(rumer.cli, "DEFAULT_MAX_SCHEMES", 2):
+        code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == f"error: {rho_closed(4, 2)} diagrams exceed the --max-schemes guard (2)\n"
+    assert run(capsys, *argv)[0] == 0
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
