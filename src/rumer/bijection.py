@@ -9,10 +9,9 @@ This pair of maps is exactly what drives the counting recurrence.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
-from .counting import binomial, even_triangle, triangle_range
+from .counting import _degrees, binomial, even_triangle, triangle_range
 from .diagrams import (
     Edge,
     RumerDiagram,
@@ -114,11 +113,9 @@ def verify_psi_bijection(degrees) -> dict:
 
     Failures are report contents, never exceptions.
     """
-    d = tuple(operator.index(x) for x in degrees)
+    d = _degrees(degrees)
     if len(d) < 2:
         raise ValueError("need at least two degree entries to merge")
-    if any(x < 0 for x in d):
-        raise ValueError(f"degrees must be nonnegative, got {d}")
     m_n, m_n1 = d[-2], d[-1]
     prefix = d[:-2]
     counterexamples: list[dict] = []

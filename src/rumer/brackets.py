@@ -19,7 +19,6 @@ multidegree-preserving term by term.
 """
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from itertools import combinations
 from typing import Iterable, NamedTuple
@@ -130,11 +129,11 @@ class BracketPolynomial(SparseCombination):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BracketPolynomial":
-        n = operator.index(data["n"])
-        terms = []
-        for t in data["terms"]:
-            edges = (Edge(operator.index(i), operator.index(j)) for i, j in t["factors"])
-            terms.append((ValenceScheme(n, tuple(edges)), t["coeff"]))
+        n = data["n"]
+        terms = [
+            (ValenceScheme.from_json_dict({"n": n, "edges": t["factors"]}), t["coeff"])
+            for t in data["terms"]
+        ]
         return cls(n, terms)
 
     def __str__(self) -> str:

@@ -13,7 +13,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .bijection import verify_psi_bijection
 from .brackets import ParseError, parse as parse_polynomial, straighten
@@ -106,42 +106,53 @@ def _scheme_space(n: int, m: int) -> int:
     return binomial(binomial(n, 2) + m - 1, m) if m else 1
 
 
-def _cmd_count(args) -> int:
-    method = args.method
+def _selection(args) -> tuple[dict, Callable[[], int], Callable[[], list]]:
+    """The diagrams a count or enumerate call asks about, by --n/--m or by
+    --multidegree: the report label, the function that predicts their number
+    for the --max-schemes guard, and the function that lists them."""
     if args.multidegree is not None:
         if args.n is not None or args.m is not None:
-            return _usage_error("--multidegree excludes --n/--m")
+            raise _UsageError("--multidegree excludes --n/--m")
         d = args.multidegree
+        return (
+            {"multidegree": list(d)},
+            functools.partial(n_recurrence, d),
+            functools.partial(enumerate_rumer_by_multidegree, d),
+        )
+    if args.n is None or args.m is None:
+        raise _UsageError("need --n and --m, or --multidegree")
+    n, m = args.n, args.m
+    return (
+        {"n": n, "m": m},
+        functools.partial(rho_closed, n, m),
+        functools.partial(enumerate_rumer, n, m),
+    )
+
+
+def _cmd_count(args) -> int:
+    label, predict, listing = _selection(args)
+    method = args.method
+    counts: dict[str, int] = {}
+    if "multidegree" in label:
         if method in ("formula", "product"):
             return _usage_error(f"method {method!r} applies to --n/--m, not --multidegree")
-        if method is None:
-            method = "recurrence"
-        counts: dict[str, int] = {}
+        method = method or "recurrence"
         if method in ("recurrence", "all"):
-            counts["recurrence"] = n_recurrence(d)
-        if method in ("enumerate", "all"):
-            _check_max_schemes(n_recurrence(d), args.max_schemes)
-            counts["enumerate"] = len(enumerate_rumer_by_multidegree(d))
-        label = {"multidegree": list(d)}
+            counts["recurrence"] = n_recurrence(args.multidegree)
     else:
-        if args.n is None or args.m is None:
-            return _usage_error("need --n and --m, or --multidegree")
         n, m = args.n, args.m
-        if method is None:
-            method = "formula"
+        method = method or "formula"
         if method == "product" and n < 3:
             return _usage_error("--method product requires n >= 3")
-        counts = {}
         if method in ("formula", "all"):
             counts["formula"] = rho_closed(n, m)
         if method in ("product", "all") and n >= 3:
             counts["product"] = rho_product(n, m)
         if method in ("recurrence", "all"):
             counts["recurrence"] = rho_sum_over_compositions(n, m)
-        if method in ("enumerate", "all"):
-            _check_max_schemes(rho_closed(n, m), args.max_schemes)
-            counts["enumerate"] = len(enumerate_rumer(n, m))
-        label = {"n": n, "m": m}
+    if method in ("enumerate", "all"):
+        _check_max_schemes(predict(), args.max_schemes)
+        counts["enumerate"] = len(listing())
 
     agree = len(set(counts.values())) == 1
     if method != "all":
@@ -173,19 +184,9 @@ def _emit_csv_counts(counts: dict, agree: bool | None, out: str | None) -> None:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.multidegree is not None:
-        if args.n is not None or args.m is not None:
-            return _usage_error("--multidegree excludes --n/--m")
-        _check_max_schemes(n_recurrence(args.multidegree), args.max_schemes)
-        diagrams = enumerate_rumer_by_multidegree(args.multidegree)
-        label = {"multidegree": list(args.multidegree)}
-    else:
-        if args.n is None or args.m is None:
-            return _usage_error("need --n and --m, or --multidegree")
-        _check_max_schemes(rho_closed(args.n, args.m), args.max_schemes)
-        diagrams = enumerate_rumer(args.n, args.m)
-        label = {"n": args.n, "m": args.m}
-
+    label, predict, listing = _selection(args)
+    _check_max_schemes(predict(), args.max_schemes)
+    diagrams = listing()
     if args.format == "json":
         _emit_json(
             {**label, "count": len(diagrams), "diagrams": [d.scheme.to_json_dict() for d in diagrams]},

@@ -16,15 +16,34 @@ import operator
 from typing import Iterator, Sequence
 
 
+def _cell(n: int, m: int) -> tuple[int, int]:
+    """The cell of n vertices and m bonds, as ints; the one check of (n, m)."""
+    n, m = operator.index(n), operator.index(m)
+    if n < 1:
+        raise ValueError(f"need at least one vertex, got n={n}")
+    if m < 0:
+        raise ValueError(f"bond count must be nonnegative, got m={m}")
+    return n, m
+
+
+def _degrees(degrees: Sequence[int]) -> tuple[int, ...]:
+    """The degree prescription as a tuple of ints; the one check of degrees."""
+    d = tuple(map(operator.index, degrees))
+    if not d:
+        raise ValueError("degree tuple must be non-empty")
+    if any(x < 0 for x in d):
+        raise ValueError(f"degrees must be nonnegative, got {d}")
+    return d
+
+
 def binomial(k: int, l: int) -> int:
-    """Exact C(k, l); zero when l > k."""
-    if k < 0 or l < 0:
-        raise ValueError(f"binomial arguments must be nonnegative, got ({k},{l})")
+    """Exact C(k, l); zero when l > k, ValueError when either is negative."""
     return math.comb(k, l)
 
 
 def even_triangle(a: int, b: int, c: int) -> bool:
     """True iff a, b, c satisfy all triangle inequalities and a+b+c is even."""
+    a, b, c = operator.index(a), operator.index(b), operator.index(c)
     if a < 0 or b < 0 or c < 0:
         raise ValueError(f"triangle sides must be nonnegative, got ({a},{b},{c})")
     return a <= b + c and b <= a + c and c <= a + b and (a + b + c) % 2 == 0
@@ -43,11 +62,7 @@ def n_recurrence(degrees: Sequence[int]) -> int:
     the number of ways to end at mu = 0.  A merged degree above the degree
     still to be folded in can no longer reach 0 and is dropped.
     """
-    d = tuple(operator.index(x) for x in degrees)
-    if not d:
-        raise ValueError("degree tuple must be non-empty")
-    if any(x < 0 for x in d):
-        raise ValueError(f"degrees must be nonnegative, got {d}")
+    d = _degrees(degrees)
     ways = {d[-1]: 1}  # merged degree -> number of ways
     left = sum(d) - d[-1]
     for a in reversed(d[:-1]):
@@ -67,10 +82,7 @@ def rho_closed(n: int, m: int) -> int:
     Determinant of binomials; evaluates to 1 at m = 0 for every n.  The
     degenerate n = 1 case is 1 for m = 0 and 0 otherwise.
     """
-    if n < 1:
-        raise ValueError(f"need at least one vertex, got n={n}")
-    if m < 0:
-        raise ValueError(f"bond count must be nonnegative, got m={m}")
+    n, m = _cell(n, m)
     if n == 1:
         return 1 if m == 0 else 0
     return binomial(m + n - 1, n - 1) * binomial(m + n - 2, n - 2) - binomial(
@@ -84,10 +96,9 @@ def rho_product(n: int, m: int) -> int:
     The numerator is assembled first and divided once at the end; the
     division is asserted exact so a transcription bug cannot hide.
     """
+    n, m = _cell(n, m)
     if n < 3:
         raise ValueError(f"product formula requires n >= 3, got n={n}")
-    if m < 0:
-        raise ValueError(f"bond count must be nonnegative, got m={m}")
     numerator = (m + 1) * (m + n - 1)
     for i in range(2, n - 1):
         numerator *= (m + i) ** 2
@@ -103,6 +114,7 @@ def rho_product(n: int, m: int) -> int:
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All ordered tuples of `parts` nonnegative integers summing to `total`,
     in lexicographic order, each exactly once."""
+    total, parts = operator.index(total), operator.index(parts)
     if parts < 1:
         raise ValueError(f"need at least one part, got {parts}")
     if total < 0:
@@ -132,10 +144,7 @@ def rho_sum_over_compositions(n: int, m: int) -> int:
     pass.  The state is (degree used so far, merged degree mu) -> ways,
     and the count is the number of ways to end at (2m, 0).
     """
-    if n < 1:
-        raise ValueError(f"need at least one vertex, got n={n}")
-    if m < 0:
-        raise ValueError(f"bond count must be nonnegative, got m={m}")
+    n, m = _cell(n, m)
     total = 2 * m
     # ways[used][mu]; a merged degree above total - used can no longer reach
     # 0, so each row stops there.  The last vertex takes any degree.

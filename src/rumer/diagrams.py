@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .counting import _cell, _degrees
+
 #: Per-vertex bond counts (m_1, ..., m_n).
 Multidegree = tuple[int, ...]
 
@@ -123,10 +125,7 @@ class ValenceScheme:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ValenceScheme":
-        return cls(
-            operator.index(data["n"]),
-            [Edge(operator.index(i), operator.index(j)) for i, j in data["edges"]],
-        )
+        return cls(data["n"], [Edge(i, j) for i, j in data["edges"]])
 
     @classmethod
     def from_json(cls, text: str) -> "ValenceScheme":
@@ -187,15 +186,6 @@ def first_crossing(scheme: ValenceScheme) -> tuple[Edge, Edge] | None:
 
 def is_rumer(scheme: ValenceScheme) -> bool:
     return first_crossing(scheme) is None
-
-
-def _validated_degrees(degrees: Sequence[int]) -> tuple[int, ...]:
-    d = tuple(operator.index(x) for x in degrees)
-    if not d:
-        raise ValueError("multidegree must have at least one entry")
-    if any(x < 0 for x in d):
-        raise ValueError(f"multidegree entries must be nonnegative, got {d}")
-    return d
 
 
 def _realizable(degrees: Sequence[int]) -> bool:
@@ -355,7 +345,7 @@ def enumerate_rumer_by_multidegree(degrees: Sequence[int]) -> list[RumerDiagram]
     Infeasible prescriptions (odd degree sum, or degrees that no loop-free
     multigraph can realize) yield the empty list: zero is the truthful count.
     """
-    d = _validated_degrees(degrees)
+    d = _degrees(degrees)
     if not _realizable(d):
         return []
     return _sorted_diagrams(len(d), _ballot_walk(len(d), _moves_by_degrees(d)))
@@ -363,7 +353,7 @@ def enumerate_rumer_by_multidegree(degrees: Sequence[int]) -> list[RumerDiagram]
 
 def enumerate_valence_schemes_by_multidegree(degrees: Sequence[int]) -> list[ValenceScheme]:
     """All loop-free multigraphs (crossing allowed) with these vertex degrees."""
-    d = _validated_degrees(degrees)
+    d = _degrees(degrees)
     n = len(d)
     return [ValenceScheme(n, edges) for edges in _degree_constrained_edge_lists(d)]
 
@@ -377,10 +367,7 @@ def enumerate_rumer(n: int, m: int) -> list[RumerDiagram]:
     vertex n closes every open end.  So every branch ends in a diagram, and
     no multidegree is tried that has none.
     """
-    if n < 1:
-        raise ValueError(f"need at least one vertex, got n={n}")
-    if m < 0:
-        raise ValueError(f"bond count must be nonnegative, got m={m}")
+    n, m = _cell(n, m)
     return _sorted_diagrams(n, _ballot_walk(n, _moves_by_bonds(n, m)))
 
 
@@ -390,10 +377,7 @@ def enumerate_valence_schemes(n: int, m: int) -> Iterator[ValenceScheme]:
     Streams size-m multisets over the sorted list of possible edges, so the
     output order is canonical.
     """
-    if n < 1:
-        raise ValueError(f"need at least one vertex, got n={n}")
-    if m < 0:
-        raise ValueError(f"edge count must be nonnegative, got m={m}")
+    n, m = _cell(n, m)
     all_edges = [Edge(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     for combo in combinations_with_replacement(all_edges, m):
         yield ValenceScheme(n, combo)

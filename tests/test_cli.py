@@ -86,13 +86,19 @@ class TestCount:
         assert code == 2
         assert "n >= 3" in err
 
-    def test_multidegree_excludes_nm(self, capsys):
-        code, _, err = run(capsys, "count", "--multidegree", "1,1", "--n", "2")
+    @pytest.mark.parametrize("subcommand", ["count", "enumerate"])
+    def test_multidegree_excludes_nm(self, capsys, subcommand):
+        code, out, err = run(capsys, subcommand, "--multidegree", "1,1", "--n", "2")
         assert code == 2
+        assert out == ""
+        assert err == "error: --multidegree excludes --n/--m\n"
 
-    def test_usage_error_without_inputs(self, capsys):
-        code, _, err = run(capsys, "count")
+    @pytest.mark.parametrize("subcommand", ["count", "enumerate"])
+    def test_usage_error_without_inputs(self, capsys, subcommand):
+        code, out, err = run(capsys, subcommand)
         assert code == 2
+        assert out == ""
+        assert err == "error: need --n and --m, or --multidegree\n"
 
     def test_enumerate_many_parallel_bonds(self, capsys):
         # the backtracker went one recursion level per bond

@@ -7,9 +7,11 @@ assertions they justify.
 import math
 from functools import lru_cache
 from itertools import islice, product
+from typing import Iterator
 
 import pytest
 
+from rumer.bijection import psi_section, verify_psi_bijection
 from rumer.counting import (
     binomial,
     compositions,
@@ -20,7 +22,13 @@ from rumer.counting import (
     rho_sum_over_compositions,
     triangle_range,
 )
-from rumer.diagrams import enumerate_rumer_by_multidegree
+from rumer.diagrams import (
+    RumerDiagram,
+    enumerate_rumer,
+    enumerate_rumer_by_multidegree,
+    enumerate_valence_schemes,
+    enumerate_valence_schemes_by_multidegree,
+)
 
 
 class TestBinomial:
@@ -233,3 +241,50 @@ def test_non_integral_degrees_rejected():
         n_recurrence((1.5, 1.5))
     with pytest.raises(TypeError):
         n_recurrence((1.0, 1))
+
+
+def _case(fn, args, error, label=None):
+    return pytest.param(fn, args, error, id=f"{fn.__name__}{label or args}".replace(" ", ""))
+
+
+CELL_FUNCTIONS = [
+    rho_closed, rho_product, rho_sum_over_compositions, enumerate_rumer, enumerate_valence_schemes,
+]
+DEGREE_FUNCTIONS = [
+    n_recurrence, enumerate_rumer_by_multidegree, enumerate_valence_schemes_by_multidegree,
+    verify_psi_bijection,
+]
+BAD_INPUTS = [
+    *(
+        _case(fn, args, error)
+        for fn in CELL_FUNCTIONS
+        for args, error in [
+            ((2.5, 1), TypeError), ((3, 1.0), TypeError), ((0, 1), ValueError), ((3, -1), ValueError),
+        ]
+    ),
+    *(
+        _case(fn, (degrees,), error)
+        for fn in DEGREE_FUNCTIONS
+        for degrees, error in [
+            ((1.5, 1.5), TypeError), ((1.0, 1), TypeError), ((2, -2), ValueError), ((), ValueError),
+        ]
+    ),
+    _case(compositions, (2.5, 2), TypeError),
+    _case(compositions, (2, 2.0), TypeError),
+    _case(compositions, (-1, 2), ValueError),
+    _case(compositions, (2, 0), ValueError),
+    _case(even_triangle, (1.5, 0.5, 1), TypeError),
+    _case(even_triangle, (1, 1, -2), ValueError),
+    _case(psi_section, (RumerDiagram.from_edges(2, [(1, 2)]), 1.5, 0.5), TypeError,
+          label="(n=2;(1,2),1.5,0.5)"),
+]
+
+
+@pytest.mark.parametrize("fn,args,error", BAD_INPUTS)
+def test_bad_input_is_refused(fn, args, error):
+    """A non-integer raises TypeError; n < 1, m < 0, a negative degree or no
+    degrees at all raise ValueError, before any work is done."""
+    with pytest.raises(error):
+        result = fn(*args)
+        if isinstance(result, Iterator):
+            next(result)  # a generator checks its input when first resumed
