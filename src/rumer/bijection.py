@@ -113,6 +113,18 @@ def verify_psi_bijection(degrees) -> dict:
 
     Failures are report contents, never exceptions.
     """
+    return _verify_psi_bijection(degrees, {})
+
+
+def _verify_psi_bijection(degrees, merged_sets: dict) -> dict:
+    """verify_psi_bijection, with the merged prescriptions' enumerations kept
+    in merged_sets.
+
+    merged_sets maps a merged prescription prefix + (mu,) to the pair of its
+    two enumerations: the ballot walk's Rumer diagrams and the backtracker's
+    valence schemes.  Checking all compositions of one cell with one dict
+    enumerates each merged prescription once by each route.
+    """
     d = _degrees(degrees)
     if len(d) < 2:
         raise ValueError("need at least two degree entries to merge")
@@ -120,7 +132,16 @@ def verify_psi_bijection(degrees) -> dict:
     prefix = d[:-2]
     counterexamples: list[dict] = []
 
-    merged_degrees = [mu for mu in triangle_range(m_n, m_n1) if _realizable(prefix + (mu,))]
+    by_mu: dict[int, tuple[list[RumerDiagram], list[ValenceScheme]]] = {}
+    for mu in triangle_range(m_n, m_n1):
+        e = prefix + (mu,)
+        if _realizable(e):
+            if e not in merged_sets:
+                merged_sets[e] = (
+                    enumerate_rumer_by_multidegree(e),
+                    enumerate_valence_schemes_by_multidegree(e),
+                )
+            by_mu[mu] = merged_sets[e]
 
     diagrams = enumerate_rumer_by_multidegree(d)
     images: dict[ValenceScheme, RumerDiagram] = {}
@@ -151,11 +172,7 @@ def verify_psi_bijection(degrees) -> dict:
                 {"diagram": text, "reason": f"section returned {back.scheme.to_text()}"}
             )
 
-    expected = {
-        diagram.scheme
-        for mu in merged_degrees
-        for diagram in enumerate_rumer_by_multidegree(prefix + (mu,))
-    }
+    expected = {diagram.scheme for walked, _ in by_mu.values() for diagram in walked}
     if expected != set(images):
         missing = sorted(s.to_text() for s in expected - set(images))
         extra = sorted(s.to_text() for s in set(images) - expected)
@@ -178,10 +195,10 @@ def verify_psi_bijection(degrees) -> dict:
             "missing": sorted(s.to_text() for s in set(brute_force) - set(generated)),
             "extra": sorted(s.to_text() for s in set(generated) - set(brute_force)),
         })
-    for mu in merged_degrees:
+    for mu, (_, schemes) in by_mu.items():
         r = (m_n + m_n1 - mu) // 2
         bound = binomial(mu, m_n1 - r)
-        for scheme in enumerate_valence_schemes_by_multidegree(prefix + (mu,)):
+        for scheme in schemes:
             hits = preimage_count.get(scheme, 0)
             if hits == 0:
                 counterexamples.append(

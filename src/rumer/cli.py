@@ -15,7 +15,7 @@ import json
 import sys
 from typing import Callable, Sequence
 
-from .bijection import verify_psi_bijection
+from .bijection import _verify_psi_bijection
 from .brackets import ParseError, parse as parse_polynomial, straighten
 from .counting import (
     binomial,
@@ -233,8 +233,9 @@ def _verify_cell(n: int, m: int) -> dict:
     counts_agree = len(set(counts.values())) == 1
     bijection_failures = []
     if n >= 2:
+        merged_sets: dict = {}  # this cell's merged prescriptions, each enumerated once
         for d in compositions(2 * m, n):
-            report = verify_psi_bijection(d)
+            report = _verify_psi_bijection(d, merged_sets)
             if not report["bijection_ok"]:
                 bijection_failures.append(report)
     cell_ok = counts_agree and basis_ok(basis) and not bijection_failures

@@ -119,6 +119,10 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         raise ValueError(f"need at least one part, got {parts}")
     if total < 0:
         raise ValueError(f"total must be nonnegative, got {total}")
+    return _compositions(total, parts)  # checked here, so bad input raises at the call
+
+
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     current = [0] * parts
     current[-1] = total
     while True:

@@ -377,7 +377,6 @@ def enumerate_valence_schemes(n: int, m: int) -> Iterator[ValenceScheme]:
     Streams size-m multisets over the sorted list of possible edges, so the
     output order is canonical.
     """
-    n, m = _cell(n, m)
+    n, m = _cell(n, m)  # here, not in a generator: bad input raises at the call
     all_edges = [Edge(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    for combo in combinations_with_replacement(all_edges, m):
-        yield ValenceScheme(n, combo)
+    return (ValenceScheme(n, combo) for combo in combinations_with_replacement(all_edges, m))

@@ -262,6 +262,25 @@ def rank_of_span(polys: Sequence[XPolynomial]) -> int:
     return len(pivots)
 
 
+def _rank_by_block(polys: Sequence[XPolynomial]) -> int:
+    """rank_of_span, summed over multidegree blocks.
+
+    A term's multidegree is x1^(v) + x2^(v) at each vertex v, read off its
+    own exponent vector.  Terms of different multidegrees are different
+    columns, so rows whose terms all lie in one block span a space inside
+    that block's columns, and the rank is the sum of the blocks' ranks.  If
+    some row's terms lie in more than one block, all rows are ranked together.
+    """
+    blocks: dict[tuple[int, ...], list[XPolynomial]] = {}
+    for p in polys:
+        degrees = {tuple(map(add, e[::2], e[1::2])) for e in p.terms}
+        if len(degrees) > 1:
+            return rank_of_span(polys)
+        if degrees:
+            blocks.setdefault(degrees.pop(), []).append(p)
+    return sum(map(rank_of_span, blocks.values()))
+
+
 def verify_basis(n: int, m: int) -> dict:
     """Cross-check independence, spanning, and straightening at one (n, m).
 
@@ -270,23 +289,43 @@ def verify_basis(n: int, m: int) -> dict:
     closed-formula count, and a list of straightening violations (expansion
     mismatch, a crossing output term, or a changed multidegree).  All four
     numbers agreeing with an empty violation list is a pass; see basis_ok.
+
+    Each Rumer diagram of the cell is expanded once, and that expansion
+    serves as its scheme's row and as every straightened output's term.  The
+    check still goes through coordinates: expand is linear, so the expansion
+    of a straightened output is the sum of its coefficients times its terms'
+    expansions, and a term that is not a Rumer diagram of the cell is
+    expanded directly.  Both ranks are summed over multidegree blocks read
+    off the expansions' exponent vectors; blocks share no column, so the sum
+    is the exact rank.
     """
+    def monomial(scheme: ValenceScheme) -> BracketPolynomial:
+        return BracketPolynomial._of(scheme.n, {scheme: 1})  # the scheme is checked already
+
     rumer = enumerate_rumer(n, m)
-    rumer_expansions = [
-        expand(BracketPolynomial.monomial(n, diagram.edges)) for diagram in rumer
-    ]
+    rumer_expansions = {diagram.scheme: expand(monomial(diagram.scheme)) for diagram in rumer}
+
+    def expanded(mono: ValenceScheme) -> XPolynomial:
+        cached = rumer_expansions.get(mono)
+        return expand(monomial(mono)) if cached is None else cached
+
     failures: list[dict] = []
     all_expansions = []
     for scheme in enumerate_valence_schemes(n, m):
-        poly = BracketPolynomial.monomial(n, scheme.edges)
-        expansion = expand(poly)
+        poly = monomial(scheme)
+        expansion = expanded(scheme)
         all_expansions.append(expansion)
         try:
             flat = straighten(poly)
         except Exception as exc:  # report, never crash the sweep
             failures.append({"scheme": scheme.to_text(), "reason": f"straighten raised: {exc}"})
             continue
-        if expand(flat) != expansion:
+        flat_expansion = combine(
+            (evec, coeff * c)
+            for mono, coeff in flat.terms.items()
+            for evec, c in expanded(mono).terms.items()
+        )
+        if flat_expansion != expansion.terms:
             failures.append({"scheme": scheme.to_text(), "reason": "expansion mismatch"})
         degs = scheme.multidegree()
         for mono in flat.terms:
@@ -302,8 +341,8 @@ def verify_basis(n: int, m: int) -> dict:
         "n": n,
         "m": m,
         "rumer_count": len(rumer),
-        "rumer_rank": rank_of_span(rumer_expansions),
-        "full_rank": rank_of_span(all_expansions),
+        "rumer_rank": _rank_by_block(list(rumer_expansions.values())),
+        "full_rank": _rank_by_block(all_expansions),
         "rho": rho_closed(n, m),
         "straighten_failures": failures,
     }

@@ -3,6 +3,7 @@ import contextlib
 import gc
 import io
 import json
+import math
 from itertools import islice
 from unittest import mock
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rumer.bijection
 import rumer.cli
 import rumer.diagrams
 import rumer.oracle
@@ -238,6 +240,36 @@ class TestVerify:
         assert code == 0
         assert calls == [(2, 0), (2, 1), (3, 0), (3, 1)]
         assert [cell["counts"]["enumerate"] for cell in json.loads(out)["cells"]] == [1, 1, 1, 3]
+
+    def test_builds_each_object_once(self, capsys, monkeypatch):
+        """Within a cell every valence scheme is expanded at most once, and
+        each prescription reaches each by-multidegree enumerator at most once:
+        a merged prescription of the psi sweep is shared by all compositions
+        that merge into it."""
+        expanded = []
+        expand = rumer.oracle.expand
+
+        def counted_expand(poly):
+            expanded.append(poly)
+            return expand(poly)
+
+        monkeypatch.setattr(rumer.oracle, "expand", counted_expand)
+        enumerated = {}
+        for name in ("enumerate_rumer_by_multidegree", "enumerate_valence_schemes_by_multidegree"):
+            calls = enumerated[name] = []
+
+            def counted(degrees, real=getattr(rumer.bijection, name), calls=calls):
+                calls.append(tuple(degrees))
+                return real(degrees)
+
+            monkeypatch.setattr(rumer.bijection, name, counted)
+        code, out, _ = run(capsys, "verify", "--n", "5..5", "--m", "4..4")
+        assert code == 0
+        assert "n=5 m=4: ok" in out
+        assert len(expanded) <= math.comb(10 + 4 - 1, 4) == 715  # valence schemes of (5, 4)
+        for calls in enumerated.values():
+            assert len(calls) == len(set(calls))
+            assert sum(len(d) == 4 for d in calls) > 0  # merged prescriptions were checked
 
     def test_bad_range_syntax(self, capsys):
         with pytest.raises(SystemExit) as info:

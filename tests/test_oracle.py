@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import rumer.oracle
 from rumer.brackets import BracketPolynomial, parse
 from rumer.counting import compositions, n_recurrence, rho_closed
 from rumer.diagrams import (
@@ -257,6 +258,56 @@ class TestRank:
                 assert rank_of_span(fs) == rho_closed(n, m), (n, m)
 
 
+class TestRankByBlock:
+    """verify_basis sums rank_of_span over the multidegree blocks read off the
+    rows' exponent vectors, and ranks all rows at once if one row mixes blocks."""
+
+    def rows(self, rng):
+        """The expansions of all schemes of (4, 3), a dependent row in each
+        block and a zero row, shuffled."""
+        blocks = [
+            [expand(BracketPolynomial.monomial(4, s.edges)) for s in schemes]
+            for schemes in map(enumerate_valence_schemes_by_multidegree, compositions(6, 4))
+            if schemes
+        ]
+        rows = [f for block in blocks for f in block]
+        rows += [rng.choice([-3, 2**70]) * block[0] + block[-1] for block in blocks]
+        rows.append(XPolynomial.zero(4))
+        rng.shuffle(rows)
+        return rows, len(blocks)
+
+    def counted(self, monkeypatch):
+        calls = []
+        real = rumer.oracle.rank_of_span
+
+        def counting(polys):
+            calls.append(len(polys))
+            return real(polys)
+
+        monkeypatch.setattr(rumer.oracle, "rank_of_span", counting)
+        return calls
+
+    def test_one_rank_per_block(self, monkeypatch):
+        rows, block_count = self.rows(random.Random(5))
+        expected = rank_of_span(rows)
+        calls = self.counted(monkeypatch)
+        assert rumer.oracle._rank_by_block(rows) == expected == rho_closed(4, 3)
+        assert len(calls) == block_count
+        assert sum(calls) == len(rows) - 1  # the zero row is in no block
+
+    def test_row_across_blocks_ranks_everything_at_once(self, monkeypatch):
+        rows, _ = self.rows(random.Random(6))
+        mixed = next(row for row in rows if row) + XPolynomial(4, {(6, 0, 0, 0, 0, 0, 0, 0): 1})
+        rows.append(mixed)  # one term in block (6,0,0,0), the others elsewhere
+        expected = rank_of_span(rows)
+        calls = self.counted(monkeypatch)
+        assert rumer.oracle._rank_by_block(rows) == expected
+        assert calls == [len(rows)]
+
+    def test_empty(self):
+        assert rumer.oracle._rank_by_block([]) == 0
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 @pytest.mark.parametrize("m", range(0, 4))
 def test_each_multidegree_block_has_full_rank(n, m):
@@ -293,3 +344,66 @@ class TestVerifyBasis:
             expand(BracketPolynomial.monomial(5, d.edges)) for d in enumerate_rumer(5, 2)
         ]
         assert rank_of_span(fs) == len(fs) == rho_closed(5, 2)
+
+
+class TestBrokenStraightenerIsCaught:
+    """verify_basis checks straighten through the cached Rumer expansions and
+    expands any other output term directly; a broken straightener must still
+    be reported, under the same reasons as before."""
+
+    N, M = 4, 2
+
+    def broken(self, monkeypatch, mutate):
+        real = rumer.oracle.straighten
+        monkeypatch.setattr(rumer.oracle, "straighten", lambda poly: mutate(real(poly)))
+        report = verify_basis(self.N, self.M)
+        assert not basis_ok(report)
+        return report["straighten_failures"]
+
+    def test_flipped_coefficient(self, monkeypatch):
+        def flip(flat):
+            terms = dict(flat.terms)
+            first = min(terms, key=lambda mono: mono.edges)
+            terms[first] = -terms[first]
+            return BracketPolynomial(flat.n, terms)
+
+        failures = self.broken(monkeypatch, flip)
+        assert len(failures) == 21  # every scheme of (4, 2)
+        assert {f["reason"] for f in failures} == {"expansion mismatch"}
+        assert failures[0] == {"scheme": "n=4; (1,2)(1,2)", "reason": "expansion mismatch"}
+
+    def test_added_crossing_term(self, monkeypatch):
+        crossing = parse("[1,3][2,4]", self.N)
+        failures = self.broken(monkeypatch, lambda flat: flat + crossing)
+        # the crossing term is not a cached Rumer expansion: it is expanded
+        # directly, so the sum no longer matches either
+        assert failures[:2] == [
+            {"scheme": "n=4; (1,2)(1,2)", "reason": "expansion mismatch"},
+            {"scheme": "n=4; (1,2)(1,2)", "reason": "crossing term [1,3][2,4]"},
+        ]
+        assert {"scheme": "n=4; (1,3)(2,4)", "reason": "expansion mismatch"} in failures
+
+    def test_added_term_of_another_multidegree(self, monkeypatch):
+        other = parse("[3,4][3,4]", self.N)  # a Rumer diagram of the cell: cached
+        failures = self.broken(monkeypatch, lambda flat: flat + other)
+        assert failures[:2] == [
+            {"scheme": "n=4; (1,2)(1,2)", "reason": "expansion mismatch"},
+            {"scheme": "n=4; (1,2)(1,2)", "reason": "multidegree changed in [3,4][3,4]"},
+        ]
+        assert all("crossing" not in f["reason"] for f in failures)
+
+    def test_added_term_of_another_bond_count(self, monkeypatch):
+        other = parse("[1,2]", self.N)  # not in the cell: expanded directly
+        failures = self.broken(monkeypatch, lambda flat: flat + other)
+        assert failures[:2] == [
+            {"scheme": "n=4; (1,2)(1,2)", "reason": "expansion mismatch"},
+            {"scheme": "n=4; (1,2)(1,2)", "reason": "multidegree changed in [1,2]"},
+        ]
+
+    def test_raising_straightener(self, monkeypatch):
+        def fail(flat):
+            raise RuntimeError("no basis today")
+
+        failures = self.broken(monkeypatch, fail)
+        assert len(failures) == 21
+        assert failures[0] == {"scheme": "n=4; (1,2)(1,2)", "reason": "straighten raised: no basis today"}
