@@ -106,31 +106,39 @@ def verify_psi_bijection(degrees) -> dict:
     union of the non-crossing sets over the even-triangle range, and over
     all valence schemes (crossings allowed) every merged scheme must be hit
     at least once and at most C(mu_n, m_{n+1} - r) times.  The non-crossing
-    diagrams themselves must be exactly the valence schemes that pass
-    is_rumer, in the same order: a brute-force route independent of the
-    generator.  Merged degrees mu for which no multigraph exists have empty
-    sets on both sides and are skipped.
+    diagrams themselves, and those of each merged prescription, must be
+    exactly the valence schemes that pass is_rumer, in the same order: a
+    brute-force route independent of the generator.  Merged degrees mu for
+    which no multigraph exists have empty sets on both sides and are skipped.
 
     Failures are report contents, never exceptions.
-    """
-    return _verify_psi_bijection(degrees, {})
-
-
-def _verify_psi_bijection(degrees, merged_sets: dict) -> dict:
-    """verify_psi_bijection, with the merged prescriptions' enumerations kept
-    in merged_sets.
-
-    merged_sets maps a merged prescription prefix + (mu,) to the pair of its
-    two enumerations: the ballot walk's Rumer diagrams and the backtracker's
-    valence schemes.  Checking all compositions of one cell with one dict
-    enumerates each merged prescription once by each route.
     """
     d = _degrees(degrees)
     if len(d) < 2:
         raise ValueError("need at least two degree entries to merge")
+    return _verify_psi_bijection(
+        d, enumerate_rumer_by_multidegree(d), enumerate_valence_schemes_by_multidegree(d), {}
+    )
+
+
+def _verify_psi_bijection(d, diagrams, schemes, merged_sets: dict) -> dict:
+    """verify_psi_bijection of a checked prescription d, given its Rumer
+    diagrams and its valence schemes, each in canonical order, with the
+    merged prescriptions' enumerations kept in merged_sets.
+
+    merged_sets maps a merged prescription prefix + (mu,) to the pair of its
+    two enumerations: the ballot walk's Rumer diagrams by multidegree and the
+    backtracker's valence schemes.  A merged prescription is enumerated and
+    its two lists compared when it first enters merged_sets, so checking
+    every multidegree of one cell with one dict enumerates and checks each
+    merged prescription once.
+    """
     m_n, m_n1 = d[-2], d[-1]
     prefix = d[:-2]
     counterexamples: list[dict] = []
+    # the prescriptions whose two lists are compared here: d, and each merged
+    # prescription that enters merged_sets now
+    compared = [(d, diagrams, schemes)]
 
     by_mu: dict[int, tuple[list[RumerDiagram], list[ValenceScheme]]] = {}
     for mu in triangle_range(m_n, m_n1):
@@ -141,9 +149,9 @@ def _verify_psi_bijection(degrees, merged_sets: dict) -> dict:
                     enumerate_rumer_by_multidegree(e),
                     enumerate_valence_schemes_by_multidegree(e),
                 )
+                compared.append((e, *merged_sets[e]))
             by_mu[mu] = merged_sets[e]
 
-    diagrams = enumerate_rumer_by_multidegree(d)
     images: dict[ValenceScheme, RumerDiagram] = {}
     for diagram in diagrams:
         result = psi(diagram.scheme)
@@ -180,25 +188,24 @@ def _verify_psi_bijection(degrees, merged_sets: dict) -> dict:
             {"reason": "image is not the even-triangle union", "missing": missing, "extra": extra}
         )
 
-    brute_force: list[ValenceScheme] = []
+    for e, walked, backtracked in compared:
+        generated = [diagram.scheme for diagram in walked]
+        brute_force = [scheme for scheme in backtracked if is_rumer(scheme)]
+        if generated != brute_force:
+            counterexamples.append({
+                "multidegree": list(e),
+                "reason": "generator disagrees with the brute-force filter",
+                "missing": sorted(s.to_text() for s in set(brute_force) - set(generated)),
+                "extra": sorted(s.to_text() for s in set(generated) - set(brute_force)),
+            })
     preimage_count: dict[ValenceScheme, int] = {}
-    for scheme in enumerate_valence_schemes_by_multidegree(d):
-        if is_rumer(scheme):
-            brute_force.append(scheme)
+    for scheme in schemes:
         merged = psi(scheme).scheme
         preimage_count[merged] = preimage_count.get(merged, 0) + 1
-    generated = [diagram.scheme for diagram in diagrams]
-    if generated != brute_force:
-        counterexamples.append({
-            "multidegree": list(d),
-            "reason": "generator disagrees with the brute-force filter",
-            "missing": sorted(s.to_text() for s in set(brute_force) - set(generated)),
-            "extra": sorted(s.to_text() for s in set(generated) - set(brute_force)),
-        })
-    for mu, (_, schemes) in by_mu.items():
+    for mu, (_, merged_schemes) in by_mu.items():
         r = (m_n + m_n1 - mu) // 2
         bound = binomial(mu, m_n1 - r)
-        for scheme in schemes:
+        for scheme in merged_schemes:
             hits = preimage_count.get(scheme, 0)
             if hits == 0:
                 counterexamples.append(

@@ -19,7 +19,6 @@ from .bijection import _verify_psi_bijection
 from .brackets import ParseError, parse as parse_polynomial, straighten
 from .counting import (
     binomial,
-    compositions,
     n_recurrence,
     rho_closed,
     rho_product,
@@ -29,8 +28,9 @@ from .diagrams import (
     ValenceScheme,
     enumerate_rumer,
     enumerate_rumer_by_multidegree,
+    enumerate_valence_schemes,
 )
-from .oracle import basis_ok, expand, verify_basis
+from .oracle import _verify_basis, basis_ok, expand
 from .render import render_svg
 
 OK, FAIL, USAGE = 0, 1, 2
@@ -222,20 +222,29 @@ def _cmd_straighten(args) -> int:
 
 
 def _verify_cell(n: int, m: int) -> dict:
-    basis = verify_basis(n, m)
+    rumer = enumerate_rumer(n, m)
+    schemes = list(enumerate_valence_schemes(n, m))
+    basis = _verify_basis(n, m, rumer, schemes)
     counts = {
         "formula": rho_closed(n, m),
         "recurrence": rho_sum_over_compositions(n, m),
-        "enumerate": basis["rumer_count"],  # verify_basis enumerates the cell
+        "enumerate": len(rumer),
     }
     if n >= 3:
         counts["product"] = rho_product(n, m)
     counts_agree = len(set(counts.values())) == 1
     bijection_failures = []
     if n >= 2:
+        # The cell's multidegree blocks, in the order of compositions(2m, n);
+        # a composition that no multigraph realizes has no block.
+        blocks: dict[tuple[int, ...], tuple[list, list]] = {}
+        for diagram in rumer:
+            blocks.setdefault(diagram.multidegree(), ([], []))[0].append(diagram)
+        for scheme in schemes:
+            blocks.setdefault(scheme.multidegree(), ([], []))[1].append(scheme)
         merged_sets: dict = {}  # this cell's merged prescriptions, each enumerated once
-        for d in compositions(2 * m, n):
-            report = _verify_psi_bijection(d, merged_sets)
+        for d in sorted(blocks):
+            report = _verify_psi_bijection(d, *blocks[d], merged_sets)
             if not report["bijection_ok"]:
                 bijection_failures.append(report)
     cell_ok = counts_agree and basis_ok(basis) and not bijection_failures

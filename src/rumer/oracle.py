@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain
 from math import gcd
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .brackets import BracketPolynomial, straighten
 from .counting import rho_closed
@@ -160,22 +160,9 @@ def act(sigma: UnimodularMatrix, f: XPolynomial) -> XPolynomial:
     n = f.n
     images: list[dict[ExponentVector, int]] = []
     for vertex in range(1, n + 1):
-        x1 = [0] * (2 * n)
-        x1[variable_index(vertex, 1)] = 1
-        x2 = [0] * (2 * n)
-        x2[variable_index(vertex, 2)] = 1
-        first = {}
-        if inv.a:
-            first[tuple(x1)] = inv.a
-        if inv.b:
-            first[tuple(x2)] = inv.b
-        second = {}
-        if inv.c:
-            second[tuple(x1)] = inv.c
-        if inv.d:
-            second[tuple(x2)] = inv.d
-        images.append(first)
-        images.append(second)
+        x1, x2 = XPolynomial.variable(n, vertex, 1), XPolynomial.variable(n, vertex, 2)
+        images.append((inv.a * x1 + inv.b * x2).terms)
+        images.append((inv.c * x1 + inv.d * x2).terms)
 
     power_cache: dict[tuple[int, int], dict[ExponentVector, int]] = {}
 
@@ -218,7 +205,12 @@ def _reduce_row(row: dict[int, int]) -> dict[int, int]:
 
 
 def rank_of_span(polys: Sequence[XPolynomial]) -> int:
-    """Exact rank of the span of the given polynomials.
+    """Exact rank of the span of the given polynomials; their order does not matter."""
+    return max(_running_rank(polys), default=0)  # the running rank never falls
+
+
+def _running_rank(polys: Iterable[XPolynomial]) -> Iterator[int]:
+    """The exact rank of the first k polynomials, for k = 1, 2, ...
 
     The distinct exponent vectors are sorted once in graded lexicographic
     order and numbered, so a row is a sparse map from column index to integer
@@ -227,17 +219,12 @@ def rank_of_span(polys: Sequence[XPolynomial]) -> int:
     an incoming row's lead already has a pivot, both are scaled by the
     leading coefficients over their gcd and subtracted, then the row is
     divided by its content.  A row that vanishes is dependent; otherwise it
-    becomes a new pivot, and the rank is the number of pivots.  All
-    arithmetic is exact integer arithmetic, and the result does not depend
-    on the input order.
+    becomes a new pivot, and the rank after each row is the number of
+    pivots.  All arithmetic is exact integer arithmetic.
     """
     polys = list(polys)
-    if not polys:
-        return 0
-    n = polys[0].n
-    for p in polys:
-        if p.n != n:
-            raise ValueError("all polynomials must share the same vertex count")
+    if len({p.n for p in polys}) > 1:
+        raise ValueError("all polynomials must share the same vertex count")
     columns = sorted({e for p in polys for e in p.terms}, key=_graded_lex)
     index = {e: k for k, e in enumerate(columns)}
     pivots: dict[int, dict[int, int]] = {}
@@ -259,26 +246,7 @@ def rank_of_span(polys: Sequence[XPolynomial]) -> int:
                     )
                 )
             )
-    return len(pivots)
-
-
-def _rank_by_block(polys: Sequence[XPolynomial]) -> int:
-    """rank_of_span, summed over multidegree blocks.
-
-    A term's multidegree is x1^(v) + x2^(v) at each vertex v, read off its
-    own exponent vector.  Terms of different multidegrees are different
-    columns, so rows whose terms all lie in one block span a space inside
-    that block's columns, and the rank is the sum of the blocks' ranks.  If
-    some row's terms lie in more than one block, all rows are ranked together.
-    """
-    blocks: dict[tuple[int, ...], list[XPolynomial]] = {}
-    for p in polys:
-        degrees = {tuple(map(add, e[::2], e[1::2])) for e in p.terms}
-        if len(degrees) > 1:
-            return rank_of_span(polys)
-        if degrees:
-            blocks.setdefault(degrees.pop(), []).append(p)
-    return sum(map(rank_of_span, blocks.values()))
+        yield len(pivots)
 
 
 def verify_basis(n: int, m: int) -> dict:
@@ -289,20 +257,27 @@ def verify_basis(n: int, m: int) -> dict:
     closed-formula count, and a list of straightening violations (expansion
     mismatch, a crossing output term, or a changed multidegree).  All four
     numbers agreeing with an empty violation list is a pass; see basis_ok.
+    """
+    return _verify_basis(n, m, enumerate_rumer(n, m), enumerate_valence_schemes(n, m))
 
-    Each Rumer diagram of the cell is expanded once, and that expansion
-    serves as its scheme's row and as every straightened output's term.  The
-    check still goes through coordinates: expand is linear, so the expansion
-    of a straightened output is the sum of its coefficients times its terms'
+
+def _verify_basis(n: int, m: int, rumer: list, schemes: Iterable[ValenceScheme]) -> dict:
+    """verify_basis of the cell (n, m), given its Rumer diagrams and its
+    valence schemes, so that a caller that also needs the lists enumerates
+    the cell once.
+
+    Each Rumer diagram is expanded once, and that expansion serves as its
+    scheme's row and as every straightened output's term.  The check still
+    goes through coordinates: expand is linear, so the expansion of a
+    straightened output is the sum of its coefficients times its terms'
     expansions, and a term that is not a Rumer diagram of the cell is
-    expanded directly.  Both ranks are summed over multidegree blocks read
-    off the expansions' exponent vectors; blocks share no column, so the sum
-    is the exact rank.
+    expanded directly.  Both ranks come from one exact elimination: the
+    Rumer rows go in first, so the running rank after them is rumer_rank,
+    and the other schemes' rows follow, so the final rank is full_rank.
     """
     def monomial(scheme: ValenceScheme) -> BracketPolynomial:
         return BracketPolynomial._of(scheme.n, {scheme: 1})  # the scheme is checked already
 
-    rumer = enumerate_rumer(n, m)
     rumer_expansions = {diagram.scheme: expand(monomial(diagram.scheme)) for diagram in rumer}
 
     def expanded(mono: ValenceScheme) -> XPolynomial:
@@ -310,11 +285,12 @@ def verify_basis(n: int, m: int) -> dict:
         return expand(monomial(mono)) if cached is None else cached
 
     failures: list[dict] = []
-    all_expansions = []
-    for scheme in enumerate_valence_schemes(n, m):
+    rows = list(rumer_expansions.values())
+    for scheme in schemes:
         poly = monomial(scheme)
         expansion = expanded(scheme)
-        all_expansions.append(expansion)
+        if scheme not in rumer_expansions:
+            rows.append(expansion)
         try:
             flat = straighten(poly)
         except Exception as exc:  # report, never crash the sweep
@@ -337,12 +313,13 @@ def verify_basis(n: int, m: int) -> dict:
                 continue
             term = BracketPolynomial.monomial(n, mono.edges)
             failures.append({"scheme": scheme.to_text(), "reason": f"{reason} {term}"})
+    ranks = [0, *_running_rank(rows)]
     return {
         "n": n,
         "m": m,
         "rumer_count": len(rumer),
-        "rumer_rank": _rank_by_block(list(rumer_expansions.values())),
-        "full_rank": _rank_by_block(all_expansions),
+        "rumer_rank": ranks[len(rumer_expansions)],
+        "full_rank": ranks[-1],
         "rho": rho_closed(n, m),
         "straighten_failures": failures,
     }

@@ -242,34 +242,39 @@ class TestVerify:
         assert [cell["counts"]["enumerate"] for cell in json.loads(out)["cells"]] == [1, 1, 1, 3]
 
     def test_builds_each_object_once(self, capsys, monkeypatch):
-        """Within a cell every valence scheme is expanded at most once, and
-        each prescription reaches each by-multidegree enumerator at most once:
-        a merged prescription of the psi sweep is shared by all compositions
-        that merge into it."""
-        expanded = []
-        expand = rumer.oracle.expand
+        """verify enumerates each cell once and ranks it with one elimination.
+        At (5, 4) each cell enumerator is called once, every valence scheme is
+        expanded at most once, only the 715 scheme rows are eliminated, and the
+        by-multidegree enumerators see only merged prescriptions, each once."""
+        calls = {}
 
-        def counted_expand(poly):
-            expanded.append(poly)
-            return expand(poly)
+        def counting(owner, name, record):
+            real, log = getattr(owner, name), calls.setdefault(name, [])
 
-        monkeypatch.setattr(rumer.oracle, "expand", counted_expand)
-        enumerated = {}
+            def counted(*args):
+                log.append(record(*args))
+                return real(*args)
+
+            for module in (rumer.cli, rumer.oracle, rumer.bijection):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counted)
+
+        for name in ("enumerate_rumer", "enumerate_valence_schemes"):
+            counting(rumer.diagrams, name, lambda n, m: (n, m))
         for name in ("enumerate_rumer_by_multidegree", "enumerate_valence_schemes_by_multidegree"):
-            calls = enumerated[name] = []
-
-            def counted(degrees, real=getattr(rumer.bijection, name), calls=calls):
-                calls.append(tuple(degrees))
-                return real(degrees)
-
-            monkeypatch.setattr(rumer.bijection, name, counted)
+            counting(rumer.diagrams, name, tuple)
+        counting(rumer.oracle, "expand", lambda poly: poly)
+        counting(rumer.oracle, "_running_rank", len)
         code, out, _ = run(capsys, "verify", "--n", "5..5", "--m", "4..4")
         assert code == 0
         assert "n=5 m=4: ok" in out
-        assert len(expanded) <= math.comb(10 + 4 - 1, 4) == 715  # valence schemes of (5, 4)
-        for calls in enumerated.values():
-            assert len(calls) == len(set(calls))
-            assert sum(len(d) == 4 for d in calls) > 0  # merged prescriptions were checked
+        assert calls["enumerate_rumer"] == calls["enumerate_valence_schemes"] == [(5, 4)]
+        assert len(calls["expand"]) <= math.comb(10 + 4 - 1, 4) == 715  # valence schemes of (5, 4)
+        assert calls["_running_rank"] == [715]
+        for name in ("enumerate_rumer_by_multidegree", "enumerate_valence_schemes_by_multidegree"):
+            prescriptions = calls[name]
+            assert len(prescriptions) == len(set(prescriptions))
+            assert {len(d) for d in prescriptions} == {4}  # merged prescriptions only
 
     def test_bad_range_syntax(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -287,6 +292,23 @@ class TestVerify:
         assert any(
             example.get("multidegree") == report["multidegree"]
             and example["reason"] == "generator disagrees with the brute-force filter"
+            for report in failures
+            for example in report["counterexamples"]
+        )
+
+
+    def test_merged_walk_repeating_a_diagram_fails(self, capsys, monkeypatch):
+        """verify compares the by-multidegree walk, on each merged prescription,
+        list for list with the brute-force filter, so a repeat is caught."""
+        walk = rumer.bijection.enumerate_rumer_by_multidegree
+        monkeypatch.setattr(
+            rumer.bijection, "enumerate_rumer_by_multidegree", lambda d: walk(d)[:1] + walk(d)
+        )
+        code, out, _ = run(capsys, "verify", "--n", "3..3", "--m", "2..2", "--format", "json")
+        assert code == 1
+        failures = json.loads(out)["cells"][0]["bijection_failures"]
+        assert any(
+            example["reason"] == "generator disagrees with the brute-force filter"
             for report in failures
             for example in report["counterexamples"]
         )

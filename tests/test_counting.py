@@ -108,12 +108,6 @@ class TestRecurrence:
                 for d in compositions(total, n):
                     assert n_recurrence(d) == len(enumerate_rumer_by_multidegree(d)), d
 
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            n_recurrence(())
-        with pytest.raises(ValueError):
-            n_recurrence((1, -1))
-
 
 class TestClosedFormula:
     @pytest.mark.parametrize(
@@ -126,12 +120,6 @@ class TestClosedFormula:
     def test_two_vertices_always_one(self):
         for m in range(0, 51):
             assert rho_closed(2, m) == 1
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            rho_closed(0, 1)
-        with pytest.raises(ValueError):
-            rho_closed(3, -1)
 
 
 class TestProductFormula:
@@ -160,12 +148,6 @@ class TestCompositions:
         assert len(set(seen)) == len(seen) == binomial(7, 2)
         assert all(sum(d) == 5 and len(d) == 3 for d in seen)
         assert seen == sorted(seen)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            list(compositions(-1, 2))
-        with pytest.raises(ValueError):
-            list(compositions(3, 0))
 
 
 class TestSumOverCompositions:
@@ -235,13 +217,6 @@ class TestCompositionsReference:
                 assert list(compositions(total, parts)) == expected, (total, parts)
 
 
-def test_non_integral_degrees_rejected():
-    with pytest.raises(TypeError):
-        n_recurrence((1.5, 1.5))
-    with pytest.raises(TypeError):
-        n_recurrence((1.0, 1))
-
-
 def _case(fn, args, error, label=None):
     return pytest.param(fn, args, error, id=f"{fn.__name__}{label or args}".replace(" ", ""))
 
@@ -272,6 +247,8 @@ BAD_INPUTS = [
     _case(compositions, (2, 2.0), TypeError),
     _case(compositions, (-1, 2), ValueError),
     _case(compositions, (2, 0), ValueError),
+    _case(compositions, (3, 0), ValueError),
+    _case(n_recurrence, ((1, -1),), ValueError),
     _case(even_triangle, (1.5, 0.5, 1), TypeError),
     _case(even_triangle, (1, 1, -2), ValueError),
     _case(psi_section, (RumerDiagram.from_edges(2, [(1, 2)]), 1.5, 0.5), TypeError,

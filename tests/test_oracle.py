@@ -258,54 +258,50 @@ class TestRank:
                 assert rank_of_span(fs) == rho_closed(n, m), (n, m)
 
 
-class TestRankByBlock:
-    """verify_basis sums rank_of_span over the multidegree blocks read off the
-    rows' exponent vectors, and ranks all rows at once if one row mixes blocks."""
+class TestRunningRank:
+    """verify_basis reads both ranks off one elimination: the running rank
+    after the Rumer rows is rumer_rank and the final rank is full_rank."""
 
     def rows(self, rng):
-        """The expansions of all schemes of (4, 3), a dependent row in each
-        block and a zero row, shuffled."""
+        """The expansions of the Rumer diagrams of (4, 3), then those of the
+        other schemes with a dependent row in each multidegree block, a zero
+        row, and a row whose terms lie in two blocks, shuffled."""
+        rumer_rows = [expand(BracketPolynomial.monomial(4, D.edges)) for D in enumerate_rumer(4, 3)]
         blocks = [
             [expand(BracketPolynomial.monomial(4, s.edges)) for s in schemes]
             for schemes in map(enumerate_valence_schemes_by_multidegree, compositions(6, 4))
             if schemes
         ]
-        rows = [f for block in blocks for f in block]
-        rows += [rng.choice([-3, 2**70]) * block[0] + block[-1] for block in blocks]
-        rows.append(XPolynomial.zero(4))
-        rng.shuffle(rows)
-        return rows, len(blocks)
+        rest = [f for block in blocks for f in block if f not in rumer_rows]
+        rest += [rng.choice([-3, 2**70]) * block[0] + block[-1] for block in blocks]
+        rest.append(XPolynomial.zero(4))
+        rest.append(rest[0] + XPolynomial(4, {(6, 0, 0, 0, 0, 0, 0, 0): 1}))
+        rng.shuffle(rumer_rows)
+        rng.shuffle(rest)
+        return rumer_rows, rest
 
-    def counted(self, monkeypatch):
-        calls = []
-        real = rumer.oracle.rank_of_span
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_checkpoint_and_final_rank(self, seed):
+        rumer_rows, rest = self.rows(random.Random(seed))
+        rows = rumer_rows + rest
+        ranks = list(rumer.oracle._running_rank(rows))
+        assert len(ranks) == len(rows)
+        at_checkpoint = ranks[len(rumer_rows) - 1]
+        assert at_checkpoint == rank_of_span(rumer_rows) == reference_rank(rumer_rows)
+        assert at_checkpoint == len(rumer_rows) == rho_closed(4, 3)
+        assert ranks[-1] == rank_of_span(rows) == reference_rank(rows)
+        assert ranks[-1] == rho_closed(4, 3) + 1  # the two-block row adds (x1^(1))^6
 
-        def counting(polys):
-            calls.append(len(polys))
-            return real(polys)
-
-        monkeypatch.setattr(rumer.oracle, "rank_of_span", counting)
-        return calls
-
-    def test_one_rank_per_block(self, monkeypatch):
-        rows, block_count = self.rows(random.Random(5))
-        expected = rank_of_span(rows)
-        calls = self.counted(monkeypatch)
-        assert rumer.oracle._rank_by_block(rows) == expected == rho_closed(4, 3)
-        assert len(calls) == block_count
-        assert sum(calls) == len(rows) - 1  # the zero row is in no block
-
-    def test_row_across_blocks_ranks_everything_at_once(self, monkeypatch):
-        rows, _ = self.rows(random.Random(6))
-        mixed = next(row for row in rows if row) + XPolynomial(4, {(6, 0, 0, 0, 0, 0, 0, 0): 1})
-        rows.append(mixed)  # one term in block (6,0,0,0), the others elsewhere
-        expected = rank_of_span(rows)
-        calls = self.counted(monkeypatch)
-        assert rumer.oracle._rank_by_block(rows) == expected
-        assert calls == [len(rows)]
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_prefix_matches_rational_reference(self, seed):
+        rng = random.Random(seed)
+        rows = random_rows(rng, rng.choice([1, 2]), rng.randint(1, 12))
+        ranks = list(rumer.oracle._running_rank(rows))
+        assert ranks == [reference_rank(rows[:k]) for k in range(1, len(rows) + 1)]
 
     def test_empty(self):
-        assert rumer.oracle._rank_by_block([]) == 0
+        assert list(rumer.oracle._running_rank([])) == []
+        assert rank_of_span([]) == 0
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -338,6 +334,14 @@ class TestVerifyBasis:
         report = verify_basis(3, 0)
         assert report["full_rank"] == 1
         assert basis_ok(report)
+
+    def test_rumer_rank_is_read_after_the_rumer_rows(self):
+        """A Rumer diagram missing from the list lowers rumer_rank only: its
+        scheme still enters full_rank among the other schemes' rows."""
+        diagrams = enumerate_rumer(4, 2)
+        report = rumer.oracle._verify_basis(4, 2, diagrams[1:], enumerate_valence_schemes(4, 2))
+        assert (report["rumer_count"], report["rumer_rank"], report["full_rank"]) == (19, 19, 20)
+        assert not basis_ok(report)
 
     def test_rumer_expansions_are_independent(self):
         fs = [
