@@ -121,6 +121,12 @@ class TestClosedFormula:
         for m in range(0, 51):
             assert rho_closed(2, m) == 1
 
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            rho_closed(0, 1)
+        with pytest.raises(ValueError):
+            rho_closed(3, -1)
+
 
 class TestProductFormula:
     @pytest.mark.parametrize("n,m,expected", [(3, 2, 6), (4, 2, 20), (3, 0, 1)])
@@ -215,6 +221,13 @@ class TestCompositionsReference:
             for total in range(0, 6):
                 expected = [t for t in product(range(total + 1), repeat=parts) if sum(t) == total]
                 assert list(compositions(total, parts)) == expected, (total, parts)
+
+
+def test_non_integral_degrees_rejected():
+    with pytest.raises(TypeError):
+        n_recurrence((1.5, 1.5))
+    with pytest.raises(TypeError):
+        n_recurrence((1.0, 1))
 
 
 def _case(fn, args, error, label=None):
