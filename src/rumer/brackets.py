@@ -19,11 +19,12 @@ multidegree-preserving term by term.
 """
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .diagrams import Edge, ValenceScheme, edges_cross, first_crossing, is_rumer
+from .diagrams import Edge, ValenceScheme, _first_crossing, edges_cross, is_rumer
 from .sparse import SparseCombination, combine
 
 
@@ -61,9 +62,9 @@ def bracket(a: int, b: int) -> SignedBracket:
     return SignedBracket(Edge(b, a), -1)
 
 
-def _monomial_text(mono: ValenceScheme) -> str:
-    """A scheme as a bracket monomial: "[1,2][3,4]", or "1" with no edges."""
-    return "".join(f"[{i},{j}]" for i, j in mono.edges) or "1"
+def _monomial_text(edges: Iterable[Edge]) -> str:
+    """Edges as a bracket monomial: "[1,2][3,4]", or "1" with no edges."""
+    return "".join(f"[{i},{j}]" for i, j in edges) or "1"
 
 
 class BracketPolynomial(SparseCombination):
@@ -79,7 +80,7 @@ class BracketPolynomial(SparseCombination):
     def _check_key(self, mono: ValenceScheme) -> ValenceScheme:
         if mono.n != self.n:
             raise ValueError(
-                f"monomial {_monomial_text(mono)} lives on {mono.n} vertices, not {self.n}"
+                f"monomial {_monomial_text(mono.edges)} lives on {mono.n} vertices, not {self.n}"
             )
         return mono
 
@@ -109,9 +110,9 @@ class BracketPolynomial(SparseCombination):
             if not mono.edges:
                 body = str(mag)
             elif mag == 1:
-                body = _monomial_text(mono)
+                body = _monomial_text(mono.edges)
             else:
-                body = f"{mag}*{_monomial_text(mono)}"
+                body = f"{mag}*{_monomial_text(mono.edges)}"
             if k == 0:
                 pieces.append(body if coeff > 0 else f"-{body}")
             else:
@@ -173,6 +174,37 @@ def _crossings(mono: ValenceScheme) -> int:
     return sum(mult[e] * mult[f] for e, f in combinations(mult, 2) if e[0] < f[0] < e[1] < f[1])
 
 
+def _crossed(chord: Edge, edges: list[Edge]) -> int:
+    """How many of the edges cross the chord."""
+    u, v = chord[0], chord[1]
+    return len([r for r in edges if u < r[0] < v < r[1] or r[0] < u < r[1] < v])
+
+
+Edges = tuple[Edge, ...]
+
+
+def _rewrite(edges: Edges, k: int, e: Edge, f: Edge) -> list[tuple[Edges, int]]:
+    """Exchange the crossing edges e and f of a sorted edge tuple with k
+    crossing pairs: the two children, sorted, each with its crossing count
+    derived from k as `straighten` describes."""
+    rest = list(edges)
+    rest.remove(e)
+    rest.remove(f)
+    # an edge crossing a chord on the four ends has an end strictly inside
+    # the span of those ends, so the counts need only such edges of R
+    lo, hi = min(e[0], f[0]), max(e[1], f[1])
+    near = [r for r in rest if lo < r[0] < hi or lo < r[1] < hi]
+    base = k - 1 - _crossed(e, near) - _crossed(f, near)
+    children = []
+    for g, h in _exchange(e, f):
+        child = rest.copy()
+        insort(child, g)
+        insort(child, h)
+        j = base + _crossed(g, near) + _crossed(h, near) + edges_cross(g, h)
+        children.append((tuple(child), j))
+    return children
+
+
 def straighten(poly: BracketPolynomial) -> BracketPolynomial:
     """Rewrite a bracket polynomial into the non-crossing (Rumer) basis.
 
@@ -185,27 +217,36 @@ def straighten(poly: BracketPolynomial) -> BracketPolynomial:
     highest count down.  Both exchange children have fewer crossings than
     their parent, so a monomial is complete, with every contribution merged
     into its coefficient, when its bucket is taken, and it is rewritten once.
-    Both the descent and the non-crossing output are checked at runtime.
+
+    n is fixed for one call, so the buckets are keyed by raw sorted edge
+    tuples, and only the surviving terms become ValenceSchemes, unchecked
+    since their edges are a rearrangement of checked input.  A monomial
+    with k crossings is rewritten at its first crossing pair (e, f).  Let R
+    be its edges less one copy each of e and f, and x(g) the number of
+    edges of R that cross g; then k = cross(R) + x(e) + x(f) + 1.  A child
+    is R with the exchanged pair g, h put back in order, and its count
+
+        k - x(e) - x(f) - 1 + x(g) + x(h) + [g, h cross]
+
+    takes O(|R|) steps instead of a recount of all pairs.  The last term is
+    0 for a true exchange.  Both the descent and the non-crossing output
+    are checked at runtime: a derived count that does not fall is an error,
+    and every output term must pass `is_rumer`, which scans it on its own.
     """
     n = poly.n
-    levels: list[dict[ValenceScheme, int]] = [{}]
+    levels: list[dict[Edges, int]] = [{}]
     for mono, coeff in poly.terms.items():
         k = _crossings(mono)
         levels.extend({} for _ in range(k + 1 - len(levels)))
-        levels[k][mono] = coeff
+        levels[k][mono.edges] = coeff
     while len(levels) > 1:
         k = len(levels) - 1
-        for mono, coeff in levels.pop().items():
-            e, f = first_crossing(mono)
-            rest = list(mono.edges)
-            rest.remove(e)
-            rest.remove(f)
-            for pair in _exchange(e, f):
-                child = ValenceScheme(n, (*rest, *pair))
-                j = _crossings(child)
+        for edges, coeff in levels.pop().items():
+            e, f = _first_crossing(edges)
+            for child, j in _rewrite(edges, k, e, f):
                 if j >= k:
                     raise RuntimeError(
-                        f"internal error: exchanging {e} and {f} in {_monomial_text(mono)} "
+                        f"internal error: exchanging {e} and {f} in {_monomial_text(edges)} "
                         f"leaves {j} crossings, not fewer than {k}"
                     )
                 level = levels[j]
@@ -214,11 +255,11 @@ def straighten(poly: BracketPolynomial) -> BracketPolynomial:
                     level[child] = new
                 else:
                     del level[child]
-    out = levels[0]
+    out = {ValenceScheme._trusted(n, edges): coeff for edges, coeff in levels[0].items()}
     for mono in out:
         if not is_rumer(mono):
             raise RuntimeError(
-                f"internal error: straightened term {_monomial_text(mono)} still crosses"
+                f"internal error: straightened term {_monomial_text(mono.edges)} still crosses"
             )
     return BracketPolynomial._of(n, out)
 

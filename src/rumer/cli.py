@@ -91,8 +91,11 @@ def _out_of_range(args) -> str | None:
 
 def _emit(payload: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(payload if payload.endswith("\n") else payload + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(payload if payload.endswith("\n") else payload + "\n")
+        except OSError as exc:
+            raise _UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
     else:
         print(payload)
 

@@ -12,7 +12,7 @@ import json
 import operator
 import re
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product, repeat
+from itertools import combinations_with_replacement, product, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .counting import _cell, _degrees
@@ -95,6 +95,15 @@ class ValenceScheme:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
 
+    @classmethod
+    def _trusted(cls, n: int, edges: tuple[Edge, ...]) -> "ValenceScheme":
+        """A scheme from a sorted tuple of Edges that already fit on n vertices,
+        such as a rearrangement of a checked scheme's edges; nothing is checked."""
+        scheme = object.__new__(cls)
+        object.__setattr__(scheme, "n", n)
+        object.__setattr__(scheme, "edges", edges)
+        return scheme
+
     def degree(self, v: int) -> int:
         if not 1 <= v <= self.n:
             raise ValueError(f"vertex {v} out of range 1..{self.n}")
@@ -176,11 +185,33 @@ def edges_cross(e1: Edge, e2: Edge) -> bool:
 
 
 def first_crossing(scheme: ValenceScheme) -> tuple[Edge, Edge] | None:
-    """The lexicographically first crossing pair of edges, or None."""
-    distinct = sorted(set(scheme.edges))
-    for e1, e2 in combinations(distinct, 2):
-        if edges_cross(e1, e2):
-            return e1, e2
+    """The lexicographically first crossing pair of distinct edges, or None.
+
+    The scan runs over the sorted edges.  A later chord (c, d) of a chord
+    (a, b) has a <= c, so the two cross exactly when a < c < b < d; once
+    c >= b no later chord crosses (a, b) either, and the scan moves on to the
+    next first chord.  Parallel copies never cross, so a repeat of the first
+    chord is skipped and a repeat of the second fails the test.
+    """
+    return _first_crossing(scheme.edges)
+
+
+def _first_crossing(edges: tuple[Edge, ...]) -> tuple[Edge, Edge] | None:
+    """first_crossing on a sorted edge tuple, such as a scheme's edges."""
+    size = len(edges)
+    previous = None
+    for i, e1 in enumerate(edges):
+        if e1 == previous:
+            continue
+        previous = e1
+        a, b = e1[0], e1[1]  # indexing beats unpacking a tuple subclass
+        for j in range(i + 1, size):
+            e2 = edges[j]
+            c = e2[0]
+            if c >= b:
+                break
+            if a < c and b < e2[1]:
+                return e1, e2
     return None
 
 

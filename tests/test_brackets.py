@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rumer.brackets
 from rumer.brackets import (
     BracketPolynomial,
     _crossings,
     _exchange,
+    _rewrite,
     LoopBracketError,
     PolynomialSyntaxError,
     VertexRangeError,
@@ -191,6 +193,20 @@ class TestStraighten:
                     assert mono.multidegree() == scheme.multidegree()
 
 
+class TestStraightenGuards:
+    """Both runtime checks of straighten fire when their invariant breaks."""
+
+    def test_exchange_that_keeps_the_crossing_fails_the_descent(self, monkeypatch):
+        monkeypatch.setattr(rumer.brackets, "_exchange", lambda e, f: ((e, f),))
+        with pytest.raises(RuntimeError, match="internal error: exchanging"):
+            straighten(poly("[1,3][2,4]", 4))
+
+    def test_output_that_fails_is_rumer_is_refused(self, monkeypatch):
+        monkeypatch.setattr(rumer.brackets, "is_rumer", lambda scheme: False)
+        with pytest.raises(RuntimeError, match="internal error: .* still crosses"):
+            straighten(poly("[1,3][2,4]", 4))
+
+
 class TestParse:
     def test_single_monomial(self):
         p = parse("[1,3][2,4]", 4)
@@ -324,6 +340,19 @@ class TestTermination:
         for pair in children:
             child = ValenceScheme(scheme.n, rest + list(pair))
             assert brute_crossings(child.edges) < before, (scheme, e, f, child)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(crossing_monomials())
+    def test_derived_child_count_is_brute_force_count(self, drawn):
+        scheme, (i, j) = drawn
+        e, f = scheme.edges[i], scheme.edges[j]
+        rest = [g for k, g in enumerate(scheme.edges) if k not in (i, j)]
+        children = _rewrite(scheme.edges, brute_crossings(scheme.edges), e, f)
+        assert [edges for edges, _ in children] == [
+            tuple(sorted(rest + list(pair))) for pair in _exchange(e, f)
+        ]
+        for edges, count in children:
+            assert count == brute_crossings(edges), (scheme, e, f, edges)
 
     def test_power_of_a_crossing_pair(self):
         # a rewrite tree has 2**20 - 1 nodes; in descending crossing count

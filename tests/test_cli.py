@@ -1,4 +1,5 @@
 """Command-line contract: subcommands, formats, exit codes, guards."""
+import argparse
 import contextlib
 import gc
 import io
@@ -15,7 +16,7 @@ import rumer.bijection
 import rumer.cli
 import rumer.diagrams
 import rumer.oracle
-from rumer.cli import main
+from rumer.cli import build_parser, main
 from rumer.counting import rho_closed
 
 
@@ -380,6 +381,38 @@ def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+#: a valid call of each subcommand that takes --out
+OUT_ARGV = {
+    "count": ["count", "--n", "2", "--m", "1"],
+    "enumerate": ["enumerate", "--n", "2", "--m", "1"],
+    "straighten": ["straighten", "[1,2]", "--n", "2"],
+    "verify": ["verify", "--n", "2..2", "--m", "1..1"],
+    "render": ["render", "--diagram", "n=2; (1,2)"],
+}
+
+
+def test_out_argv_lists_every_subcommand_with_out():
+    (subparsers,) = (
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    with_out = {
+        name
+        for name, parser in subparsers.choices.items()
+        if any("--out" in a.option_strings for a in parser._actions)
+    }
+    assert with_out == set(OUT_ARGV)
+
+
+@pytest.mark.parametrize("subcommand", sorted(OUT_ARGV))
+@pytest.mark.parametrize("target", ["directory", "missing parent"])
+def test_unwritable_out_is_one_line_usage_error(capsys, tmp_path, subcommand, target):
+    path = tmp_path if target == "directory" else tmp_path / "missing" / "x"
+    code, out, err = run(capsys, *OUT_ARGV[subcommand], "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

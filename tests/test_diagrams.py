@@ -191,6 +191,16 @@ class TestRumerPredicate:
         pair = first_crossing(ValenceScheme(5, [(1, 2), (2, 4), (3, 5)]))
         assert pair == (Edge(2, 4), Edge(3, 5))
 
+    def test_first_crossing_is_the_least_crossing_pair(self):
+        # the pruned scan against the minimum over every pair of distinct edges
+        for n in range(1, 7):
+            for m in range(5):
+                for scheme in enumerate_valence_schemes(n, m):
+                    distinct = set(scheme.edges)
+                    pairs = [(e1, e2) for e1 in distinct for e2 in distinct if e1 < e2]
+                    crossing = [pair for pair in pairs if oracle_cross(*pair)]
+                    assert first_crossing(scheme) == min(crossing, default=None), scheme
+
 
 class TestMultidegree:
     def test_fixed_values(self):
