@@ -148,7 +148,8 @@ def _exchange(e1: Edge, e2: Edge) -> tuple[tuple[Edge, Edge], tuple[Edge, Edge]]
     """The exchange rule on the four ends a < b < c < d of two crossing chords:
     the pairs (a,b)(c,d) and (a,d)(b,c), whose products sum to p_ac p_bd."""
     a, b, c, d = sorted((*e1, *e2))
-    return (Edge(a, b), Edge(c, d)), (Edge(a, d), Edge(b, c))
+    new = tuple.__new__  # the ends come from two checked edges: skip Edge's checks
+    return (new(Edge, (a, b)), new(Edge, (c, d))), (new(Edge, (a, d)), new(Edge, (b, c)))
 
 
 def plucker_expand(e1: Edge, e2: Edge, n: int | None = None) -> BracketPolynomial:
@@ -159,6 +160,7 @@ def plucker_expand(e1: Edge, e2: Edge, n: int | None = None) -> BracketPolynomia
 
     Raises ValueError when the edges do not cross: the rewrite does not apply.
     """
+    e1, e2 = Edge(*e1), Edge(*e2)
     if not edges_cross(e1, e2):
         raise ValueError(f"edges {e1} and {e2} do not cross; nothing to rewrite")
     if n is None:

@@ -380,10 +380,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     problem = _out_of_range(args)
     if problem:
         return _usage_error(problem)
+    # exact integers parse and print in full past CPython's int/str digit limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except _UsageError as exc:
         return _usage_error(str(exc))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain
 from math import gcd
 from operator import add
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .brackets import BracketPolynomial, straighten
 from .counting import rho_closed
@@ -189,11 +189,7 @@ def act(sigma: UnimodularMatrix, f: XPolynomial) -> XPolynomial:
     )
 
 
-def _graded_lex(evec: ExponentVector) -> tuple:
-    return (sum(evec), evec)
-
-
-def _reduce_row(row: dict[int, int]) -> dict[int, int]:
+def _reduce_row(row: dict[ExponentVector, int]) -> dict[ExponentVector, int]:
     g = 0
     for c in row.values():
         g = gcd(g, c)
@@ -204,49 +200,40 @@ def _reduce_row(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def rank_of_span(polys: Sequence[XPolynomial]) -> int:
-    """Exact rank of the span of the given polynomials; their order does not matter."""
-    return max(_running_rank(polys), default=0)  # the running rank never falls
-
-
-def _running_rank(polys: Iterable[XPolynomial]) -> Iterator[int]:
-    """The exact rank of the first k polynomials, for k = 1, 2, ...
-
-    The distinct exponent vectors are sorted once in graded lexicographic
-    order and numbered, so a row is a sparse map from column index to integer
-    coefficient and its leading column is its smallest key.  Rows are
-    inserted one by one into an echelon form keyed by leading column: while
-    an incoming row's lead already has a pivot, both are scaled by the
-    leading coefficients over their gcd and subtracted, then the row is
-    divided by its content.  A row that vanishes is dependent; otherwise it
-    becomes a new pivot, and the rank after each row is the number of
-    pivots.  All arithmetic is exact integer arithmetic.
-    """
-    polys = list(polys)
-    if len({p.n for p in polys}) > 1:
-        raise ValueError("all polynomials must share the same vertex count")
-    columns = sorted({e for p in polys for e in p.terms}, key=_graded_lex)
-    index = {e: k for k, e in enumerate(columns)}
-    pivots: dict[int, dict[int, int]] = {}
-    for p in polys:
-        row = _reduce_row({index[e]: c for e, c in p.terms.items()})
-        while row:
-            lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = row
-                break
-            g = gcd(row[lead], pivot[lead])
-            scale, factor = pivot[lead] // g, row[lead] // g
-            row = _reduce_row(
-                combine(
-                    chain(
-                        ((k, c * scale) for k, c in row.items()),
-                        ((k, -c * factor) for k, c in pivot.items()),
-                    )
+def _insert(pivots: dict, terms: dict[ExponentVector, int]) -> None:
+    """Insert a row, a term map left unmodified, into an echelon form keyed
+    by each pivot's lead, its lexicographically smallest exponent vector;
+    the rank is len(pivots).  While the lead has a pivot, both rows are
+    scaled by the leading coefficients over their gcd and subtracted, and
+    the row is divided by its content; a row that vanishes is dropped.  Any
+    fixed total order gives the same exact rank."""
+    row = _reduce_row(terms)
+    while row:
+        lead = min(row)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            pivots[lead] = row
+            return
+        g = gcd(row[lead], pivot[lead])
+        scale, factor = pivot[lead] // g, row[lead] // g
+        row = _reduce_row(
+            combine(
+                chain(
+                    ((k, c * scale) for k, c in row.items()),
+                    ((k, -c * factor) for k, c in pivot.items()),
                 )
             )
-        yield len(pivots)
+        )
+
+
+def rank_of_span(polys: Sequence[XPolynomial]) -> int:
+    """Exact rank of the span of the given polynomials; their order does not matter."""
+    if len({p.n for p in polys}) > 1:
+        raise ValueError("all polynomials must share the same vertex count")
+    pivots: dict = {}
+    for p in polys:
+        _insert(pivots, p.terms)
+    return len(pivots)
 
 
 def verify_basis(n: int, m: int) -> dict:
@@ -272,8 +259,9 @@ def _verify_basis(n: int, m: int, rumer: list, schemes: Iterable[ValenceScheme])
     straightened output is the sum of its coefficients times its terms'
     expansions, and a term that is not a Rumer diagram of the cell is
     expanded directly.  Both ranks come from one exact elimination: the
-    Rumer rows go in first, so the running rank after them is rumer_rank,
-    and the other schemes' rows follow, so the final rank is full_rank.
+    Rumer rows go in first, so the rank after them is rumer_rank, and each
+    other scheme's row follows as soon as it is expanded, so the final rank
+    is full_rank.  A dependent row is dropped once it reduces to zero.
     """
     def monomial(scheme: ValenceScheme) -> BracketPolynomial:
         return BracketPolynomial._of(scheme.n, {scheme: 1})  # the scheme is checked already
@@ -284,13 +272,16 @@ def _verify_basis(n: int, m: int, rumer: list, schemes: Iterable[ValenceScheme])
         cached = rumer_expansions.get(mono)
         return expand(monomial(mono)) if cached is None else cached
 
+    pivots: dict = {}
+    for expansion in rumer_expansions.values():
+        _insert(pivots, expansion.terms)
+    rumer_rank = len(pivots)
     failures: list[dict] = []
-    rows = list(rumer_expansions.values())
     for scheme in schemes:
         poly = monomial(scheme)
         expansion = expanded(scheme)
         if scheme not in rumer_expansions:
-            rows.append(expansion)
+            _insert(pivots, expansion.terms)
         try:
             flat = straighten(poly)
         except Exception as exc:  # report, never crash the sweep
@@ -313,13 +304,12 @@ def _verify_basis(n: int, m: int, rumer: list, schemes: Iterable[ValenceScheme])
                 continue
             term = BracketPolynomial.monomial(n, mono.edges)
             failures.append({"scheme": scheme.to_text(), "reason": f"{reason} {term}"})
-    ranks = [0, *_running_rank(rows)]
     return {
         "n": n,
         "m": m,
         "rumer_count": len(rumer),
-        "rumer_rank": ranks[len(rumer_expansions)],
-        "full_rank": ranks[-1],
+        "rumer_rank": rumer_rank,
+        "full_rank": len(pivots),
         "rho": rho_closed(n, m),
         "straighten_failures": failures,
     }

@@ -136,6 +136,12 @@ class TestPluckerExpand:
         with pytest.raises(ValueError):
             plucker_expand(Edge(1, 2), Edge(3, 4))
 
+    def test_inputs_are_checked_as_edges(self):
+        # _exchange builds its edges unchecked, so plucker_expand checks its inputs
+        with pytest.raises(ValueError, match="1-based"):
+            plucker_expand((0, 2), (1, 3))
+        assert plucker_expand((3, 1), (2, 4)) == poly("[1,2][3,4] + [1,4][2,3]", 4)
+
     def test_equals_the_product_under_expansion(self):
         # the rewrite must reproduce the crossing product exactly
         for e1, e2 in [(Edge(1, 3), Edge(2, 4)), (Edge(2, 5), Edge(3, 6)), (Edge(1, 4), Edge(2, 6))]:

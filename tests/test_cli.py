@@ -1,10 +1,12 @@
 """Command-line contract: subcommands, formats, exit codes, guards."""
 import argparse
 import contextlib
+import decimal
 import gc
 import io
 import json
 import math
+import sys
 from itertools import islice
 from unittest import mock
 
@@ -152,6 +154,33 @@ class TestEnumerate:
         assert {"n": 4, "edges": [[1, 2]]} in doc["diagrams"]
 
 
+def int_text_limit():
+    """The interpreter's int/str digit limit, or None where it has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+class TestExactIntegerText:
+    """Counts and coefficients past CPython's 4,300-digit int/str limit print
+    and parse in full, and main restores the limit when it returns."""
+
+    def test_count_prints_in_full(self, capsys):
+        limit = int_text_limit()
+        code, out, err = run(capsys, "count", "--n", "5000", "--m", "5000", "--format", "json")
+        assert (code, err) == (0, "")
+        assert int_text_limit() == limit
+        count = json.loads(out, parse_int=decimal.Decimal)["count"]  # Decimal has no limit
+        assert len(str(count)) > 4300
+        assert count == rho_closed(5000, 5000)
+
+    def test_straighten_parses_a_long_literal_exactly(self, capsys):
+        limit = int_text_limit()
+        nines = "9" * 5000
+        code, out, err = run(capsys, "straighten", f"{nines}*[2,1]", "--n", "2")
+        assert (code, err) == (0, "")
+        assert out == f"-{nines}*[1,2]\n"
+        assert int_text_limit() == limit
+
+
 class TestStraighten:
     def test_crossing_rewrite(self, capsys):
         code, out, _ = run(capsys, "straighten", "[1,3][2,4]", "--n", "4")
@@ -245,7 +274,7 @@ class TestVerify:
     def test_builds_each_object_once(self, capsys, monkeypatch):
         """verify enumerates each cell once and ranks it with one elimination.
         At (5, 4) each cell enumerator is called once, every valence scheme is
-        expanded at most once, only the 715 scheme rows are eliminated, and the
+        expanded at most once, only the 715 scheme rows are inserted, and the
         by-multidegree enumerators see only merged prescriptions, each once."""
         calls = {}
 
@@ -265,13 +294,13 @@ class TestVerify:
         for name in ("enumerate_rumer_by_multidegree", "enumerate_valence_schemes_by_multidegree"):
             counting(rumer.diagrams, name, tuple)
         counting(rumer.oracle, "expand", lambda poly: poly)
-        counting(rumer.oracle, "_running_rank", len)
+        counting(rumer.oracle, "_insert", lambda pivots, terms: len(terms))
         code, out, _ = run(capsys, "verify", "--n", "5..5", "--m", "4..4")
         assert code == 0
         assert "n=5 m=4: ok" in out
         assert calls["enumerate_rumer"] == calls["enumerate_valence_schemes"] == [(5, 4)]
         assert len(calls["expand"]) <= math.comb(10 + 4 - 1, 4) == 715  # valence schemes of (5, 4)
-        assert calls["_running_rank"] == [715]
+        assert len(calls["_insert"]) == 715
         for name in ("enumerate_rumer_by_multidegree", "enumerate_valence_schemes_by_multidegree"):
             prescriptions = calls[name]
             assert len(prescriptions) == len(set(prescriptions))

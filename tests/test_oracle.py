@@ -1,5 +1,6 @@
 """Coordinate expansion, group action, and exact rank computation."""
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -258,9 +259,19 @@ class TestRank:
                 assert rank_of_span(fs) == rho_closed(n, m), (n, m)
 
 
+def running_rank(rows):
+    """The rank after each row, inserted one by one into one echelon form."""
+    pivots = {}
+    ranks = []
+    for row in rows:
+        rumer.oracle._insert(pivots, row.terms)
+        ranks.append(len(pivots))
+    return ranks
+
+
 class TestRunningRank:
-    """verify_basis reads both ranks off one elimination: the running rank
-    after the Rumer rows is rumer_rank and the final rank is full_rank."""
+    """verify_basis reads both ranks off one echelon form: the rank after the
+    Rumer rows is rumer_rank and the final rank is full_rank."""
 
     def rows(self, rng):
         """The expansions of the Rumer diagrams of (4, 3), then those of the
@@ -284,7 +295,7 @@ class TestRunningRank:
     def test_checkpoint_and_final_rank(self, seed):
         rumer_rows, rest = self.rows(random.Random(seed))
         rows = rumer_rows + rest
-        ranks = list(rumer.oracle._running_rank(rows))
+        ranks = running_rank(rows)
         assert len(ranks) == len(rows)
         at_checkpoint = ranks[len(rumer_rows) - 1]
         assert at_checkpoint == rank_of_span(rumer_rows) == reference_rank(rumer_rows)
@@ -296,12 +307,19 @@ class TestRunningRank:
     def test_every_prefix_matches_rational_reference(self, seed):
         rng = random.Random(seed)
         rows = random_rows(rng, rng.choice([1, 2]), rng.randint(1, 12))
-        ranks = list(rumer.oracle._running_rank(rows))
+        ranks = running_rank(rows)
         assert ranks == [reference_rank(rows[:k]) for k in range(1, len(rows) + 1)]
 
     def test_empty(self):
-        assert list(rumer.oracle._running_rank([])) == []
+        assert running_rank([]) == []
+        assert running_rank([XPolynomial.zero(2)]) == [0]
         assert rank_of_span([]) == 0
+
+    def test_rows_are_not_modified(self):
+        rows = random_rows(random.Random(9), 2, 12)
+        before = [dict(row.terms) for row in rows]
+        running_rank(rows)
+        assert [row.terms for row in rows] == before
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -343,11 +361,69 @@ class TestVerifyBasis:
         assert (report["rumer_count"], report["rumer_rank"], report["full_rank"]) == (19, 19, 20)
         assert not basis_ok(report)
 
+    def test_duplicate_rumer_diagram(self):
+        """A Rumer diagram listed twice is counted twice but adds no rank."""
+        diagrams = enumerate_rumer(4, 2)
+        report = rumer.oracle._verify_basis(
+            4, 2, diagrams + diagrams[:1], enumerate_valence_schemes(4, 2)
+        )
+        assert (report["rumer_count"], report["rumer_rank"], report["full_rank"]) == (21, 20, 20)
+        assert report["straighten_failures"] == []
+        assert not basis_ok(report)
+
+    def test_corrupted_expansion_term(self, monkeypatch):
+        """One wrong coefficient in one scheme's expansion: its row leaves the
+        span of the Rumer rows, and its straightened output no longer matches."""
+        real = rumer.oracle.expand
+        crossing = parse("[1,3][2,4]", 4)
+
+        def corrupt(poly):
+            expansion = real(poly)
+            if poly != crossing:
+                return expansion
+            terms = dict(expansion.terms)
+            terms[min(terms)] += 1
+            return XPolynomial(poly.n, terms)
+
+        monkeypatch.setattr(rumer.oracle, "expand", corrupt)
+        report = verify_basis(4, 2)
+        assert (report["rumer_rank"], report["full_rank"], report["rho"]) == (20, 21, 20)
+        assert report["straighten_failures"] == [
+            {"scheme": "n=4; (1,3)(2,4)", "reason": "expansion mismatch"}
+        ]
+        assert not basis_ok(report)
+
     def test_rumer_expansions_are_independent(self):
         fs = [
             expand(BracketPolynomial.monomial(5, d.edges)) for d in enumerate_rumer(5, 2)
         ]
         assert rank_of_span(fs) == len(fs) == rho_closed(5, 2)
+
+
+def test_verify_basis_holds_little_beyond_the_rumer_expansions():
+    """verify_basis keeps the Rumer expansions and drops every other row once
+    it is inserted: its traced peak at (5, 4) stays within 1.6 times the size
+    of that cell's Rumer expansions built alone."""
+
+    def rumer_expansions():
+        return [expand(BracketPolynomial.monomial(5, d.edges)) for d in enumerate_rumer(5, 4)]
+
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kept = fn()
+            size, peak = tracemalloc.get_traced_memory()
+            return kept, size - base, peak - base
+        finally:
+            tracemalloc.stop()
+
+    expansions, size, _ = traced_peak(rumer_expansions)
+    assert len(expansions) == rho_closed(5, 4)
+    del expansions
+    report, _, peak = traced_peak(lambda: verify_basis(5, 4))
+    assert basis_ok(report)
+    assert peak < 1.6 * size, (peak, size)
 
 
 class TestBrokenStraightenerIsCaught:
@@ -375,6 +451,17 @@ class TestBrokenStraightenerIsCaught:
         assert len(failures) == 21  # every scheme of (4, 2)
         assert {f["reason"] for f in failures} == {"expansion mismatch"}
         assert failures[0] == {"scheme": "n=4; (1,2)(1,2)", "reason": "expansion mismatch"}
+
+    def test_dropped_term(self, monkeypatch):
+        def drop(flat):
+            terms = dict(flat.terms)
+            if len(terms) > 1:
+                del terms[min(terms, key=lambda mono: mono.edges)]
+            return BracketPolynomial(flat.n, terms)
+
+        failures = self.broken(monkeypatch, drop)
+        # only the crossing scheme straightens to more than one term
+        assert failures == [{"scheme": "n=4; (1,3)(2,4)", "reason": "expansion mismatch"}]
 
     def test_added_crossing_term(self, monkeypatch):
         crossing = parse("[1,3][2,4]", self.N)
