@@ -49,19 +49,24 @@ def psi(scheme: ValenceScheme) -> PsiResult:
     if top < 2:
         raise ValueError("merging needs at least two vertices")
     target = top - 1
-    join = Edge(target, top)
-    m_n = scheme.degree(target)
-    m_n1 = scheme.degree(top)
-    m_join = 0
+    m_n = m_n1 = m_join = 0
     new_edges = []
     for e in scheme.edges:
-        if e == join:
-            m_join += 1
-        elif e.j == top:
-            new_edges.append(Edge(e.i, target))
+        i, j = e[0], e[1]  # indexing beats unpacking a tuple subclass
+        if j == top:
+            m_n1 += 1
+            if i == target:
+                m_n += 1
+                m_join += 1
+            else:
+                # i < target: the ends come from a checked edge, so skip Edge's checks
+                new_edges.append(tuple.__new__(Edge, (i, target)))
         else:
+            m_n += j == target  # an edge from target to a higher vertex ends at top
             new_edges.append(e)
-    merged = ValenceScheme(target, new_edges)
+    # still sorted: among the edges from i, (i, top) came last and its image
+    # (i, target) is at least every other one
+    merged = ValenceScheme._trusted(target, tuple(new_edges))
     return PsiResult(merged, mu_n=m_n + m_n1 - 2 * m_join, m_join=m_join)
 
 

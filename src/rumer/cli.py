@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+from time import perf_counter
 from typing import Callable, Sequence
 
 from .bijection import _verify_psi_bijection
@@ -30,7 +31,7 @@ from .diagrams import (
     enumerate_rumer_by_multidegree,
     enumerate_valence_schemes,
 )
-from .oracle import _verify_basis, basis_ok, expand
+from .oracle import _BasisCheck, _multidegree_blocks, basis_ok, expand
 from .render import render_svg
 
 OK, FAIL, USAGE = 0, 1, 2
@@ -224,10 +225,41 @@ def _cmd_straighten(args) -> int:
     return OK if verified in (None, True) else FAIL
 
 
-def _verify_cell(n: int, m: int) -> dict:
+#: The stages of verify that --stats times, in pipeline order.
+STAGES = ("enumerate", "expand", "divide", "straighten", "fallback", "psi")
+
+
+def _verify_cell(n: int, m: int, stats: dict) -> dict:
+    """One cell's report.  Its work is added to stats: seconds per stage, and
+    counts of blocks, blocks that fell back to elimination, valence schemes,
+    Rumer diagrams and pivots."""
+    seconds = stats["seconds"]
+    start = perf_counter()
     rumer = enumerate_rumer(n, m)
     schemes = list(enumerate_valence_schemes(n, m))
-    basis = _verify_basis(n, m, rumer, schemes)
+    # the cell's multidegree blocks, in the order of compositions(2m, n); a
+    # composition that no multigraph realizes has no block
+    blocks = _multidegree_blocks(rumer, schemes)
+    seconds["enumerate"] += perf_counter() - start
+    check = _BasisCheck(n, m)
+    bijection_failures = []
+    merged_sets: dict = {}  # this cell's merged prescriptions, each enumerated once
+    for d in sorted(blocks):
+        check.block(d, *blocks[d])
+        if n >= 2:
+            start = perf_counter()
+            report = _verify_psi_bijection(d, *blocks[d], merged_sets)
+            seconds["psi"] += perf_counter() - start
+            if not report["bijection_ok"]:
+                bijection_failures.append(report)
+    basis = check.report()
+    for stage, spent in check.seconds.items():
+        seconds[stage] += spent
+    stats["blocks"] += check.blocks
+    stats["fallback_blocks"] += check.fallback_blocks
+    stats["schemes"] += len(schemes)
+    stats["rumer_diagrams"] += len(rumer)
+    stats["pivots"] += basis["full_rank"]
     counts = {
         "formula": rho_closed(n, m),
         "recurrence": rho_sum_over_compositions(n, m),
@@ -236,20 +268,6 @@ def _verify_cell(n: int, m: int) -> dict:
     if n >= 3:
         counts["product"] = rho_product(n, m)
     counts_agree = len(set(counts.values())) == 1
-    bijection_failures = []
-    if n >= 2:
-        # The cell's multidegree blocks, in the order of compositions(2m, n);
-        # a composition that no multigraph realizes has no block.
-        blocks: dict[tuple[int, ...], tuple[list, list]] = {}
-        for diagram in rumer:
-            blocks.setdefault(diagram.multidegree(), ([], []))[0].append(diagram)
-        for scheme in schemes:
-            blocks.setdefault(scheme.multidegree(), ([], []))[1].append(scheme)
-        merged_sets: dict = {}  # this cell's merged prescriptions, each enumerated once
-        for d in sorted(blocks):
-            report = _verify_psi_bijection(d, *blocks[d], merged_sets)
-            if not report["bijection_ok"]:
-                bijection_failures.append(report)
     cell_ok = counts_agree and basis_ok(basis) and not bijection_failures
     return {
         "n": n,
@@ -273,8 +291,12 @@ def _cmd_verify(args) -> int:
                     f"(n={n}, m={m}) needs {space} schemes, over the --max-schemes "
                     f"guard ({args.max_schemes})"
                 )
+    stats = {
+        "seconds": dict.fromkeys(STAGES, 0.0),
+        **dict.fromkeys(("blocks", "fallback_blocks", "schemes", "rumer_diagrams", "pivots"), 0),
+    }
     cells = [
-        _verify_cell(n, m)
+        _verify_cell(n, m, stats)
         for n in range(n_lo, n_hi + 1)
         for m in range(m_lo, m_hi + 1)
     ]
@@ -293,6 +315,9 @@ def _cmd_verify(args) -> int:
             )
         lines.append("all checks passed" if all_ok else "FAILURES detected")
         _emit("\n".join(lines), args.out)
+    if args.stats:
+        stats["seconds"] = {stage: round(spent, 6) for stage, spent in stats["seconds"].items()}
+        print(json.dumps(stats), file=sys.stderr)
     return OK if all_ok else FAIL
 
 
@@ -358,6 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--format", choices=["text", "json"], default="text")
     verify.add_argument("--max-schemes", type=int)
     verify.add_argument("--out")
+    verify.add_argument("--stats", action="store_true",
+                        help="print seconds per stage and work counters to stderr as one "
+                        "JSON line")
     verify.set_defaults(func=_cmd_verify)
 
     render = sub.add_parser("render", help="emit an SVG drawing of one diagram")

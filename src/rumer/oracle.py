@@ -2,9 +2,11 @@
 
 Every bracket is expanded into the polynomial ring over the coordinates
 x1^(1), x2^(1), ..., x1^(n), x2^(n); equalities, group invariance, and span
-dimensions are then decided by exact integer arithmetic.  Nothing in this
-module is allowed to touch floating point: ranks are exact claims, and a
-tolerance would hide rank deficiency.
+dimensions are then decided by exact integer arithmetic.  The basis check
+works one multidegree block at a time, where the x2 coordinates can be set
+to 1 without losing information.  Nothing in this module is allowed to
+touch floating point: ranks are exact claims, and a tolerance would hide
+rank deficiency.
 """
 from __future__ import annotations
 
@@ -12,12 +14,20 @@ import operator
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd
-from operator import add
-from typing import Iterable, Mapping, Sequence
+from operator import add, itemgetter
+from time import perf_counter
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .brackets import BracketPolynomial, straighten
 from .counting import rho_closed
-from .diagrams import ValenceScheme, enumerate_rumer, enumerate_valence_schemes, is_rumer
+from .diagrams import (
+    Multidegree,
+    RumerDiagram,
+    ValenceScheme,
+    enumerate_rumer,
+    enumerate_valence_schemes,
+    is_rumer,
+)
 from .sparse import SparseCombination, combine
 
 ExponentVector = tuple[int, ...]
@@ -78,15 +88,44 @@ class XPolynomial(SparseCombination):
         return f"XPolynomial(n={self.n}, {len(self.terms)} terms)"
 
 
-def _bracket_factor_terms(n: int, i: int, j: int) -> dict[ExponentVector, int]:
-    """x1^(i) x2^(j) - x2^(i) x1^(j) as a term map."""
-    plus = [0] * (2 * n)
-    plus[variable_index(i, 1)] += 1
-    plus[variable_index(j, 2)] += 1
-    minus = [0] * (2 * n)
-    minus[variable_index(i, 2)] += 1
-    minus[variable_index(j, 1)] += 1
-    return {tuple(plus): 1, tuple(minus): -1}
+def _times_bracket(terms: dict[int, int], plus: int, minus: int) -> dict[int, int]:
+    """A term map over integer-coded monomials times the binomial x^plus - x^minus."""
+    out = {key + plus: c for key, c in terms.items()}
+    get = out.get
+    for key, c in terms.items():
+        key += minus
+        new = get(key, 0) - c
+        if new:
+            out[key] = new
+        else:
+            del out[key]
+    return out
+
+
+def _expansions(
+    edge_lists: Iterable[Sequence[tuple[int, int]]], x1: Sequence[int], x2: Sequence[int]
+) -> Iterator[dict[int, int]]:
+    """The expansion of each edge list's bracket product, in turn.
+
+    A monomial is coded as one integer, the sum of its variables' codes:
+    x1[v] and x2[v] code x1^(v) and x2^(v), and a code of 0 sets that
+    variable to 1.  Each bracket [i,j] is x1^(i) x2^(j) - x2^(i) x1^(j).  The
+    products of the current list's prefixes stay on a stack, so a list that
+    shares its first k edges with the one before costs one bracket product
+    per edge after those k; sorted lists share long prefixes.  A yielded map
+    may also serve as a later prefix and must not be modified.
+    """
+    stack: list[dict[int, int]] = [{0: 1}]
+    previous: Sequence[tuple[int, int]] = ()
+    for edges in edge_lists:
+        k, limit = 0, min(len(edges), len(stack) - 1)
+        while k < limit and edges[k] == previous[k]:
+            k += 1
+        del stack[k + 1 :]
+        for i, j in edges[k:]:
+            stack.append(_times_bracket(stack[-1], x1[i] + x2[j], x2[i] + x1[j]))
+        previous = edges
+        yield stack[-1]
 
 
 def expand(poly: BracketPolynomial) -> XPolynomial:
@@ -96,20 +135,21 @@ def expand(poly: BracketPolynomial) -> XPolynomial:
     the empty monomial expands to the constant 1.
     """
     n = poly.n
-
-    def expanded(mono: ValenceScheme, coeff: int) -> dict[ExponentVector, int]:
-        prod: dict[ExponentVector, int] = {(0,) * (2 * n): coeff}
-        for i, j in mono.edges:
-            prod = _mul_terms(prod, _bracket_factor_terms(n, i, j))
-        return prod
-
+    items = sorted(poly.terms.items(), key=lambda item: item[0].edges)
+    # no variable's exponent exceeds the factor count, so a digit of this
+    # width per variable never carries; the first variable is the top digit
+    width = max((len(mono.edges) for mono, _ in items), default=0).bit_length() or 1
+    shift = [width * (2 * n - 1 - p) for p in range(2 * n)]
+    x1 = [0] + [1 << shift[variable_index(v, 1)] for v in range(1, n + 1)]
+    x2 = [0] + [1 << shift[variable_index(v, 2)] for v in range(1, n + 1)]
+    mask = (1 << width) - 1
+    summed = combine(
+        (key, coeff * c)
+        for (_, coeff), terms in zip(items, _expansions((mono.edges for mono, _ in items), x1, x2))
+        for key, c in terms.items()
+    )
     return XPolynomial._of(
-        n,
-        combine(
-            item
-            for mono, coeff in poly.terms.items()
-            for item in expanded(mono, coeff).items()
-        ),
+        n, {tuple(key >> s & mask for s in shift): c for key, c in summed.items()}
     )
 
 
@@ -250,69 +290,211 @@ def verify_basis(n: int, m: int) -> dict:
 
 def _verify_basis(n: int, m: int, rumer: list, schemes: Iterable[ValenceScheme]) -> dict:
     """verify_basis of the cell (n, m), given its Rumer diagrams and its
-    valence schemes, so that a caller that also needs the lists enumerates
-    the cell once.
+    valence schemes, checked one multidegree block at a time: each block's
+    rows are divided by its Rumer rows as unit-triangular pivots, and a
+    block where that fails is ranked by exact elimination instead (see
+    _BasisCheck)."""
+    check = _BasisCheck(n, m)
+    for d, (diagrams, block) in sorted(_multidegree_blocks(rumer, schemes).items()):
+        check.block(d, diagrams, block)
+    return check.report()
 
-    Each Rumer diagram is expanded once, and that expansion serves as its
-    scheme's row and as every straightened output's term.  The check still
-    goes through coordinates: expand is linear, so the expansion of a
-    straightened output is the sum of its coefficients times its terms'
-    expansions, and a term that is not a Rumer diagram of the cell is
-    expanded directly.  Both ranks come from one exact elimination: the
-    Rumer rows go in first, so the rank after them is rumer_rank, and each
-    other scheme's row follows as soon as it is expanded, so the final rank
-    is full_rank.  A dependent row is dropped once it reduces to zero.
-    """
-    def monomial(scheme: ValenceScheme) -> BracketPolynomial:
-        return BracketPolynomial._of(scheme.n, {scheme: 1})  # the scheme is checked already
 
-    rumer_expansions = {diagram.scheme: expand(monomial(diagram.scheme)) for diagram in rumer}
-
-    def expanded(mono: ValenceScheme) -> XPolynomial:
-        cached = rumer_expansions.get(mono)
-        return expand(monomial(mono)) if cached is None else cached
-
-    pivots: dict = {}
-    for expansion in rumer_expansions.values():
-        _insert(pivots, expansion.terms)
-    rumer_rank = len(pivots)
-    failures: list[dict] = []
+def _multidegree_blocks(
+    rumer: Iterable[RumerDiagram], schemes: Iterable[ValenceScheme]
+) -> dict[Multidegree, tuple[list[RumerDiagram], list[ValenceScheme]]]:
+    """The Rumer diagrams and the valence schemes grouped by multidegree,
+    each list in input order."""
+    blocks: dict[Multidegree, tuple[list, list]] = {}
+    for diagram in rumer:
+        blocks.setdefault(diagram.multidegree(), ([], []))[0].append(diagram)
     for scheme in schemes:
-        poly = monomial(scheme)
-        expansion = expanded(scheme)
-        if scheme not in rumer_expansions:
-            _insert(pivots, expansion.terms)
+        blocks.setdefault(scheme.multidegree(), ([], []))[1].append(scheme)
+    return blocks
+
+
+def _block_codes(d: Multidegree) -> tuple[list[int], list[int]]:
+    """The _expansions codes of the block of multidegree d, with x2 = 1: the
+    x1 exponents as digits, x1^(1) the top one, so that integer order is the
+    lexicographic order.  No exponent of x1^(v) exceeds d_v, so no digit
+    carries and the code is one-to-one on the block's monomials."""
+    n = len(d)
+    width = max(d, default=0).bit_length() or 1
+    return [0] + [1 << width * (n - v) for v in range(1, n + 1)], [0] * (n + 1)
+
+
+def _monomial(scheme: ValenceScheme) -> BracketPolynomial:
+    return BracketPolynomial._of(scheme.n, {scheme: 1})  # the scheme is checked already
+
+
+class _BasisCheck:
+    """verify_basis of one cell, fed one multidegree block at a time.
+
+    In every monomial of a block's expansions the exponents of x1^(v) and
+    x2^(v) sum to d_v, so setting x2 = 1 is injective on the block's span
+    and a row is keyed by its x1 exponents alone.  Order those keys
+    lexicographically with x1^(1) > ... > x1^(n).  The lead of [i,j], i < j,
+    is then x1^(i) with coefficient 1, and a product's lead is the product
+    of its factors' leads, so each Rumer row should have its own lead with
+    coefficient 1: a unit-triangular basis.  Nothing here assumes that.  The
+    leads are read off the computed rows, and each Rumer row becomes a pivot
+    at its lead only if its lead is new, its coefficient is 1 and its scheme
+    does not cross.  Every other scheme's row is divided by the pivots from
+    the highest lead down; the remainder must be zero and the quotient must
+    equal straighten's output term for term, and a Rumer scheme must
+    straighten to itself.  Then the block's Rumer rows are independent and
+    span every row of the block, so both its ranks are its diagram count.
+
+    Any other outcome sends the block to the exact route instead:
+    fraction-free elimination of its full-coordinate rows, Rumer rows first,
+    and a coordinate check of each straightened output, which gives exact
+    ranks and the reasons of each failure.  Blocks have disjoint monomials,
+    so the cell's ranks are the sums of its blocks' ranks.  Failures are
+    reported in canonical scheme order, each scheme's in the order found.
+    Only one block's rows are held at a time.
+    """
+
+    def __init__(self, n: int, m: int):
+        self.n, self.m = n, m
+        self.rumer_count = self.rumer_rank = self.full_rank = 0
+        self.failures: list[tuple[tuple, dict]] = []  # (scheme edges, failure)
+        self.blocks = self.fallback_blocks = 0
+        #: seconds spent in each stage, over all blocks so far
+        self.seconds = dict.fromkeys(("expand", "divide", "straighten", "fallback"), 0.0)
+
+    def block(self, d: Multidegree, diagrams: list, schemes: list) -> None:
+        """Check one block: its multidegree d, its Rumer diagrams and its
+        valence schemes."""
+        self.blocks += 1
+        self.rumer_count += len(diagrams)
+        rank = self._divide(d, diagrams, schemes)
+        if rank is None:
+            start = perf_counter()
+            self.fallback_blocks += 1
+            rumer_rank, rank = self._eliminate(diagrams, schemes)
+            self.seconds["fallback"] += perf_counter() - start
+        else:
+            rumer_rank = rank
+        self.rumer_rank += rumer_rank
+        self.full_rank += rank
+
+    def report(self) -> dict:
+        self.failures.sort(key=itemgetter(0))  # stable: a scheme's failures keep their order
+        return {
+            "n": self.n,
+            "m": self.m,
+            "rumer_count": self.rumer_count,
+            "rumer_rank": self.rumer_rank,
+            "full_rank": self.full_rank,
+            "rho": rho_closed(self.n, self.m),
+            "straighten_failures": [failure for _, failure in self.failures],
+        }
+
+    def _divide(self, d: Multidegree, diagrams: list, schemes: list) -> int | None:
+        """The block's rank by division against its Rumer rows, or None if
+        they are not a unit-triangular basis of every row with straighten's
+        output as the quotients."""
+        seconds = self.seconds
+        start = perf_counter()
+        x1, x2 = _block_codes(d)
+        rumer_schemes = [diagram.scheme for diagram in diagrams]
+        rumer_rows = list(_expansions([s.edges for s in rumer_schemes], x1, x2))
+        is_pivot = set(rumer_schemes)
+        others = [s for s in schemes if s not in is_pivot]
+        other_rows = list(_expansions([s.edges for s in others], x1, x2))
+        now = perf_counter()
+        seconds["expand"] += now - start
+        start = now
+        pivots: dict[int, tuple[ValenceScheme, dict[int, int]]] = {}
+        for scheme, row in zip(rumer_schemes, rumer_rows):
+            lead = max(row, default=None)
+            if lead is None or row[lead] != 1 or lead in pivots or not is_rumer(scheme):
+                return None
+            pivots[lead] = scheme, row
+        leads = sorted(pivots, reverse=True)
+        quotients = {scheme: {scheme: 1} for scheme in rumer_schemes}
+        for scheme, row in zip(others, other_rows):
+            rest = dict(row)
+            quotient = quotients[scheme] = {}
+            for lead in leads:
+                c = rest.get(lead)
+                if c:
+                    pivot, pivot_row = pivots[lead]
+                    quotient[pivot] = c
+                    for key, p in pivot_row.items():
+                        new = rest.get(key, 0) - c * p
+                        if new:
+                            rest[key] = new
+                        else:
+                            del rest[key]
+            if rest:
+                return None
+        now = perf_counter()
+        seconds["divide"] += now - start
+        start = now
         try:
-            flat = straighten(poly)
-        except Exception as exc:  # report, never crash the sweep
-            failures.append({"scheme": scheme.to_text(), "reason": f"straighten raised: {exc}"})
-            continue
-        flat_expansion = combine(
-            (evec, coeff * c)
-            for mono, coeff in flat.terms.items()
-            for evec, c in expanded(mono).terms.items()
-        )
-        if flat_expansion != expansion.terms:
-            failures.append({"scheme": scheme.to_text(), "reason": "expansion mismatch"})
-        degs = scheme.multidegree()
-        for mono in flat.terms:
-            if not is_rumer(mono):
-                reason = "crossing term"
-            elif mono.multidegree() != degs:
-                reason = "multidegree changed in"
-            else:
+            for scheme in schemes:
+                if straighten(_monomial(scheme)).terms != quotients[scheme]:
+                    return None
+        except Exception:  # the exact route reports it
+            return None
+        finally:
+            seconds["straighten"] += perf_counter() - start
+        return len(pivots)
+
+    def _eliminate(self, diagrams: list, schemes: list) -> tuple[int, int]:
+        """The block's Rumer rank and full rank by exact elimination, with a
+        coordinate check of each scheme's straightened output.
+
+        Each Rumer diagram is expanded once, and that expansion serves as its
+        row and as every straightened output's term: expand is linear, so an
+        output's expansion is the sum of its coefficients times its terms'
+        expansions, and a term that is not a Rumer diagram of the block is
+        expanded directly.  The Rumer rows go in first, so the rank after
+        them is the Rumer rank; each other scheme's row follows as soon as it
+        is expanded, and a dependent row is dropped once it reduces to zero.
+        """
+        rumer_expansions = {d.scheme: expand(_monomial(d.scheme)) for d in diagrams}
+
+        def expanded(mono: ValenceScheme) -> XPolynomial:
+            cached = rumer_expansions.get(mono)
+            return expand(_monomial(mono)) if cached is None else cached
+
+        pivots: dict = {}
+        for expansion in rumer_expansions.values():
+            _insert(pivots, expansion.terms)
+        rumer_rank = len(pivots)
+        for scheme in schemes:
+
+            def fail(reason: str) -> None:
+                failure = {"scheme": scheme.to_text(), "reason": reason}
+                self.failures.append((scheme.edges, failure))
+
+            expansion = expanded(scheme)
+            if scheme not in rumer_expansions:
+                _insert(pivots, expansion.terms)
+            try:
+                flat = straighten(_monomial(scheme))
+            except Exception as exc:  # report, never crash the sweep
+                fail(f"straighten raised: {exc}")
                 continue
-            term = BracketPolynomial.monomial(n, mono.edges)
-            failures.append({"scheme": scheme.to_text(), "reason": f"{reason} {term}"})
-    return {
-        "n": n,
-        "m": m,
-        "rumer_count": len(rumer),
-        "rumer_rank": rumer_rank,
-        "full_rank": len(pivots),
-        "rho": rho_closed(n, m),
-        "straighten_failures": failures,
-    }
+            flat_expansion = combine(
+                (evec, coeff * c)
+                for mono, coeff in flat.terms.items()
+                for evec, c in expanded(mono).terms.items()
+            )
+            if flat_expansion != expansion.terms:
+                fail("expansion mismatch")
+            degs = scheme.multidegree()
+            for mono in flat.terms:
+                if not is_rumer(mono):
+                    reason = "crossing term"
+                elif mono.multidegree() != degs:
+                    reason = "multidegree changed in"
+                else:
+                    continue
+                fail(f"{reason} {BracketPolynomial.monomial(self.n, mono.edges)}")
+        return rumer_rank, len(pivots)
 
 
 def basis_ok(report: dict) -> bool:

@@ -4,14 +4,36 @@ import pytest
 from rumer.bijection import psi, psi_section, verify_psi_bijection
 from rumer.counting import compositions, even_triangle, triangle_range
 from rumer.diagrams import (
+    Edge,
     RumerDiagram,
     ValenceScheme,
     enumerate_rumer_by_multidegree,
+    enumerate_valence_schemes,
     is_rumer,
 )
 
 
+def strict_psi(scheme):
+    """psi through the checking constructors: the merged scheme, mu_n and m_join."""
+    top = scheme.n
+    target = top - 1
+    m_join = scheme.edges.count((target, top))
+    edges = [
+        Edge(i, target if j == top else j) for i, j in scheme.edges if (i, j) != (target, top)
+    ]
+    merged = ValenceScheme(target, edges)
+    return merged, scheme.degree(target) + scheme.degree(top) - 2 * m_join, m_join
+
+
 class TestPsi:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_equals_the_strict_construction(self, n):
+        for m in range(5):
+            for scheme in enumerate_valence_schemes(n, m):
+                result = psi(scheme)
+                assert (result.scheme, result.mu_n, result.m_join) == strict_psi(scheme), scheme
+                assert all(type(e) is Edge for e in result.scheme.edges)
+
     def test_parallel_join_removed(self):
         result = psi(ValenceScheme(4, [(1, 2), (3, 4)]))
         assert result.scheme == ValenceScheme(3, [(1, 2)])

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rumer.bijection
+import rumer.brackets
 import rumer.cli
 import rumer.diagrams
 import rumer.oracle
@@ -272,9 +273,10 @@ class TestVerify:
         assert [cell["counts"]["enumerate"] for cell in json.loads(out)["cells"]] == [1, 1, 1, 3]
 
     def test_builds_each_object_once(self, capsys, monkeypatch):
-        """verify enumerates each cell once and ranks it with one elimination.
-        At (5, 4) each cell enumerator is called once, every valence scheme is
-        expanded at most once, only the 715 scheme rows are inserted, and the
+        """verify enumerates each cell once and checks it by division, with no
+        elimination on a clean cell.  At (5, 4) each cell enumerator is called
+        once, no scheme is expanded through expand, every valence scheme's row
+        is built exactly once, no row goes into the echelon form, and the
         by-multidegree enumerators see only merged prescriptions, each once."""
         calls = {}
 
@@ -295,16 +297,68 @@ class TestVerify:
             counting(rumer.diagrams, name, tuple)
         counting(rumer.oracle, "expand", lambda poly: poly)
         counting(rumer.oracle, "_insert", lambda pivots, terms: len(terms))
+        rows, expansions = [], rumer.oracle._expansions
+
+        def recorded(edge_lists, x1, x2):
+            edge_lists = list(edge_lists)
+            for edges, terms in zip(edge_lists, expansions(edge_lists, x1, x2)):
+                rows.append(edges)
+                yield terms
+
+        monkeypatch.setattr(rumer.oracle, "_expansions", recorded)
         code, out, _ = run(capsys, "verify", "--n", "5..5", "--m", "4..4")
         assert code == 0
         assert "n=5 m=4: ok" in out
         assert calls["enumerate_rumer"] == calls["enumerate_valence_schemes"] == [(5, 4)]
         assert len(calls["expand"]) <= math.comb(10 + 4 - 1, 4) == 715  # valence schemes of (5, 4)
-        assert len(calls["_insert"]) == 715
+        assert len(calls["_insert"]) == 0
+        assert sorted(rows) == [s.edges for s in rumer.diagrams.enumerate_valence_schemes(5, 4)]
         for name in ("enumerate_rumer_by_multidegree", "enumerate_valence_schemes_by_multidegree"):
             prescriptions = calls[name]
             assert len(prescriptions) == len(set(prescriptions))
             assert {len(d) for d in prescriptions} == {4}  # merged prescriptions only
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_stats_go_to_stderr_only(self, capsys, fmt):
+        argv = ("verify", "--n", "2..4", "--m", "0..3", "--format", fmt)
+        code, plain, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, *argv, "--stats")
+        assert code == 0
+        assert out == plain
+        (line,) = err.splitlines()
+        stats = json.loads(line)
+        assert list(stats["seconds"]) == ["enumerate", "expand", "divide", "straighten",
+                                          "fallback", "psi"]
+        assert all(spent >= 0 for spent in stats["seconds"].values())
+        cells = [(n, m) for n in range(2, 5) for m in range(4)]
+        assert stats["schemes"] == sum(math.comb(math.comb(n, 2) + m - 1, m) for n, m in cells)
+        diagrams = sum(rho_closed(n, m) for n, m in cells)
+        assert stats["rumer_diagrams"] == stats["pivots"] == diagrams
+        assert stats["fallback_blocks"] == 0 < stats["blocks"]
+
+    def test_clean_cells_take_the_division(self, capsys):
+        """No block of a clean cell with n <= 6, m <= 4 falls back to elimination."""
+        code, _, err = run(capsys, "verify", "--n", "1..6", "--m", "0..4", "--stats")
+        assert code == 0
+        stats = json.loads(err)
+        assert stats["fallback_blocks"] == 0
+        assert stats["seconds"]["fallback"] == 0
+
+    def test_broken_straightener_takes_the_exact_route(self, capsys, monkeypatch):
+        """A straightener that returns [1,3][2,4] with a crossing term added
+        breaks one block of (4, 2), and only that block falls back."""
+        real = rumer.oracle.straighten
+        crossing = rumer.brackets.parse("[1,3][2,4]", 4)
+
+        def broken(poly):
+            flat = real(poly)
+            return flat + crossing if poly == crossing else flat
+
+        monkeypatch.setattr(rumer.oracle, "straighten", broken)
+        code, _, err = run(capsys, "verify", "--n", "4..4", "--m", "2..2", "--stats")
+        assert code == 1
+        assert json.loads(err)["fallback_blocks"] == 1
 
     def test_bad_range_syntax(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -495,7 +549,7 @@ OPTIONAL = {
     "count": ["--method", "--format", "--max-schemes"],
     "enumerate": ["--format", "--max-schemes"],
     "straighten": ["--verify", "--format"],
-    "verify": ["--format", "--max-schemes"],
+    "verify": ["--format", "--max-schemes", "--stats"],
     "render": ["--size", "--format"],
 }
 #: Values a flag accepts, by subcommand where that matters.
@@ -544,7 +598,7 @@ def argvs(draw):
     faulty = draw(st.sampled_from([None] * len(flags) + list(range(len(flags)))))
     for k, flag in enumerate(flags):
         argv.append(flag)
-        if flag == "--verify":
+        if flag in ("--verify", "--stats"):
             continue
         key = f"{sub} {flag}" if f"{sub} {flag}" in GOOD else flag
         values = BAD.get(key, []) + JUNK if k == faulty else GOOD[key]

@@ -9,10 +9,12 @@ import rumer.oracle
 from rumer.brackets import BracketPolynomial, parse
 from rumer.counting import compositions, n_recurrence, rho_closed
 from rumer.diagrams import (
+    ValenceScheme,
     enumerate_rumer,
     enumerate_rumer_by_multidegree,
     enumerate_valence_schemes,
     enumerate_valence_schemes_by_multidegree,
+    is_rumer,
 )
 from rumer.oracle import (
     GENERATORS,
@@ -25,6 +27,7 @@ from rumer.oracle import (
     variable_index,
     verify_basis,
 )
+from rumer.sparse import combine
 
 
 def x(n, vertex, component):
@@ -94,6 +97,67 @@ class TestExpand:
     def test_degree_is_twice_factor_count(self):
         f = expand(parse("[1,2][2,3][1,3]", 3))
         assert all(sum(e) == 6 for e in f.terms)
+
+
+def bracket_product(n, edges):
+    """The expansion of a bracket monomial by XPolynomial arithmetic alone."""
+    product = XPolynomial.constant(n, 1)
+    for i, j in edges:
+        product = product * (x(n, i, 1) * x(n, j, 2) - x(n, i, 2) * x(n, j, 1))
+    return product
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_expand_matches_xpolynomial_products(seed):
+    """expand sorts the monomials and shares their prefixes' products, on
+    integer-coded monomials; the reference multiplies XPolynomials one
+    bracket at a time.  The draws mix bond counts, repeat chords up to six
+    times and reuse prefixes."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    chords = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    terms = {}
+    for _ in range(rng.randint(1, 8)):
+        edges = [rng.choice(chords) for _ in range(rng.randint(0, 4))]
+        if rng.random() < 0.3:
+            edges += [rng.choice(chords)] * rng.randint(1, 3)
+        terms[ValenceScheme(n, edges)] = rng.choice([-2, -1, 1, 3, 2**70])
+    poly = BracketPolynomial(n, terms)
+    reference = XPolynomial.zero(n)
+    for mono, coeff in poly.terms.items():
+        reference = reference + coeff * bracket_product(n, mono.edges)
+    assert expand(poly) == reference
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("m", range(1, 5))
+def test_rumer_leads_are_distinct_with_coefficient_one(n, m):
+    """The certificate the block division relies on, checked on the
+    full-coordinate expansions instead of the dehomogenized rows: in each
+    multidegree block the Rumer diagrams' lexicographic leading terms are
+    distinct, each with coefficient 1."""
+    for d in compositions(2 * m, n):
+        leads = []
+        for diagram in enumerate_rumer_by_multidegree(d):
+            terms = expand(BracketPolynomial.monomial(n, diagram.edges)).terms
+            lead = max(terms)
+            assert terms[lead] == 1, diagram
+            leads.append(lead)
+        assert len(set(leads)) == len(leads), d
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("m", range(1, 5))
+def test_block_codes_are_one_to_one(n, m):
+    """Setting x2 = 1 loses nothing inside a block: the coded keys of the
+    block's rows are exactly as many as its full-coordinate monomials."""
+    for d in compositions(2 * m, n):
+        schemes = enumerate_valence_schemes_by_multidegree(d)
+        codes = rumer.oracle._block_codes(d)
+        rows = rumer.oracle._expansions([s.edges for s in schemes], *codes)
+        keys = {key for row in rows for key in row}
+        full = {e for s in schemes for e in expand(BracketPolynomial.monomial(n, s.edges)).terms}
+        assert len(keys) == len(full), d
 
 
 class TestUnimodular:
@@ -373,25 +437,93 @@ class TestVerifyBasis:
 
     def test_corrupted_expansion_term(self, monkeypatch):
         """One wrong coefficient in one scheme's expansion: its row leaves the
-        span of the Rumer rows, and its straightened output no longer matches."""
-        real = rumer.oracle.expand
-        crossing = parse("[1,3][2,4]", 4)
+        span of the Rumer rows, and its straightened output no longer matches.
+        The one expansion routine is patched, so the block division and the
+        exact route both see the wrong coefficient."""
+        real = rumer.oracle._expansions
+        crossing = ((1, 3), (2, 4))
 
-        def corrupt(poly):
-            expansion = real(poly)
-            if poly != crossing:
-                return expansion
-            terms = dict(expansion.terms)
-            terms[min(terms)] += 1
-            return XPolynomial(poly.n, terms)
+        def corrupt(edge_lists, x1, x2):
+            edge_lists = list(edge_lists)
+            for edges, terms in zip(edge_lists, real(edge_lists, x1, x2)):
+                if edges == crossing:
+                    terms = combine([*terms.items(), (min(terms), 1)])
+                yield terms
 
-        monkeypatch.setattr(rumer.oracle, "expand", corrupt)
+        monkeypatch.setattr(rumer.oracle, "_expansions", corrupt)
         report = verify_basis(4, 2)
         assert (report["rumer_rank"], report["full_rank"], report["rho"]) == (20, 21, 20)
         assert report["straighten_failures"] == [
             {"scheme": "n=4; (1,3)(2,4)", "reason": "expansion mismatch"}
         ]
         assert not basis_ok(report)
+
+    @pytest.mark.parametrize(
+        "target,full_rank,failures",
+        [
+            # the crossing scheme's output sums the corrupted Rumer row
+            (
+                ((1, 2), (3, 4)),
+                21,
+                [{"scheme": "n=4; (1,3)(2,4)", "reason": "expansion mismatch"}],
+            ),
+            # a block with no crossing scheme: nothing is divided, so only the
+            # lead coefficient shows the fault, and the corrupted row is still
+            # a basis of its block
+            (((1, 2), (1, 2)), 20, []),
+        ],
+    )
+    def test_lead_coefficient_two_falls_back_to_exact_ranks(
+        self, monkeypatch, target, full_rank, failures
+    ):
+        """A Rumer row whose lead coefficient is 2 is no unit pivot: its block
+        takes the exact route, whose ranks are those of the corrupted rows."""
+        real = rumer.oracle._expansions
+
+        def corrupt(edge_lists, x1, x2):
+            edge_lists = list(edge_lists)
+            for edges, terms in zip(edge_lists, real(edge_lists, x1, x2)):
+                if edges == target:
+                    terms = {**terms, max(terms): 2}
+                yield terms
+
+        monkeypatch.setattr(rumer.oracle, "_expansions", corrupt)
+        schemes = enumerate_valence_schemes(4, 2)
+        rows = {s: expand(BracketPolynomial.monomial(4, s.edges)) for s in schemes}
+        lead = max(rows[ValenceScheme(4, target)].terms)
+        assert rows[ValenceScheme(4, target)].terms[lead] == 2
+        rumer_rows = [rows[d.scheme] for d in enumerate_rumer(4, 2)]
+        check = rumer.oracle._BasisCheck(4, 2)
+        for d, block in sorted(
+            rumer.oracle._multidegree_blocks(enumerate_rumer(4, 2), rows).items()
+        ):
+            check.block(d, *block)
+        report = check.report()
+        assert (check.blocks, check.fallback_blocks) == (19, 1)
+        assert report["rumer_rank"] == reference_rank(rumer_rows) == 20
+        assert report["full_rank"] == reference_rank(list(rows.values())) == full_rank
+        assert report["straighten_failures"] == failures
+
+    def test_repeated_lead_falls_back_to_exact_ranks(self, monkeypatch):
+        """Two different Rumer rows with one lead: with no crossing scheme in
+        the list to divide, only the repeated lead shows that the pivots
+        undercount the rows' rank."""
+        real = rumer.oracle._expansions
+        twin = ((1, 2), (3, 4))
+
+        def corrupt(edge_lists, x1, x2):
+            edge_lists = list(edge_lists)
+            for edges, terms in zip(edge_lists, real(edge_lists, x1, x2)):
+                if edges == ((1, 4), (2, 3)):
+                    (terms,) = real([twin], x1, x2)
+                    terms = combine([*terms.items(), (min(terms), 1)])
+                yield terms
+
+        monkeypatch.setattr(rumer.oracle, "_expansions", corrupt)
+        schemes = [s for s in enumerate_valence_schemes(4, 2) if is_rumer(s)]
+        rows = [expand(BracketPolynomial.monomial(4, s.edges)) for s in schemes]
+        report = rumer.oracle._verify_basis(4, 2, enumerate_rumer(4, 2), schemes)
+        assert report["rumer_rank"] == report["full_rank"] == reference_rank(rows) == 20
 
     def test_rumer_expansions_are_independent(self):
         fs = [
@@ -401,9 +533,9 @@ class TestVerifyBasis:
 
 
 def test_verify_basis_holds_little_beyond_the_rumer_expansions():
-    """verify_basis keeps the Rumer expansions and drops every other row once
-    it is inserted: its traced peak at (5, 4) stays within 1.6 times the size
-    of that cell's Rumer expansions built alone."""
+    """verify_basis holds one multidegree block's rows at a time: its traced
+    peak at (5, 4) stays within 1.6 times the size of that cell's Rumer
+    expansions built alone."""
 
     def rumer_expansions():
         return [expand(BracketPolynomial.monomial(5, d.edges)) for d in enumerate_rumer(5, 4)]
@@ -427,9 +559,10 @@ def test_verify_basis_holds_little_beyond_the_rumer_expansions():
 
 
 class TestBrokenStraightenerIsCaught:
-    """verify_basis checks straighten through the cached Rumer expansions and
-    expands any other output term directly; a broken straightener must still
-    be reported, under the same reasons as before."""
+    """A broken straightener makes the division's quotient differ from its
+    output, so each block it breaks takes the exact route, which checks the
+    output through the cached Rumer expansions and expands any other output
+    term directly; it must be reported under the same reasons as before."""
 
     N, M = 4, 2
 
