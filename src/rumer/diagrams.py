@@ -156,6 +156,14 @@ class RumerDiagram:
             raise ValueError(f"edges {bad[0]} and {bad[1]} cross; not a Rumer diagram")
 
     @classmethod
+    def _trusted(cls, scheme: ValenceScheme) -> "RumerDiagram":
+        """A diagram of a scheme already known not to cross, such as one that
+        is_rumer has just scanned; nothing is checked."""
+        diagram = object.__new__(cls)
+        object.__setattr__(diagram, "scheme", scheme)
+        return diagram
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable) -> "RumerDiagram":
         return cls(ValenceScheme(n, edges))
 
@@ -308,7 +316,8 @@ def _ballot_walk(n: int, moves: _Moves) -> Iterator[tuple[Edge, ...]]:
         v = len(stack)
         c, o = move
         keep = len(open_ends) - c
-        edges += tuple(map(Edge, open_ends[keep:], repeat(v)))
+        # each open end u < v, so the checks of Edge are skipped
+        edges += tuple(tuple.__new__(Edge, (u, v)) for u in open_ends[keep:])
         open_ends = open_ends[:keep] + (v,) * o
         if v == n:
             yield edges
@@ -360,7 +369,13 @@ def _moves_by_degrees(d: Multidegree) -> _Moves:
 
 
 def _sorted_diagrams(n: int, edge_lists: Iterable[tuple[Edge, ...]]) -> list[RumerDiagram]:
-    found = [RumerDiagram(ValenceScheme(n, edges)) for edges in edge_lists]
+    """The diagrams of the ballot walk's edge lists, canonically ordered.  The
+    walk makes only non-crossing lists of Edges on n vertices, so each list
+    is sorted and wrapped without the constructors' checks."""
+    found = [
+        RumerDiagram._trusted(ValenceScheme._trusted(n, tuple(sorted(edges))))
+        for edges in edge_lists
+    ]
     found.sort(key=lambda D: D.edges)
     return found
 

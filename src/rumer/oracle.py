@@ -290,9 +290,8 @@ def verify_basis(n: int, m: int) -> dict:
 
 def _verify_basis(n: int, m: int, rumer: list, schemes: Iterable[ValenceScheme]) -> dict:
     """verify_basis of the cell (n, m), given its Rumer diagrams and its
-    valence schemes, checked one multidegree block at a time: each block's
-    rows are divided by its Rumer rows as unit-triangular pivots, and a
-    block where that fails is ranked by exact elimination instead (see
+    valence schemes, checked one multidegree block at a time: each scheme's
+    straightened output is multiplied back over its block's rows (see
     _BasisCheck)."""
     check = _BasisCheck(n, m)
     for d, (diagrams, block) in sorted(_multidegree_blocks(rumer, schemes).items()):
@@ -336,22 +335,24 @@ class _BasisCheck:
     lexicographically with x1^(1) > ... > x1^(n).  The lead of [i,j], i < j,
     is then x1^(i) with coefficient 1, and a product's lead is the product
     of its factors' leads, so each Rumer row should have its own lead with
-    coefficient 1: a unit-triangular basis.  Nothing here assumes that.  The
-    leads are read off the computed rows, and each Rumer row becomes a pivot
-    at its lead only if its lead is new, its coefficient is 1 and its scheme
-    does not cross.  Every other scheme's row is divided by the pivots from
-    the highest lead down; the remainder must be zero and the quotient must
-    equal straighten's output term for term, and a Rumer scheme must
-    straighten to itself.  Then the block's Rumer rows are independent and
-    span every row of the block, so both its ranks are its diagram count.
+    coefficient 1: a unit-triangular basis.  Nothing here assumes that: if
+    the leads read off the computed rows are distinct, each with
+    coefficient 1, the Rumer rank is the diagram count.
 
-    Any other outcome sends the block to the exact route instead:
-    fraction-free elimination of its full-coordinate rows, Rumer rows first,
-    and a coordinate check of each straightened output, which gives exact
-    ranks and the reasons of each failure.  Blocks have disjoint monomials,
-    so the cell's ranks are the sums of its blocks' ranks.  Failures are
-    reported in canonical scheme order, each scheme's in the order found.
-    Only one block's rows are held at a time.
+    Each scheme's straightened output is multiplied back over the rows: the
+    sum of coefficient times row over its terms must equal the scheme's row,
+    the division's certificate with the quotient given.  Terms of another
+    multidegree share no monomial with the block, so together they must
+    expand to zero in the full coordinates.  Any difference is an expansion
+    mismatch; a crossing term, or one of another multidegree, is named.  If
+    every output passes using only the block's Rumer schemes, those rows
+    span the block and the full rank is the Rumer rank.  A rank not
+    certified this way comes from fraction-free elimination of the same
+    rows, Rumer rows first.
+
+    Blocks have disjoint monomials, so the cell's ranks are the sums of its
+    blocks' ranks.  Failures are reported in canonical scheme order, each
+    scheme's in the order found.  Only one block's rows are held at a time.
     """
 
     def __init__(self, n: int, m: int):
@@ -365,18 +366,97 @@ class _BasisCheck:
     def block(self, d: Multidegree, diagrams: list, schemes: list) -> None:
         """Check one block: its multidegree d, its Rumer diagrams and its
         valence schemes."""
+        seconds = self.seconds
+        start = perf_counter()
         self.blocks += 1
         self.rumer_count += len(diagrams)
-        rank = self._divide(d, diagrams, schemes)
-        if rank is None:
-            start = perf_counter()
+        x1, x2 = _block_codes(d)
+        # rows and the Rumer set are keyed by edges: a scheme hashes in Python
+        rumer_edges = [diagram.scheme.edges for diagram in diagrams]
+        edge_lists = list(dict.fromkeys(chain((s.edges for s in schemes), rumer_edges)))
+        rows = dict(zip(edge_lists, _expansions(edge_lists, x1, x2)))
+        leads = set()
+        for edges in rumer_edges:
+            row = rows[edges]
+            lead = max(row, default=None)
+            if lead is not None and row[lead] == 1:
+                leads.add(lead)
+        unit_triangular = len(leads) == len(rumer_edges)
+        basis = {diagram.scheme.edges for diagram in diagrams if is_rumer(diagram.scheme)}
+        now = perf_counter()
+        seconds["expand"] += now - start
+        start = now
+        outputs = []
+        for scheme in schemes:
+            try:
+                outputs.append(straighten(_monomial(scheme)).terms)
+            except Exception as exc:  # reported below, never crashes the sweep
+                outputs.append(exc)
+        now = perf_counter()
+        seconds["straighten"] += now - start
+        start = now
+        spanned = True  # every output so far passed, using only basis terms
+        for scheme, terms in zip(schemes, outputs):
+            if isinstance(terms, Exception):
+                spanned = False
+                self._fail(scheme, f"straighten raised: {terms}")
+                continue
+            products, foreign, reasons = [], {}, []
+            for mono, coeff in terms.items():
+                edges = mono.edges
+                if edges not in basis:
+                    spanned = False
+                    term = BracketPolynomial.monomial(self.n, edges)
+                    degrees = mono.multidegree()
+                    if not is_rumer(mono):
+                        reasons.append(f"crossing term {term}")
+                    elif degrees != d:
+                        reasons.append(f"multidegree changed in {term}")
+                    if degrees != d:
+                        foreign[mono] = coeff
+                        continue
+                row = rows.get(edges)
+                if row is None:
+                    (row,) = _expansions([edges], x1, x2)
+                products.append((row, coeff))
+            if len(products) == 1 and products[0][1] == 1:
+                expansion = products[0][0]  # such as a Rumer scheme's own row
+            else:
+                # most coefficients are 1, and those rows are summed as they are
+                expansion = combine(
+                    chain.from_iterable(
+                        row.items() if coeff == 1 else [(key, coeff * c) for key, c in row.items()]
+                        for row, coeff in products
+                    )
+                )
+            if expansion != rows[scheme.edges] or (
+                foreign and expand(BracketPolynomial._of(self.n, foreign))
+            ):
+                spanned = False
+                reasons.insert(0, "expansion mismatch")
+            for reason in reasons:
+                self._fail(scheme, reason)
+        now = perf_counter()
+        seconds["divide"] += now - start
+        start = now
+        rumer_rank = full_rank = len(diagrams)
+        if not (unit_triangular and spanned):
             self.fallback_blocks += 1
-            rumer_rank, rank = self._eliminate(diagrams, schemes)
-            self.seconds["fallback"] += perf_counter() - start
-        else:
-            rumer_rank = rank
+            pivots: dict = {}
+            for edges in rumer_edges:
+                _insert(pivots, rows[edges])
+            rumer_rank = full_rank = len(pivots)
+            if not spanned:
+                for edges, row in rows.items():
+                    if edges not in basis:  # a Rumer row inserted again reduces to zero
+                        _insert(pivots, row)
+                full_rank = len(pivots)
+            seconds["fallback"] += perf_counter() - start
         self.rumer_rank += rumer_rank
-        self.full_rank += rank
+        self.full_rank += full_rank
+
+    def _fail(self, scheme: ValenceScheme, reason: str) -> None:
+        self.failures.append((scheme.edges, {"scheme": scheme.to_text(), "reason": reason}))
 
     def report(self) -> dict:
         self.failures.sort(key=itemgetter(0))  # stable: a scheme's failures keep their order
@@ -389,112 +469,6 @@ class _BasisCheck:
             "rho": rho_closed(self.n, self.m),
             "straighten_failures": [failure for _, failure in self.failures],
         }
-
-    def _divide(self, d: Multidegree, diagrams: list, schemes: list) -> int | None:
-        """The block's rank by division against its Rumer rows, or None if
-        they are not a unit-triangular basis of every row with straighten's
-        output as the quotients."""
-        seconds = self.seconds
-        start = perf_counter()
-        x1, x2 = _block_codes(d)
-        rumer_schemes = [diagram.scheme for diagram in diagrams]
-        rumer_rows = list(_expansions([s.edges for s in rumer_schemes], x1, x2))
-        is_pivot = set(rumer_schemes)
-        others = [s for s in schemes if s not in is_pivot]
-        other_rows = list(_expansions([s.edges for s in others], x1, x2))
-        now = perf_counter()
-        seconds["expand"] += now - start
-        start = now
-        pivots: dict[int, tuple[ValenceScheme, dict[int, int]]] = {}
-        for scheme, row in zip(rumer_schemes, rumer_rows):
-            lead = max(row, default=None)
-            if lead is None or row[lead] != 1 or lead in pivots or not is_rumer(scheme):
-                return None
-            pivots[lead] = scheme, row
-        leads = sorted(pivots, reverse=True)
-        quotients = {scheme: {scheme: 1} for scheme in rumer_schemes}
-        for scheme, row in zip(others, other_rows):
-            rest = dict(row)
-            quotient = quotients[scheme] = {}
-            for lead in leads:
-                c = rest.get(lead)
-                if c:
-                    pivot, pivot_row = pivots[lead]
-                    quotient[pivot] = c
-                    for key, p in pivot_row.items():
-                        new = rest.get(key, 0) - c * p
-                        if new:
-                            rest[key] = new
-                        else:
-                            del rest[key]
-            if rest:
-                return None
-        now = perf_counter()
-        seconds["divide"] += now - start
-        start = now
-        try:
-            for scheme in schemes:
-                if straighten(_monomial(scheme)).terms != quotients[scheme]:
-                    return None
-        except Exception:  # the exact route reports it
-            return None
-        finally:
-            seconds["straighten"] += perf_counter() - start
-        return len(pivots)
-
-    def _eliminate(self, diagrams: list, schemes: list) -> tuple[int, int]:
-        """The block's Rumer rank and full rank by exact elimination, with a
-        coordinate check of each scheme's straightened output.
-
-        Each Rumer diagram is expanded once, and that expansion serves as its
-        row and as every straightened output's term: expand is linear, so an
-        output's expansion is the sum of its coefficients times its terms'
-        expansions, and a term that is not a Rumer diagram of the block is
-        expanded directly.  The Rumer rows go in first, so the rank after
-        them is the Rumer rank; each other scheme's row follows as soon as it
-        is expanded, and a dependent row is dropped once it reduces to zero.
-        """
-        rumer_expansions = {d.scheme: expand(_monomial(d.scheme)) for d in diagrams}
-
-        def expanded(mono: ValenceScheme) -> XPolynomial:
-            cached = rumer_expansions.get(mono)
-            return expand(_monomial(mono)) if cached is None else cached
-
-        pivots: dict = {}
-        for expansion in rumer_expansions.values():
-            _insert(pivots, expansion.terms)
-        rumer_rank = len(pivots)
-        for scheme in schemes:
-
-            def fail(reason: str) -> None:
-                failure = {"scheme": scheme.to_text(), "reason": reason}
-                self.failures.append((scheme.edges, failure))
-
-            expansion = expanded(scheme)
-            if scheme not in rumer_expansions:
-                _insert(pivots, expansion.terms)
-            try:
-                flat = straighten(_monomial(scheme))
-            except Exception as exc:  # report, never crash the sweep
-                fail(f"straighten raised: {exc}")
-                continue
-            flat_expansion = combine(
-                (evec, coeff * c)
-                for mono, coeff in flat.terms.items()
-                for evec, c in expanded(mono).terms.items()
-            )
-            if flat_expansion != expansion.terms:
-                fail("expansion mismatch")
-            degs = scheme.multidegree()
-            for mono in flat.terms:
-                if not is_rumer(mono):
-                    reason = "crossing term"
-                elif mono.multidegree() != degs:
-                    reason = "multidegree changed in"
-                else:
-                    continue
-                fail(f"{reason} {BracketPolynomial.monomial(self.n, mono.edges)}")
-        return rumer_rank, len(pivots)
 
 
 def basis_ok(report: dict) -> bool:

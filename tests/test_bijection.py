@@ -7,6 +7,7 @@ from rumer.diagrams import (
     Edge,
     RumerDiagram,
     ValenceScheme,
+    enumerate_rumer,
     enumerate_rumer_by_multidegree,
     enumerate_valence_schemes,
     is_rumer,
@@ -23,6 +24,19 @@ def strict_psi(scheme):
     ]
     merged = ValenceScheme(target, edges)
     return merged, scheme.degree(target) + scheme.degree(top) - 2 * m_join, m_join
+
+
+def strict_psi_section(diagram, m_n, m_n1):
+    """psi_section through the checking constructors."""
+    scheme = diagram.scheme
+    nv = scheme.n
+    r = (m_n + m_n1 - scheme.degree(nv)) // 2
+    far_ends = sorted(e.other(nv) for e in scheme.edges if e.touches(nv))
+    edges = [e for e in scheme.edges if not e.touches(nv)]
+    edges += [Edge(v, nv) for v in far_ends[m_n1 - r :]]
+    edges += [Edge(v, nv + 1) for v in far_ends[: m_n1 - r]]
+    edges += [Edge(nv, nv + 1)] * r
+    return RumerDiagram(ValenceScheme(nv + 1, edges))
 
 
 class TestPsi:
@@ -87,6 +101,19 @@ class TestPsiSection:
         G = RumerDiagram(ValenceScheme(3))
         lifted = psi_section(G, 2, 2)
         assert lifted.scheme == ValenceScheme(4, [(3, 4), (3, 4)])
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_the_strict_construction(self, n):
+        for m in range(5):
+            for diagram in enumerate_rumer(n, m):
+                mu = diagram.scheme.degree(n)
+                for m_n in range(m + 1):
+                    for m_n1 in range(m + 1):
+                        if not even_triangle(m_n, m_n1, mu):
+                            continue
+                        lifted = psi_section(diagram, m_n, m_n1)
+                        assert lifted == strict_psi_section(diagram, m_n, m_n1), diagram
+                        assert all(type(e) is Edge for e in lifted.edges)
 
     def test_rejects_incompatible_targets(self):
         G = RumerDiagram.from_edges(3, [(1, 3), (2, 3)])  # degree 2 at vertex 3

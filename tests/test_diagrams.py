@@ -290,6 +290,24 @@ class TestEnumerateRumer:
     def test_one_vertex_has_no_bonds(self, m):
         assert enumerate_rumer(1, m) == []
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_the_strict_construction(self, n):
+        """The walk builds its diagrams without the constructors' checks: each
+        one must still hold sorted Edge instances and equal the strict
+        construction, by cell and by multidegree.  == alone cannot tell an
+        Edge from a plain tuple."""
+        for m in range(5):
+            diagrams = enumerate_rumer(n, m) + [
+                diagram
+                for d in compositions(2 * m, n)
+                for diagram in enumerate_rumer_by_multidegree(d)
+            ]
+            for diagram in diagrams:
+                edges = diagram.edges
+                assert all(type(e) is Edge for e in edges), diagram
+                assert list(edges) == sorted(edges), diagram
+                assert diagram == RumerDiagram(ValenceScheme(n, edges)), diagram
+
 
 class TestGeneratorAgainstBruteForce:
     """The ballot walk, in canonical order, against filtering every valence

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+import rumer.brackets
 import rumer.oracle
 from rumer.brackets import BracketPolynomial, parse
 from rumer.counting import compositions, n_recurrence, rho_closed
 from rumer.diagrams import (
+    RumerDiagram,
     ValenceScheme,
     enumerate_rumer,
     enumerate_rumer_by_multidegree,
@@ -132,7 +134,7 @@ def test_expand_matches_xpolynomial_products(seed):
 @pytest.mark.parametrize("n", range(2, 6))
 @pytest.mark.parametrize("m", range(1, 5))
 def test_rumer_leads_are_distinct_with_coefficient_one(n, m):
-    """The certificate the block division relies on, checked on the
+    """The certificate the block check's Rumer rank relies on, checked on the
     full-coordinate expansions instead of the dehomogenized rows: in each
     multidegree block the Rumer diagrams' lexicographic leading terms are
     distinct, each with coefficient 1."""
@@ -435,11 +437,29 @@ class TestVerifyBasis:
         assert report["straighten_failures"] == []
         assert not basis_ok(report)
 
+    def test_crossing_scheme_listed_as_a_diagram(self, monkeypatch):
+        """The Rumer list is not trusted to be non-crossing: a crossing scheme
+        listed as a diagram and left as it is by the straightener is still
+        reported as a crossing term, and its shared lead fails the count."""
+        crossing = ValenceScheme(4, ((1, 3), (2, 4)))
+        real = rumer.brackets.straighten
+        monkeypatch.setattr(
+            rumer.oracle,
+            "straighten",
+            lambda poly: poly if poly == parse("[1,3][2,4]", 4) else real(poly),
+        )
+        diagrams = enumerate_rumer(4, 2) + [RumerDiagram._trusted(crossing)]
+        report = rumer.oracle._verify_basis(4, 2, diagrams, enumerate_valence_schemes(4, 2))
+        assert (report["rumer_count"], report["rumer_rank"], report["full_rank"]) == (21, 20, 20)
+        assert report["straighten_failures"] == [
+            {"scheme": "n=4; (1,3)(2,4)", "reason": "crossing term [1,3][2,4]"}
+        ]
+
     def test_corrupted_expansion_term(self, monkeypatch):
         """One wrong coefficient in one scheme's expansion: its row leaves the
         span of the Rumer rows, and its straightened output no longer matches.
-        The one expansion routine is patched, so the block division and the
-        exact route both see the wrong coefficient."""
+        The one expansion routine is patched, so the block's coded rows and
+        the full-coordinate expand both see the wrong coefficient."""
         real = rumer.oracle._expansions
         crossing = ((1, 3), (2, 4))
 
@@ -458,6 +478,20 @@ class TestVerifyBasis:
         ]
         assert not basis_ok(report)
 
+        # a second case: straighten raises on that scheme, which certifies
+        # nothing, so its row is still ranked
+        def straighten(poly):
+            if poly == parse("[1,3][2,4]", 4):
+                raise RuntimeError("no basis today")
+            return rumer.brackets.straighten(poly)
+
+        monkeypatch.setattr(rumer.oracle, "straighten", straighten)
+        report = verify_basis(4, 2)
+        assert (report["rumer_rank"], report["full_rank"], report["rho"]) == (20, 21, 20)
+        assert report["straighten_failures"] == [
+            {"scheme": "n=4; (1,3)(2,4)", "reason": "straighten raised: no basis today"}
+        ]
+
     @pytest.mark.parametrize(
         "target,full_rank,failures",
         [
@@ -467,9 +501,9 @@ class TestVerifyBasis:
                 21,
                 [{"scheme": "n=4; (1,3)(2,4)", "reason": "expansion mismatch"}],
             ),
-            # a block with no crossing scheme: nothing is divided, so only the
-            # lead coefficient shows the fault, and the corrupted row is still
-            # a basis of its block
+            # a block with no crossing scheme: every output multiplies back, so
+            # only the lead coefficient shows the fault, and the corrupted row
+            # is still a basis of its block
             (((1, 2), (1, 2)), 20, []),
         ],
     )
@@ -477,7 +511,7 @@ class TestVerifyBasis:
         self, monkeypatch, target, full_rank, failures
     ):
         """A Rumer row whose lead coefficient is 2 is no unit pivot: its block
-        takes the exact route, whose ranks are those of the corrupted rows."""
+        is ranked by elimination, whose ranks are those of the corrupted rows."""
         real = rumer.oracle._expansions
 
         def corrupt(edge_lists, x1, x2):
@@ -506,8 +540,8 @@ class TestVerifyBasis:
 
     def test_repeated_lead_falls_back_to_exact_ranks(self, monkeypatch):
         """Two different Rumer rows with one lead: with no crossing scheme in
-        the list to divide, only the repeated lead shows that the pivots
-        undercount the rows' rank."""
+        the list to multiply back, only the repeated lead shows that the
+        diagram count may overstate the rows' rank."""
         real = rumer.oracle._expansions
         twin = ((1, 2), (3, 4))
 
@@ -559,15 +593,15 @@ def test_verify_basis_holds_little_beyond_the_rumer_expansions():
 
 
 class TestBrokenStraightenerIsCaught:
-    """A broken straightener makes the division's quotient differ from its
-    output, so each block it breaks takes the exact route, which checks the
-    output through the cached Rumer expansions and expands any other output
-    term directly; it must be reported under the same reasons as before."""
+    """A broken straightener's output no longer multiplies back to the
+    scheme's row, or it names a term outside the block's Rumer diagrams, so
+    each block it breaks is ranked by elimination; every fault must be
+    reported under the same reasons as before."""
 
     N, M = 4, 2
 
     def broken(self, monkeypatch, mutate):
-        real = rumer.oracle.straighten
+        real = rumer.brackets.straighten
         monkeypatch.setattr(rumer.oracle, "straighten", lambda poly: mutate(real(poly)))
         report = verify_basis(self.N, self.M)
         assert not basis_ok(report)
@@ -599,8 +633,8 @@ class TestBrokenStraightenerIsCaught:
     def test_added_crossing_term(self, monkeypatch):
         crossing = parse("[1,3][2,4]", self.N)
         failures = self.broken(monkeypatch, lambda flat: flat + crossing)
-        # the crossing term is not a cached Rumer expansion: it is expanded
-        # directly, so the sum no longer matches either
+        # outside its own block the crossing term is of another multidegree,
+        # which the full coordinates expand, so the sum no longer matches
         assert failures[:2] == [
             {"scheme": "n=4; (1,2)(1,2)", "reason": "expansion mismatch"},
             {"scheme": "n=4; (1,2)(1,2)", "reason": "crossing term [1,3][2,4]"},
@@ -608,13 +642,28 @@ class TestBrokenStraightenerIsCaught:
         assert {"scheme": "n=4; (1,3)(2,4)", "reason": "expansion mismatch"} in failures
 
     def test_added_term_of_another_multidegree(self, monkeypatch):
-        other = parse("[3,4][3,4]", self.N)  # a Rumer diagram of the cell: cached
+        other = parse("[3,4][3,4]", self.N)  # a Rumer diagram of the cell
         failures = self.broken(monkeypatch, lambda flat: flat + other)
         assert failures[:2] == [
             {"scheme": "n=4; (1,2)(1,2)", "reason": "expansion mismatch"},
             {"scheme": "n=4; (1,2)(1,2)", "reason": "multidegree changed in [3,4][3,4]"},
         ]
         assert all("crossing" not in f["reason"] for f in failures)
+
+        # a second case: terms of one other multidegree that cancel in the
+        # expansion are each named, with no mismatch outside their own block
+        zero = parse("[1,3][2,4] - [1,2][3,4] - [1,4][2,3]", self.N)
+        failures = self.broken(monkeypatch, lambda flat: flat + zero)
+        named = [
+            "crossing term [1,3][2,4]",
+            "multidegree changed in [1,2][3,4]",
+            "multidegree changed in [1,4][2,3]",
+        ]
+        assert failures[:3] == [{"scheme": "n=4; (1,2)(1,2)", "reason": r} for r in named]
+        # in that block the sum is a crossing term plus a Rumer diagram
+        assert {"scheme": "n=4; (1,2)(3,4)", "reason": named[0]} in failures
+        assert len(failures) == 18 * 3 + 3  # 18 schemes outside the block, 3 in it
+        assert {f["reason"] for f in failures} == set(named)
 
     def test_added_term_of_another_bond_count(self, monkeypatch):
         other = parse("[1,2]", self.N)  # not in the cell: expanded directly
@@ -623,6 +672,15 @@ class TestBrokenStraightenerIsCaught:
             {"scheme": "n=4; (1,2)(1,2)", "reason": "expansion mismatch"},
             {"scheme": "n=4; (1,2)(1,2)", "reason": "multidegree changed in [1,2]"},
         ]
+
+        # a second case: more bonds than the cell, so more than any digit of
+        # a block's codes holds; it is still expanded, in the full coordinates
+        other = BracketPolynomial.monomial(self.N, [(1, 2)] * 5)
+        failures = self.broken(monkeypatch, lambda flat: flat + other)
+        reasons = ["expansion mismatch", "multidegree changed in [1,2][1,2][1,2][1,2][1,2]"]
+        assert failures[:2] == [{"scheme": "n=4; (1,2)(1,2)", "reason": r} for r in reasons]
+        assert len(failures) == 2 * 21  # both reasons for every scheme of (4, 2)
+        assert {f["reason"] for f in failures} == set(reasons)
 
     def test_raising_straightener(self, monkeypatch):
         def fail(flat):
