@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 from .counting import _degrees, binomial, even_triangle, triangle_range
 from .diagrams import (
-    Edge,
     RumerDiagram,
     ValenceScheme,
+    _edge,
     _realizable,
     enumerate_rumer_by_multidegree,
     enumerate_valence_schemes_by_multidegree,
@@ -59,8 +59,7 @@ def psi(scheme: ValenceScheme) -> PsiResult:
                 m_n += 1
                 m_join += 1
             else:
-                # i < target: the ends come from a checked edge, so skip Edge's checks
-                new_edges.append(tuple.__new__(Edge, (i, target)))
+                new_edges.append(_edge((i, target)))  # i < target
         else:
             m_n += j == target  # an edge from target to a higher vertex ends at top
             new_edges.append(e)
@@ -96,10 +95,10 @@ def psi_section(diagram: RumerDiagram, m_n: int, m_n1: int) -> RumerDiagram:
     far_ends = sorted(e.other(nv) for e in scheme.edges if e.touches(nv))
     moved, kept = far_ends[: m_n1 - r], far_ends[m_n1 - r :]
     edges = [e for e in scheme.edges if not e.touches(nv)]
-    # every far end v < nv < new_vertex, so the checks of Edge are skipped
-    edges.extend(tuple.__new__(Edge, (v, nv)) for v in kept)
-    edges.extend(tuple.__new__(Edge, (v, new_vertex)) for v in moved)
-    edges.extend([tuple.__new__(Edge, (nv, new_vertex))] * r)
+    # every far end v < nv < new_vertex
+    edges.extend(_edge((v, nv)) for v in kept)
+    edges.extend(_edge((v, new_vertex)) for v in moved)
+    edges.extend([_edge((nv, new_vertex))] * r)
     # the one check left is the crossing scan of the public result
     return RumerDiagram(ValenceScheme._trusted(new_vertex, tuple(sorted(edges))))
 

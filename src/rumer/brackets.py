@@ -24,7 +24,7 @@ from collections import Counter
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .diagrams import Edge, ValenceScheme, _first_crossing, edges_cross, is_rumer
+from .diagrams import Edge, ValenceScheme, _edge, _first_crossing, edges_cross, is_rumer
 from .sparse import SparseCombination, combine
 
 
@@ -147,9 +147,8 @@ class BracketPolynomial(SparseCombination):
 def _exchange(e1: Edge, e2: Edge) -> tuple[tuple[Edge, Edge], tuple[Edge, Edge]]:
     """The exchange rule on the four ends a < b < c < d of two crossing chords:
     the pairs (a,b)(c,d) and (a,d)(b,c), whose products sum to p_ac p_bd."""
-    a, b, c, d = sorted((*e1, *e2))
-    new = tuple.__new__  # the ends come from two checked edges: skip Edge's checks
-    return (new(Edge, (a, b)), new(Edge, (c, d))), (new(Edge, (a, d)), new(Edge, (b, c)))
+    a, b, c, d = sorted((*e1, *e2))  # distinct ends of two checked edges
+    return (_edge((a, b)), _edge((c, d))), (_edge((a, d)), _edge((b, c)))
 
 
 def plucker_expand(e1: Edge, e2: Edge, n: int | None = None) -> BracketPolynomial:

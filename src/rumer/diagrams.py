@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import operator
+from functools import partial
 import re
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product, repeat
@@ -60,6 +61,11 @@ class Edge(tuple):
 
     def __repr__(self) -> str:
         return f"Edge(i={self[0]}, j={self[1]})"
+
+
+#: Edge from a pair (i, j) already known to have 1 <= i < j, built without
+#: Edge's checks; call as _edge((i, j)).
+_edge = partial(tuple.__new__, Edge)
 
 
 def _coerce_edges(edges: Iterable) -> tuple[Edge, ...]:
@@ -316,8 +322,7 @@ def _ballot_walk(n: int, moves: _Moves) -> Iterator[tuple[Edge, ...]]:
         v = len(stack)
         c, o = move
         keep = len(open_ends) - c
-        # each open end u < v, so the checks of Edge are skipped
-        edges += tuple(tuple.__new__(Edge, (u, v)) for u in open_ends[keep:])
+        edges += tuple(_edge((u, v)) for u in open_ends[keep:])  # each open end u < v
         open_ends = open_ends[:keep] + (v,) * o
         if v == n:
             yield edges

@@ -419,16 +419,9 @@ class _BasisCheck:
                 if row is None:
                     (row,) = _expansions([edges], x1, x2)
                 products.append((row, coeff))
-            if len(products) == 1 and products[0][1] == 1:
-                expansion = products[0][0]  # such as a Rumer scheme's own row
-            else:
-                # most coefficients are 1, and those rows are summed as they are
-                expansion = combine(
-                    chain.from_iterable(
-                        row.items() if coeff == 1 else [(key, coeff * c) for key, c in row.items()]
-                        for row, coeff in products
-                    )
-                )
+            expansion = combine(
+                (key, coeff * c) for row, coeff in products for key, c in row.items()
+            )
             if expansion != rows[scheme.edges] or (
                 foreign and expand(BracketPolynomial._of(self.n, foreign))
             ):
@@ -445,12 +438,10 @@ class _BasisCheck:
             pivots: dict = {}
             for edges in rumer_edges:
                 _insert(pivots, rows[edges])
-            rumer_rank = full_rank = len(pivots)
-            if not spanned:
-                for edges, row in rows.items():
-                    if edges not in basis:  # a Rumer row inserted again reduces to zero
-                        _insert(pivots, row)
-                full_rank = len(pivots)
+            rumer_rank = len(pivots)
+            for row in rows.values():
+                _insert(pivots, row)
+            full_rank = len(pivots)
             seconds["fallback"] += perf_counter() - start
         self.rumer_rank += rumer_rank
         self.full_rank += full_rank
