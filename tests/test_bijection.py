@@ -1,6 +1,9 @@
 """The merge map on the last two vertices and its non-crossing section."""
+from dataclasses import replace
+
 import pytest
 
+import rumer.bijection
 from rumer.bijection import psi, psi_section, verify_psi_bijection
 from rumer.counting import compositions, even_triangle, triangle_range
 from rumer.diagrams import (
@@ -10,6 +13,7 @@ from rumer.diagrams import (
     enumerate_rumer,
     enumerate_rumer_by_multidegree,
     enumerate_valence_schemes,
+    enumerate_valence_schemes_by_multidegree,
     is_rumer,
 )
 
@@ -181,3 +185,70 @@ class TestVerifyBijection:
                 for d in compositions(total, parts):
                     report = verify_psi_bijection(d)
                     assert report["bijection_ok"], (d, report["counterexamples"])
+
+
+def _merging(change):
+    """psi with change applied to each result."""
+    return lambda scheme: change(psi(scheme))
+
+
+#: One broken part of the merge check per failure reason: the name patched in
+#: rumer.bijection, its replacement, a prescription it breaks, and the start
+#: of the reason the report must give.
+BROKEN_MERGE_CHECKS = {
+    "bookkeeping": (
+        "psi", _merging(lambda r: replace(r, mu_n=r.mu_n + 2)),
+        (1, 1, 1, 1), "degree bookkeeping broken",
+    ),
+    "triangle": (
+        # m_join = -1 keeps mu_n = m_n + m_{n+1} - 2 m_join but breaks the triangle
+        "psi", _merging(lambda r: replace(r, mu_n=r.mu_n + 2 * r.m_join + 2, m_join=-1)),
+        (1, 1, 1, 1), "merged degree not even-triangle",
+    ),
+    "crossing": (
+        "psi", _merging(lambda r: replace(r, scheme=ValenceScheme(4, [(1, 3), (2, 4)]))),
+        (1, 1, 1, 1), "merged scheme crosses",
+    ),
+    "multidegree": (
+        "psi", _merging(lambda r: replace(r, scheme=ValenceScheme(r.scheme.n))),
+        (1, 1, 1, 1), "merged multidegree wrong",
+    ),
+    "collision": (
+        # the second diagram's image (1,4)(2,3) is replaced by the first one's
+        "psi", _merging(
+            lambda r: replace(r, scheme=ValenceScheme(4, [(1, 2), (3, 4)]))
+            if r.scheme == ValenceScheme(4, [(1, 4), (2, 3)]) else r
+        ),
+        (1, 1, 1, 1, 2), "collides with n=5; (1,2)(3,5)(4,5)",
+    ),
+    "section": (
+        "psi_section", lambda diagram, m_n, m_n1: RumerDiagram(ValenceScheme(diagram.n + 1)),
+        (1, 1, 1, 1), "section returned n=4;",
+    ),
+    "union": (
+        "enumerate_rumer_by_multidegree", lambda e: enumerate_rumer_by_multidegree(e)[1:],
+        (1, 1, 1, 1), "image is not the even-triangle union",
+    ),
+    "unhit": (
+        # drop (1,2)(3,4), the one preimage of (1,2), from the block's schemes
+        "enumerate_valence_schemes_by_multidegree",
+        lambda e: enumerate_valence_schemes_by_multidegree(e)[1 if len(e) == 4 else 0:],
+        (1, 1, 1, 1), "not hit by any valence scheme",
+    ),
+    "bound": (
+        "enumerate_valence_schemes_by_multidegree",
+        lambda e: enumerate_valence_schemes_by_multidegree(e) * 2,
+        (1, 1, 1, 1), "2 preimages exceed bound 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("broken", BROKEN_MERGE_CHECKS)
+def test_broken_merge_check_names_the_reason(monkeypatch, broken):
+    name, replacement, d, reason = BROKEN_MERGE_CHECKS[broken]
+    monkeypatch.setattr(rumer.bijection, name, replacement)
+    report = verify_psi_bijection(d)
+    assert not report["bijection_ok"]
+    assert any(
+        example["reason"].startswith(reason) for example in report["counterexamples"]
+    ), report["counterexamples"]
