@@ -83,18 +83,18 @@ def psi_section(diagram: RumerDiagram, m_n: int, m_n1: int) -> RumerDiagram:
     """
     if m_n < 0 or m_n1 < 0:
         raise ValueError(f"target degrees must be nonnegative, got ({m_n},{m_n1})")
-    scheme = diagram.scheme
-    nv = scheme.n
-    mu = scheme.degree(nv)
+    nv = diagram.n
+    # the edges at the last vertex are those (v, nv), sorted, so ascending in v
+    far_ends = [e[0] for e in diagram.edges if e[1] == nv]
+    mu = len(far_ends)
     if not even_triangle(m_n, m_n1, mu):
         raise ValueError(
             f"targets ({m_n},{m_n1}) and current degree {mu} do not form an even triangle"
         )
     r = (m_n + m_n1 - mu) // 2
     new_vertex = nv + 1
-    far_ends = sorted(e.other(nv) for e in scheme.edges if e.touches(nv))
     moved, kept = far_ends[: m_n1 - r], far_ends[m_n1 - r :]
-    edges = [e for e in scheme.edges if not e.touches(nv)]
+    edges = [e for e in diagram.edges if e[1] != nv]
     # every far end v < nv < new_vertex
     edges.extend(_edge((v, nv)) for v in kept)
     edges.extend(_edge((v, new_vertex)) for v in moved)
@@ -132,6 +132,10 @@ def _verify_psi_bijection(d, diagrams, schemes, merged_sets: dict) -> dict:
     diagrams and its valence schemes, each in canonical order, with the
     merged prescriptions' enumerations kept in merged_sets.
 
+    One pass over the valence schemes merges each scheme once and tallies its
+    image; the schemes that pass is_rumer form the brute-force Rumer list,
+    which gets the per-diagram checks and is compared with the walk's list.
+
     merged_sets maps a merged prescription prefix + (mu,) to the pair of its
     two enumerations: the ballot walk's Rumer diagrams by multidegree and the
     backtracker's valence schemes.  A merged prescription is enumerated and
@@ -141,89 +145,83 @@ def _verify_psi_bijection(d, diagrams, schemes, merged_sets: dict) -> dict:
     """
     m_n, m_n1 = d[-2], d[-1]
     prefix = d[:-2]
-    counterexamples: list[dict] = []
-    # the prescriptions whose two lists are compared here: d, and each merged
-    # prescription that enters merged_sets now
-    compared = [(d, diagrams, schemes)]
+    failures: list[dict] = []
+    hits: dict[ValenceScheme, int] = {}
+    images: dict[ValenceScheme, ValenceScheme] = {}  # merged scheme -> its Rumer preimage
+    brute_force = []
+    for scheme in schemes:
+        result = psi(scheme)
+        merged = result.scheme
+        hits[merged] = hits.get(merged, 0) + 1
+        if not is_rumer(scheme):
+            continue
+        brute_force.append(scheme)
+        if result.mu_n != m_n + m_n1 - 2 * result.m_join:
+            reason = "degree bookkeeping broken"
+        elif not even_triangle(m_n, m_n1, result.mu_n):
+            reason = "merged degree not even-triangle"
+        elif not is_rumer(merged):
+            reason = "merged scheme crosses"
+        elif merged.multidegree() != prefix + (result.mu_n,):
+            reason = "merged multidegree wrong"
+        elif merged in images:
+            reason = f"collides with {images[merged]}"
+        else:
+            images[merged] = scheme
+            back = psi_section(RumerDiagram._trusted(merged), m_n, m_n1).scheme  # is_rumer passed
+            if back == scheme:
+                continue
+            reason = f"section returned {back}"
+        failures.append({"diagram": scheme.to_text(), "reason": reason})
 
-    by_mu: dict[int, tuple[list[RumerDiagram], list[ValenceScheme]]] = {}
+    generator = _disagreement(d, diagrams, brute_force)
+    bounds: list[dict] = []
+    expected = set()
     for mu in triangle_range(m_n, m_n1):
         e = prefix + (mu,)
-        if _realizable(e):
-            if e not in merged_sets:
-                merged_sets[e] = (
-                    enumerate_rumer_by_multidegree(e),
-                    enumerate_valence_schemes_by_multidegree(e),
-                )
-                compared.append((e, *merged_sets[e]))
-            by_mu[mu] = merged_sets[e]
-
-    images: dict[ValenceScheme, RumerDiagram] = {}
-    for diagram in diagrams:
-        result = psi(diagram.scheme)
-        text = diagram.scheme.to_text()
-        if result.mu_n != m_n + m_n1 - 2 * result.m_join:
-            counterexamples.append({"diagram": text, "reason": "degree bookkeeping broken"})
+        if not _realizable(e):
             continue
-        if not even_triangle(m_n, m_n1, result.mu_n):
-            counterexamples.append({"diagram": text, "reason": "merged degree not even-triangle"})
-            continue
-        if not is_rumer(result.scheme):
-            counterexamples.append({"diagram": text, "reason": "merged scheme crosses"})
-            continue
-        if result.scheme.multidegree() != prefix + (result.mu_n,):
-            counterexamples.append({"diagram": text, "reason": "merged multidegree wrong"})
-            continue
-        if result.scheme in images:
-            counterexamples.append(
-                {"diagram": text, "reason": f"collides with {images[result.scheme]}"}
+        if e not in merged_sets:
+            walked, backtracked = merged_sets[e] = (
+                enumerate_rumer_by_multidegree(e),
+                enumerate_valence_schemes_by_multidegree(e),
             )
-            continue
-        images[result.scheme] = diagram
-        back = psi_section(RumerDiagram._trusted(result.scheme), m_n, m_n1)  # is_rumer passed
-        if back != diagram:
-            counterexamples.append(
-                {"diagram": text, "reason": f"section returned {back.scheme.to_text()}"}
-            )
-
-    expected = {diagram.scheme for walked, _ in by_mu.values() for diagram in walked}
-    if expected != set(images):
-        missing = sorted(s.to_text() for s in expected - set(images))
-        extra = sorted(s.to_text() for s in set(images) - expected)
-        counterexamples.append(
-            {"reason": "image is not the even-triangle union", "missing": missing, "extra": extra}
-        )
-
-    for e, walked, backtracked in compared:
-        generated = [diagram.scheme for diagram in walked]
-        brute_force = [scheme for scheme in backtracked if is_rumer(scheme)]
-        if generated != brute_force:
-            counterexamples.append({
-                "multidegree": list(e),
-                "reason": "generator disagrees with the brute-force filter",
-                "missing": sorted(s.to_text() for s in set(brute_force) - set(generated)),
-                "extra": sorted(s.to_text() for s in set(generated) - set(brute_force)),
-            })
-    preimage_count: dict[ValenceScheme, int] = {}
-    for scheme in schemes:
-        merged = psi(scheme).scheme
-        preimage_count[merged] = preimage_count.get(merged, 0) + 1
-    for mu, (_, merged_schemes) in by_mu.items():
-        r = (m_n + m_n1 - mu) // 2
-        bound = binomial(mu, m_n1 - r)
-        for scheme in merged_schemes:
-            hits = preimage_count.get(scheme, 0)
-            if hits == 0:
-                counterexamples.append(
-                    {"scheme": scheme.to_text(), "reason": "not hit by any valence scheme"}
-                )
-            elif hits > bound:
-                counterexamples.append(
-                    {"scheme": scheme.to_text(), "reason": f"{hits} preimages exceed bound {bound}"}
+            generator += _disagreement(e, walked, [s for s in backtracked if is_rumer(s)])
+        walked, backtracked = merged_sets[e]
+        expected.update(diagram.scheme for diagram in walked)
+        bound = binomial(mu, m_n1 - (m_n + m_n1 - mu) // 2)
+        for scheme in backtracked:
+            count = hits.get(scheme, 0)
+            if count == 0:
+                bounds.append({"scheme": scheme.to_text(), "reason": "not hit by any valence scheme"})
+            elif count > bound:
+                bounds.append(
+                    {"scheme": scheme.to_text(), "reason": f"{count} preimages exceed bound {bound}"}
                 )
 
+    if expected != images.keys():
+        failures.append({
+            "reason": "image is not the even-triangle union",
+            "missing": sorted(s.to_text() for s in expected - images.keys()),
+            "extra": sorted(s.to_text() for s in images.keys() - expected),
+        })
+    counterexamples = failures + generator + bounds
     return {
         "multidegree": list(d),
         "bijection_ok": not counterexamples,
         "counterexamples": counterexamples,
     }
+
+
+def _disagreement(e, walked, brute_force: list[ValenceScheme]) -> list[dict]:
+    """The counterexample, if any, of a walk whose diagrams of prescription e
+    differ from the brute-force Rumer list."""
+    generated = [diagram.scheme for diagram in walked]
+    if generated == brute_force:
+        return []
+    return [{
+        "multidegree": list(e),
+        "reason": "generator disagrees with the brute-force filter",
+        "missing": sorted(s.to_text() for s in set(brute_force) - set(generated)),
+        "extra": sorted(s.to_text() for s in set(generated) - set(brute_force)),
+    }]

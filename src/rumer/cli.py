@@ -1,8 +1,9 @@
 """Command-line front end: count, enumerate, straighten, verify, render.
 
-Machine-readable contract: with --format json every subcommand writes a
-single JSON document to stdout and diagnostics to stderr only.  Exit codes
-are stable: 0 success, 1 verification failure, 2 usage or parse error.
+Machine-readable contract: with --format json, which every subcommand but
+render (SVG only) accepts, a subcommand writes a single JSON document to
+stdout and diagnostics to stderr only.  Exit codes are stable: 0 success,
+1 verification failure, 2 usage or parse error.
 Work guards are explicit flags with safe defaults, never silent truncation.
 Straightening needs no guard: every exchange lowers the crossing count, so it
 always ends.
@@ -66,13 +67,8 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return USAGE
-
-
 class _UsageError(Exception):
-    """A usage error found inside a subcommand; main reports it and exits 2."""
+    """A usage error; main reports it and exits 2."""
 
 
 def _check_max_schemes(predicted: int, limit: int) -> None:
@@ -80,14 +76,13 @@ def _check_max_schemes(predicted: int, limit: int) -> None:
         raise _UsageError(f"{predicted} diagrams exceed the --max-schemes guard ({limit})")
 
 
-def _out_of_range(args) -> str | None:
-    """Usage message for the first numeric option below its minimum, if any."""
+def _check_minimums(args) -> None:
+    """Raise a usage error for the first numeric option below its minimum."""
     for name, low in MINIMUM.items():
         value = getattr(args, name, None)
         first = value[0] if isinstance(value, tuple) else value  # LO of a LO..HI range
         if first is not None and first < low:
-            return f"--{name.replace('_', '-')} must be at least {low}, got {first}"
-    return None
+            raise _UsageError(f"--{name.replace('_', '-')} must be at least {low}, got {first}")
 
 
 def _emit(payload: str, out: str | None) -> None:
@@ -139,7 +134,7 @@ def _cmd_count(args) -> int:
     counts: dict[str, int] = {}
     if "multidegree" in label:
         if method in ("formula", "product"):
-            return _usage_error(f"method {method!r} applies to --n/--m, not --multidegree")
+            raise _UsageError(f"method {method!r} applies to --n/--m, not --multidegree")
         method = method or "recurrence"
         if method in ("recurrence", "all"):
             counts["recurrence"] = n_recurrence(args.multidegree)
@@ -147,7 +142,7 @@ def _cmd_count(args) -> int:
         n, m = args.n, args.m
         method = method or "formula"
         if method == "product" and n < 3:
-            return _usage_error("--method product requires n >= 3")
+            raise _UsageError("--method product requires n >= 3")
         if method in ("formula", "all"):
             counts["formula"] = rho_closed(n, m)
         if method in ("product", "all") and n >= 3:
@@ -207,7 +202,7 @@ def _cmd_straighten(args) -> int:
     try:
         poly = parse_polynomial(args.polynomial, args.n)
     except ParseError as exc:
-        return _usage_error(str(exc))
+        raise _UsageError(str(exc)) from None
     flat = straighten(poly)
     verified = None
     if args.verify:
@@ -287,7 +282,7 @@ def _cmd_verify(args) -> int:
         for m in range(m_lo, m_hi + 1):
             space = _scheme_space(n, m)
             if space > args.max_schemes:
-                return _usage_error(
+                raise _UsageError(
                     f"(n={n}, m={m}) needs {space} schemes, over the --max-schemes "
                     f"guard ({args.max_schemes})"
                 )
@@ -329,7 +324,7 @@ def _cmd_render(args) -> int:
         else:
             scheme = ValenceScheme.from_text(text)
     except (ValueError, KeyError, TypeError) as exc:
-        return _usage_error(f"bad diagram: {exc}")
+        raise _UsageError(f"bad diagram: {exc}") from None
     _emit(render_svg(scheme, size=args.size), args.out)
     return OK
 
@@ -405,17 +400,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if "max_schemes" in vars(args) and args.max_schemes is None:
         args.max_schemes = DEFAULT_MAX_SCHEMES  # read per call: the parser is cached
-    problem = _out_of_range(args)
-    if problem:
-        return _usage_error(problem)
     # exact integers parse and print in full past CPython's int/str digit limit
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
+        _check_minimums(args)
         return args.func(args)
     except _UsageError as exc:
-        return _usage_error(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

@@ -140,7 +140,11 @@ class ValenceScheme:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ValenceScheme":
-        return cls(data["n"], [Edge(i, j) for i, j in data["edges"]])
+        n, pairs = data["n"], data["edges"]
+        # JSON true and false would pass operator.index as 1 and 0
+        if isinstance(n, bool) or any(isinstance(end, bool) for pair in pairs for end in pair):
+            raise TypeError("vertex numbers must be integers, not booleans")
+        return cls(n, [Edge(i, j) for i, j in pairs])
 
     @classmethod
     def from_json(cls, text: str) -> "ValenceScheme":
@@ -283,7 +287,7 @@ def _degree_constrained_edge_lists(degrees: Sequence[int]) -> Iterator[tuple[Edg
         frame[1] = w + 1
         remaining[v] -= 1
         remaining[w] -= 1
-        chosen.append(Edge(v, w))
+        chosen.append(_edge((v, w)))  # w > v
         u = free_from(v)
         if u is None:
             yield tuple(chosen)
@@ -406,7 +410,8 @@ def enumerate_valence_schemes_by_multidegree(degrees: Sequence[int]) -> list[Val
     """All loop-free multigraphs (crossing allowed) with these vertex degrees."""
     d = _degrees(degrees)
     n = len(d)
-    return [ValenceScheme(n, edges) for edges in _degree_constrained_edge_lists(d)]
+    # each edge list is sorted and fits on the n vertices
+    return [ValenceScheme._trusted(n, edges) for edges in _degree_constrained_edge_lists(d)]
 
 
 def enumerate_rumer(n: int, m: int) -> list[RumerDiagram]:
@@ -430,4 +435,5 @@ def enumerate_valence_schemes(n: int, m: int) -> Iterator[ValenceScheme]:
     """
     n, m = _cell(n, m)  # here, not in a generator: bad input raises at the call
     all_edges = [Edge(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    return (ValenceScheme(n, combo) for combo in combinations_with_replacement(all_edges, m))
+    # each multiset of the sorted edges comes out sorted
+    return (ValenceScheme._trusted(n, c) for c in combinations_with_replacement(all_edges, m))

@@ -418,8 +418,13 @@ class TestRender:
         assert code == 2
         assert "bad diagram" in err
 
-    def test_non_integral_json_is_one_line_usage_error(self, capsys):
-        code, out, err = run(capsys, "render", "--diagram", '{"n": 4.9, "edges": [[1,2]]}')
+    @pytest.mark.parametrize("diagram", [
+        '{"n": 4.9, "edges": [[1,2]]}',
+        '{"n": 3, "edges": [[true, 2]]}',
+        '{"n": true, "edges": []}',
+    ])
+    def test_non_integral_json_is_one_line_usage_error(self, capsys, diagram):
+        code, out, err = run(capsys, "render", "--diagram", diagram)
         assert code == 2
         assert out == ""
         assert err.startswith("error: bad diagram") and err.count("\n") == 1

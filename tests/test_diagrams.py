@@ -344,3 +344,20 @@ class TestEnumerateValenceSchemes:
             (Edge(1, 4), Edge(2, 3)),
         }
         assert enumerate_valence_schemes_by_multidegree((1, 0)) == []
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_the_strict_construction(self, n):
+        """Both enumerators build their schemes without the constructors'
+        checks: each one must still hold sorted Edge instances and equal the
+        strict construction, by cell and by multidegree."""
+        for m in range(5):
+            schemes = list(enumerate_valence_schemes(n, m)) + [
+                scheme
+                for d in compositions(2 * m, n)
+                for scheme in enumerate_valence_schemes_by_multidegree(d)
+            ]
+            for scheme in schemes:
+                edges = scheme.edges
+                assert type(edges) is tuple, scheme
+                assert all(type(e) is Edge for e in edges), scheme
+                assert scheme == ValenceScheme(n, edges), scheme
