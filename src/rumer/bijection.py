@@ -133,8 +133,9 @@ def _verify_psi_bijection(d, diagrams, schemes, merged_sets: dict) -> dict:
     merged prescriptions' enumerations kept in merged_sets.
 
     One pass over the valence schemes merges each scheme once and tallies its
-    image; the schemes that pass is_rumer form the brute-force Rumer list,
-    which gets the per-diagram checks and is compared with the walk's list.
+    image; the schemes that pass is_rumer form the brute-force Rumer list.
+    Counterexamples come per Rumer diagram, then the image union, that list
+    against the walk's, each new merged prescription's, and the hit bounds.
 
     merged_sets maps a merged prescription prefix + (mu,) to the pair of its
     two enumerations: the ballot walk's Rumer diagrams by multidegree and the
