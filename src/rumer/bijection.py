@@ -16,7 +16,6 @@ from .diagrams import (
     RumerDiagram,
     ValenceScheme,
     _edge,
-    _realizable,
     enumerate_rumer_by_multidegree,
     enumerate_valence_schemes_by_multidegree,
     is_rumer,
@@ -115,7 +114,7 @@ def verify_psi_bijection(degrees) -> dict:
     diagrams themselves, and those of each merged prescription, must be
     exactly the valence schemes that pass is_rumer, in the same order: a
     brute-force route independent of the generator.  Merged degrees mu for
-    which no multigraph exists have empty sets on both sides and are skipped.
+    which no multigraph exists have empty sets on both sides.
 
     Failures are report contents, never exceptions.
     """
@@ -123,11 +122,12 @@ def verify_psi_bijection(degrees) -> dict:
     if len(d) < 2:
         raise ValueError("need at least two degree entries to merge")
     return _verify_psi_bijection(
-        d, enumerate_rumer_by_multidegree(d), enumerate_valence_schemes_by_multidegree(d), {}
+        d, enumerate_rumer_by_multidegree(d), enumerate_valence_schemes_by_multidegree(d), {},
+        enumerate_valence_schemes_by_multidegree,
     )
 
 
-def _verify_psi_bijection(d, diagrams, schemes, merged_sets: dict) -> dict:
+def _verify_psi_bijection(d, diagrams, schemes, merged_sets: dict, schemes_of) -> dict:
     """verify_psi_bijection of a checked prescription d, given its Rumer
     diagrams and its valence schemes, each in canonical order, with the
     merged prescriptions' enumerations kept in merged_sets.
@@ -138,11 +138,14 @@ def _verify_psi_bijection(d, diagrams, schemes, merged_sets: dict) -> dict:
     against the walk's, each new merged prescription's, and the hit bounds.
 
     merged_sets maps a merged prescription prefix + (mu,) to the pair of its
-    two enumerations: the ballot walk's Rumer diagrams by multidegree and the
-    backtracker's valence schemes.  A merged prescription is enumerated and
-    its two lists compared when it first enters merged_sets, so checking
-    every multidegree of one cell with one dict enumerates and checks each
-    merged prescription once.
+    two enumerations: the ballot walk's Rumer diagrams by multidegree and
+    schemes_of(prefix + (mu,)), its valence schemes in canonical order, whose
+    Rumer ones are the brute-force list the walk is compared with: verify's
+    cells one vertex down grouped by multidegree, or verify_psi_bijection's
+    backtracker.  A merged prescription is enumerated and its two lists
+    compared when it first enters merged_sets, so checking every multidegree
+    of one cell with one dict enumerates and checks each merged prescription
+    once.
     """
     m_n, m_n1 = d[-2], d[-1]
     prefix = d[:-2]
@@ -180,18 +183,13 @@ def _verify_psi_bijection(d, diagrams, schemes, merged_sets: dict) -> dict:
     expected = set()
     for mu in triangle_range(m_n, m_n1):
         e = prefix + (mu,)
-        if not _realizable(e):
-            continue
         if e not in merged_sets:
-            walked, backtracked = merged_sets[e] = (
-                enumerate_rumer_by_multidegree(e),
-                enumerate_valence_schemes_by_multidegree(e),
-            )
-            generator += _disagreement(e, walked, [s for s in backtracked if is_rumer(s)])
-        walked, backtracked = merged_sets[e]
+            walked, lower = merged_sets[e] = enumerate_rumer_by_multidegree(e), schemes_of(e)
+            generator += _disagreement(e, walked, [s for s in lower if is_rumer(s)])
+        walked, lower = merged_sets[e]
         expected.update(diagram.scheme for diagram in walked)
         bound = binomial(mu, m_n1 - (m_n + m_n1 - mu) // 2)
-        for scheme in backtracked:
+        for scheme in lower:
             count = hits.get(scheme, 0)
             if count == 0:
                 bounds.append({"scheme": scheme.to_text(), "reason": "not hit by any valence scheme"})

@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain, product
 from time import perf_counter
 from typing import Callable, Sequence
 
@@ -71,9 +72,15 @@ class _UsageError(Exception):
     """A usage error; main reports it and exits 2."""
 
 
-def _check_max_schemes(predicted: int, limit: int) -> None:
-    if predicted > limit:
-        raise _UsageError(f"{predicted} diagrams exceed the --max-schemes guard ({limit})")
+def _check_max_schemes(amount: int, limit: int, what: str = "diagrams") -> None:
+    if amount > limit:
+        raise _UsageError(f"{amount} {what} exceed the --max-schemes guard ({limit})")
+
+
+def _check_recurrence(steps: int, limit: int) -> None:
+    # never below the default: by --multidegree the recurrence is also the
+    # count that the diagram guard compares, so a lower limit must reach it
+    _check_max_schemes(steps, max(limit, DEFAULT_MAX_SCHEMES), "recurrence steps")
 
 
 def _check_minimums(args) -> None:
@@ -113,6 +120,8 @@ def _selection(args) -> tuple[dict, Callable[[], int], Callable[[], list]]:
         if args.n is not None or args.m is not None:
             raise _UsageError("--multidegree excludes --n/--m")
         d = args.multidegree
+        # merged degrees 0..sum(d)/2, each with up to max(d)+1 successors, per fold
+        _check_recurrence((len(d) - 1) * (max(d) + 1) * (sum(d) // 2 + 1), args.max_schemes)
         return (
             {"multidegree": list(d)},
             functools.partial(n_recurrence, d),
@@ -148,38 +157,29 @@ def _cmd_count(args) -> int:
         if method in ("product", "all") and n >= 3:
             counts["product"] = rho_product(n, m)
         if method in ("recurrence", "all"):
+            # (m+1)(2m+1) table entries, updated once per vertex after the first
+            _check_recurrence((n - 1) * (m + 1) * (2 * m + 1), args.max_schemes)
             counts["recurrence"] = rho_sum_over_compositions(n, m)
     if method in ("enumerate", "all"):
         _check_max_schemes(predict(), args.max_schemes)
         counts["enumerate"] = len(listing())
 
-    agree = len(set(counts.values())) == 1
-    if method != "all":
-        value = counts[method]
-        if args.format == "json":
-            _emit_json({**label, "method": method, "count": value}, args.out)
-        elif args.format == "csv":
-            _emit_csv_counts(counts, None, args.out)
-        else:
-            _emit(str(value), args.out)
-        return OK
+    agree = len(set(counts.values())) == 1  # one method always agrees
+    rows = list(counts.items())
+    if method == "all":
+        rows.append(("agree", str(agree).lower()))
     if args.format == "json":
-        _emit_json({**label, "counts": counts, "agree": agree}, args.out)
+        if method == "all":
+            _emit_json({**label, "counts": counts, "agree": agree}, args.out)
+        else:
+            _emit_json({**label, "method": method, "count": counts[method]}, args.out)
     elif args.format == "csv":
-        _emit_csv_counts(counts, agree, args.out)
+        _emit("\n".join(["method,count", *(f"{name},{value}" for name, value in rows)]), args.out)
+    elif method == "all":
+        _emit("\n".join(f"{name}: {value}" for name, value in rows), args.out)
     else:
-        lines = [f"{name}: {value}" for name, value in counts.items()]
-        lines.append(f"agree: {str(agree).lower()}")
-        _emit("\n".join(lines), args.out)
+        _emit(str(counts[method]), args.out)
     return OK if agree else FAIL
-
-
-def _emit_csv_counts(counts: dict, agree: bool | None, out: str | None) -> None:
-    lines = ["method,count"]
-    lines.extend(f"{name},{value}" for name, value in counts.items())
-    if agree is not None:
-        lines.append(f"agree,{str(agree).lower()}")
-    _emit("\n".join(lines), out)
 
 
 def _cmd_enumerate(args) -> int:
@@ -235,6 +235,10 @@ def _verify_cell(n: int, m: int, stats: dict) -> dict:
     # the cell's multidegree blocks, in the order of compositions(2m, n); a
     # composition that no multigraph realizes has no block
     blocks = _multidegree_blocks(rumer, schemes)
+    # the merged prescriptions are the blocks of the cells (n-1, k), k <= m
+    lower = _multidegree_blocks((), chain.from_iterable(
+        enumerate_valence_schemes(n - 1, k) for k in range(m + 1) if n >= 2
+    ))
     seconds["enumerate"] += perf_counter() - start
     check = _BasisCheck(n, m)
     bijection_failures = []
@@ -243,7 +247,9 @@ def _verify_cell(n: int, m: int, stats: dict) -> dict:
         check.block(d, *blocks[d])
         if n >= 2:
             start = perf_counter()
-            report = _verify_psi_bijection(d, *blocks[d], merged_sets)
+            report = _verify_psi_bijection(
+                d, *blocks[d], merged_sets, lambda e: lower[e][1] if e in lower else []
+            )
             seconds["psi"] += perf_counter() - start
             if not report["bijection_ok"]:
                 bijection_failures.append(report)
@@ -276,25 +282,15 @@ def _verify_cell(n: int, m: int, stats: dict) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    n_lo, n_hi = args.n
-    m_lo, m_hi = args.m
-    for n in range(n_lo, n_hi + 1):
-        for m in range(m_lo, m_hi + 1):
-            space = _scheme_space(n, m)
-            if space > args.max_schemes:
-                raise _UsageError(
-                    f"(n={n}, m={m}) needs {space} schemes, over the --max-schemes "
-                    f"guard ({args.max_schemes})"
-                )
+    (n_lo, n_hi), (m_lo, m_hi) = args.n, args.m
+    grid = list(product(range(n_lo, n_hi + 1), range(m_lo, m_hi + 1)))
+    for n, m in grid:
+        _check_max_schemes(_scheme_space(n, m), args.max_schemes, f"schemes of (n={n}, m={m})")
     stats = {
         "seconds": dict.fromkeys(STAGES, 0.0),
         **dict.fromkeys(("blocks", "fallback_blocks", "schemes", "rumer_diagrams", "pivots"), 0),
     }
-    cells = [
-        _verify_cell(n, m, stats)
-        for n in range(n_lo, n_hi + 1)
-        for m in range(m_lo, m_hi + 1)
-    ]
+    cells = [_verify_cell(n, m, stats) for n, m in grid]
     all_ok = all(cell["ok"] for cell in cells)
     if args.format == "json":
         _emit_json({"ok": all_ok, "cells": cells}, args.out)
@@ -325,7 +321,11 @@ def _cmd_render(args) -> int:
             scheme = ValenceScheme.from_text(text)
     except (ValueError, KeyError, TypeError) as exc:
         raise _UsageError(f"bad diagram: {exc}") from None
-    _emit(render_svg(scheme, size=args.size), args.out)
+    try:
+        svg = render_svg(scheme, size=args.size)
+    except OverflowError:  # the drawing's coordinates are floats
+        raise _UsageError("--size and the vertex count must fit a float") from None
+    _emit(svg, args.out)
     return OK
 
 

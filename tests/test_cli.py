@@ -20,7 +20,7 @@ import rumer.cli
 import rumer.diagrams
 import rumer.oracle
 from rumer.cli import build_parser, main
-from rumer.counting import rho_closed
+from rumer.counting import rho_closed, triangle_range
 
 
 def run(capsys, *argv):
@@ -105,6 +105,36 @@ class TestCount:
         assert code == 2
         assert out == ""
         assert err == "error: need --n and --m, or --multidegree\n"
+
+    @pytest.mark.parametrize(
+        "argv,steps",
+        [
+            (["--n", "3", "--m", "3000", "--method", "recurrence"], 2 * 3001 * 6001),
+            (["--n", "3", "--m", "30000", "--method", "recurrence"], 2 * 30001 * 60001),
+            (["--multidegree", "20000,20000,20000,20000"], 3 * 20001 * 40001),
+            (["--multidegree", "20000,20000,20000,20000", "--method", "all"], 3 * 20001 * 40001),
+        ],
+    )
+    def test_recurrence_is_guarded(self, capsys, argv, steps):
+        code, out, err = run(capsys, "count", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {steps} recurrence steps exceed the --max-schemes guard (10000000)\n"
+
+    def test_multidegree_enumeration_guards_its_prediction(self, capsys):
+        # the diagram guard's count comes from the recurrence, which is guarded first
+        code, out, err = run(capsys, "enumerate", "--multidegree", "20000,20000,20000,20000")
+        assert (code, out) == (2, "")
+        assert err.endswith(" recurrence steps exceed the --max-schemes guard (10000000)\n")
+
+    def test_recurrence_guard_is_never_below_its_default(self, capsys, monkeypatch):
+        # (n - 1)(m + 1)(2m + 1) = 30 steps at (3, 2)
+        argv = ("count", "--n", "3", "--m", "2", "--method", "recurrence")
+        monkeypatch.setattr(rumer.cli, "DEFAULT_MAX_SCHEMES", 10)
+        assert run(capsys, *argv)[2] == (
+            "error: 30 recurrence steps exceed the --max-schemes guard (10)\n"
+        )
+        assert run(capsys, *argv, "--max-schemes", "1")[2].endswith("guard (10)\n")
+        assert run(capsys, *argv, "--max-schemes", "30")[:2] == (0, "6\n")
 
     def test_enumerate_many_parallel_bonds(self, capsys):
         # the backtracker went one recursion level per bond
@@ -275,10 +305,12 @@ class TestVerify:
     def test_builds_each_object_once(self, capsys, monkeypatch):
         """verify enumerates each cell once and checks it by multiplying each
         straightened output back over its block's rows, with no elimination on
-        a clean cell.  At (5, 4) each cell enumerator is called once, nothing
-        is expanded through expand, every valence scheme's row is built
-        exactly once, no row goes into the echelon form, and the
-        by-multidegree enumerators see only merged prescriptions, each once."""
+        a clean cell.  At (5, 4) each cell enumerator is called once, and the
+        valence schemes of each cell (4, k), k <= 4, once more for the merge
+        check; nothing is expanded through expand, every valence scheme's row
+        is built exactly once, no row goes into the echelon form, the
+        backtracker by multidegree is never called, and the walk by
+        multidegree sees each merged prescription exactly once."""
         calls = {}
 
         def counting(owner, name, record):
@@ -310,14 +342,41 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--n", "5..5", "--m", "4..4")
         assert code == 0
         assert "n=5 m=4: ok" in out
-        assert calls["enumerate_rumer"] == calls["enumerate_valence_schemes"] == [(5, 4)]
+        assert calls["enumerate_rumer"] == [(5, 4)]
+        assert calls["enumerate_valence_schemes"] == [(5, 4)] + [(4, k) for k in range(5)]
         assert len(calls["expand"]) == 0  # a clean cell never leaves the coded rows
         assert len(calls["_insert"]) == 0
-        assert sorted(rows) == [s.edges for s in rumer.diagrams.enumerate_valence_schemes(5, 4)]
-        for name in ("enumerate_rumer_by_multidegree", "enumerate_valence_schemes_by_multidegree"):
-            prescriptions = calls[name]
-            assert len(prescriptions) == len(set(prescriptions))
-            assert {len(d) for d in prescriptions} == {4}  # merged prescriptions only
+        schemes = list(rumer.diagrams.enumerate_valence_schemes(5, 4))
+        assert sorted(rows) == [s.edges for s in schemes]
+        assert calls["enumerate_valence_schemes_by_multidegree"] == []
+        merged = {
+            d[:-2] + (mu,)
+            for d in {s.multidegree() for s in schemes}
+            for mu in triangle_range(d[-2], d[-1])
+        }
+        prescriptions = calls["enumerate_rumer_by_multidegree"]
+        assert sorted(prescriptions) == sorted(merged)  # each merged prescription once
+
+    def test_lower_cell_losing_a_rumer_scheme_fails(self, capsys, monkeypatch):
+        """verify takes the brute-force Rumer lists of the merged prescriptions
+        from the cells one vertex down, so a scheme missing there is caught
+        by comparing the walk by multidegree with it."""
+        real = rumer.cli.enumerate_valence_schemes
+        dropped = rumer.diagrams.ValenceScheme(3, [(1, 2), (1, 2)])  # the first Rumer scheme
+
+        def lossy(n, m):
+            return [s for s in real(n, m) if s != dropped]
+
+        monkeypatch.setattr(rumer.cli, "enumerate_valence_schemes", lossy)
+        code, out, _ = run(capsys, "verify", "--n", "4..4", "--m", "2..2", "--format", "json")
+        assert code == 1
+        failures = json.loads(out)["cells"][0]["bijection_failures"]
+        assert {
+            "multidegree": [2, 2, 0],
+            "reason": "generator disagrees with the brute-force filter",
+            "missing": [],
+            "extra": ["n=3; (1,2)(1,2)"],
+        } in [example for report in failures for example in report["counterexamples"]]
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_stats_go_to_stderr_only(self, capsys, fmt):
@@ -429,6 +488,21 @@ class TestRender:
             assert code == 2, diagram
             assert out == ""
             assert err.startswith("error: bad diagram") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--diagram", "n=2;", "--size", "1" + "0" * 400],
+            ["--diagram", "n=1" + "0" * 4000 + ";"],
+            ["--diagram", '{"n": 1' + "0" * 4000 + ', "edges": [[1, 2]]}'],
+        ],
+    )
+    def test_huge_drawing_is_one_line_usage_error(self, capsys, argv):
+        # the coordinates are floats; a size or vertex count past their range
+        # ended in an OverflowError traceback
+        code, out, err = run(capsys, "render", *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: --size and the vertex count must fit a float\n"
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "diagram.svg"
@@ -583,8 +657,10 @@ BAD = {
     "--multidegree": ["1,-1", ",", "1,x"],
     "--diagram": [
         "n=3; (1,1)", "n=2; (1,3)", "n=0;", '{"n": 2.5, "edges": []}', '{"edges": 1}',
-        '{"n": 3, "edges": [[1]]}', "[]",
+        '{"n": 3, "edges": [[1]]}', "[]", "n=1" + "0" * 4000 + ";",
+        '{"n": 1' + "0" * 400 + ', "edges": [[1, 2]]}',
     ],
+    "--size": ["1" + "0" * 400, "9" * 4000],
 }
 JUNK = [str(k) for k in range(-2, 1)] + ["", "x", "-", "--", "--help", "--bogus", "7..", "1.5"]
 POLYNOMIALS = ["[1,3][2,4]", "2*[3,1]-[2,1]", "[1,2][1,2][3,5]", "-[2,1]", "[1,", "[6,6]", "0"]
