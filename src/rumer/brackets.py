@@ -24,6 +24,7 @@ from collections import Counter
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
+from .counting import _vertices
 from .diagrams import Edge, ValenceScheme, _edge, _first_crossing, edges_cross, is_rumer
 from .sparse import SparseCombination, combine
 
@@ -296,8 +297,7 @@ def parse(text: str, n: int) -> BracketPolynomial:
     Whitespace is insignificant.  Reversed index pairs normalize with a sign
     flip, so "[3,1]" parses to -[1,3].
     """
-    if n < 1:
-        raise ValueError(f"need at least one vertex, got n={n}")
+    n = _vertices(n)
     tokens = _tokenize(text)
     pos = 0
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from itertools import chain, product
 from time import perf_counter
@@ -21,6 +22,8 @@ from typing import Callable, Sequence
 from .bijection import _verify_psi_bijection
 from .brackets import ParseError, parse as parse_polynomial, straighten
 from .counting import (
+    _n_recurrence_steps,
+    _rho_sum_steps,
     binomial,
     n_recurrence,
     rho_closed,
@@ -112,57 +115,52 @@ def _scheme_space(n: int, m: int) -> int:
     return binomial(binomial(n, 2) + m - 1, m) if m else 1
 
 
-def _selection(args) -> tuple[dict, Callable[[], int], Callable[[], list]]:
+def _selection(args) -> tuple[dict, dict[str, Callable[[], int]], Callable[[], list]]:
     """The diagrams a count or enumerate call asks about, by --n/--m or by
-    --multidegree: the report label, the function that predicts their number
-    for the --max-schemes guard, and the function that lists them."""
+    --multidegree: the report label, the counting routes that apply, in
+    table order, and the function that lists the diagrams.  The first route
+    predicts their number for the --max-schemes guard, which the listing
+    checks first."""
     if args.multidegree is not None:
         if args.n is not None or args.m is not None:
             raise _UsageError("--multidegree excludes --n/--m")
         d = args.multidegree
-        # merged degrees 0..sum(d)/2, each with up to max(d)+1 successors, per fold
-        _check_recurrence((len(d) - 1) * (max(d) + 1) * (sum(d) // 2 + 1), args.max_schemes)
-        return (
-            {"multidegree": list(d)},
-            functools.partial(n_recurrence, d),
-            functools.partial(enumerate_rumer_by_multidegree, d),
-        )
-    if args.n is None or args.m is None:
-        raise _UsageError("need --n and --m, or --multidegree")
-    n, m = args.n, args.m
-    return (
-        {"n": n, "m": m},
-        functools.partial(rho_closed, n, m),
-        functools.partial(enumerate_rumer, n, m),
-    )
+        _check_recurrence(_n_recurrence_steps(d), args.max_schemes)
+        label = {"multidegree": list(d)}
+        routes = {"recurrence": functools.partial(n_recurrence, d)}
+        enumerate_ = functools.partial(enumerate_rumer_by_multidegree, d)
+    else:
+        if args.n is None or args.m is None:
+            raise _UsageError("need --n and --m, or --multidegree")
+        n, m = args.n, args.m
+
+        def recurrence() -> int:
+            _check_recurrence(_rho_sum_steps(n, m), args.max_schemes)
+            return rho_sum_over_compositions(n, m)
+
+        label = {"n": n, "m": m}
+        routes = {"formula": functools.partial(rho_closed, n, m)}
+        if n >= 3:
+            routes["product"] = functools.partial(rho_product, n, m)
+        routes["recurrence"] = recurrence
+        enumerate_ = functools.partial(enumerate_rumer, n, m)
+    predict = next(iter(routes.values()))
+
+    def listing() -> list:
+        _check_max_schemes(predict(), args.max_schemes)
+        return enumerate_()
+
+    return label, routes, listing
 
 
 def _cmd_count(args) -> int:
-    label, predict, listing = _selection(args)
-    method = args.method
-    counts: dict[str, int] = {}
-    if "multidegree" in label:
-        if method in ("formula", "product"):
-            raise _UsageError(f"method {method!r} applies to --n/--m, not --multidegree")
-        method = method or "recurrence"
-        if method in ("recurrence", "all"):
-            counts["recurrence"] = n_recurrence(args.multidegree)
-    else:
-        n, m = args.n, args.m
-        method = method or "formula"
-        if method == "product" and n < 3:
-            raise _UsageError("--method product requires n >= 3")
-        if method in ("formula", "all"):
-            counts["formula"] = rho_closed(n, m)
-        if method in ("product", "all") and n >= 3:
-            counts["product"] = rho_product(n, m)
-        if method in ("recurrence", "all"):
-            # (m+1)(2m+1) table entries, updated once per vertex after the first
-            _check_recurrence((n - 1) * (m + 1) * (2 * m + 1), args.max_schemes)
-            counts["recurrence"] = rho_sum_over_compositions(n, m)
-    if method in ("enumerate", "all"):
-        _check_max_schemes(predict(), args.max_schemes)
-        counts["enumerate"] = len(listing())
+    label, routes, listing = _selection(args)
+    method = args.method or next(iter(routes))
+    routes["enumerate"] = lambda: len(listing())
+    if method not in routes and method != "all":
+        raise _UsageError(f"method {method!r} applies to --n/--m, not --multidegree"
+                          if "multidegree" in label else "--method product requires n >= 3")
+    counts = {name: route() for name, route in routes.items() if method in (name, "all")}
 
     agree = len(set(counts.values())) == 1  # one method always agrees
     rows = list(counts.items())
@@ -183,8 +181,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    label, predict, listing = _selection(args)
-    _check_max_schemes(predict(), args.max_schemes)
+    label, _, listing = _selection(args)
     diagrams = listing()
     if args.format == "json":
         _emit_json(
@@ -315,17 +312,19 @@ def _cmd_verify(args) -> int:
 def _cmd_render(args) -> int:
     text = args.diagram.strip()
     try:
-        if text.startswith("{"):
-            scheme = ValenceScheme.from_json(text)
-        else:
-            scheme = ValenceScheme.from_text(text)
+        scheme = (ValenceScheme.from_json if text.startswith("{") else ValenceScheme.from_text)(text)
     except (ValueError, KeyError, TypeError) as exc:
         raise _UsageError(f"bad diagram: {exc}") from None
     try:
-        svg = render_svg(scheme, size=args.size)
+        float(args.size), float(scheme.n)
     except OverflowError:  # the drawing's coordinates are floats
         raise _UsageError("--size and the vertex count must fit a float") from None
-    _emit(svg, args.out)
+    p, q = math.pi.as_integer_ratio()  # one vertex per pixel of the circumference 2 pi 0.38 size
+    most = 76 * p * args.size // (100 * q)
+    if scheme.n > most:
+        raise _UsageError(f"{scheme.n} vertices would sit less than a pixel apart "
+                          f"(at most {most} at --size {args.size})")
+    _emit(render_svg(scheme, size=args.size), args.out)
     return OK
 
 

@@ -16,11 +16,17 @@ import operator
 from typing import Iterator, Sequence
 
 
-def _cell(n: int, m: int) -> tuple[int, int]:
-    """The cell of n vertices and m bonds, as ints; the one check of (n, m)."""
-    n, m = operator.index(n), operator.index(m)
+def _vertices(n: int) -> int:
+    """The vertex count as an int; the one check of n."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
+    return n
+
+
+def _cell(n: int, m: int) -> tuple[int, int]:
+    """The cell of n vertices and m bonds, as ints; the one check of (n, m)."""
+    n, m = _vertices(n), operator.index(m)
     if m < 0:
         raise ValueError(f"bond count must be nonnegative, got m={m}")
     return n, m
@@ -74,6 +80,22 @@ def n_recurrence(degrees: Sequence[int]) -> int:
                     folded[c] = folded.get(c, 0) + count
         ways = folded
     return ways.get(0, 0)
+
+
+def _n_recurrence_steps(degrees: Sequence[int]) -> int:
+    """An upper bound on the merged-degree moves of n_recurrence.  The live
+    merged degrees stay in [lo, hi], from the last degree on; folding in a
+    degree a moves each at most a + 1 times, into [max(0, lo - a, a - hi),
+    min(hi + a, left)], with left the degree still to be folded in."""
+    d = _degrees(degrees)
+    lo = hi = d[-1]
+    left = sum(d) - d[-1]
+    steps = 0
+    for a in reversed(d[:-1]):
+        left -= a
+        steps += max(0, hi - lo + 1) * (a + 1)
+        lo, hi = max(0, lo - a, a - hi), min(hi + a, left)
+    return steps
 
 
 def rho_closed(n: int, m: int) -> int:
@@ -170,3 +192,9 @@ def rho_sum_over_compositions(n: int, m: int) -> int:
             for mu in range(1, total - used + 1):
                 row[mu] += prev[mu - 1]
     return ways[total][0]
+
+
+def _rho_sum_steps(n: int, m: int) -> int:
+    """The (m+1)(2m+1) table entries of rho_sum_over_compositions, updated
+    once per vertex after the first."""
+    return (n - 1) * (m + 1) * (2 * m + 1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .counting import _cell, _degrees
+from .counting import _cell, _degrees, _vertices
 
 #: Per-vertex bond counts (m_1, ..., m_n).
 Multidegree = tuple[int, ...]
@@ -44,18 +44,6 @@ class Edge(tuple):
     def __getnewargs__(self) -> tuple[int, int]:
         return tuple(self)
 
-    def touches(self, v: int) -> bool:
-        return v == self[0] or v == self[1]
-
-    def other(self, v: int) -> int:
-        """The endpoint opposite to v."""
-        i, j = self
-        if v == i:
-            return j
-        if v == j:
-            return i
-        raise ValueError(f"vertex {v} is not an endpoint of {self}")
-
     def __str__(self) -> str:
         return f"({self[0]},{self[1]})"
 
@@ -66,15 +54,6 @@ class Edge(tuple):
 #: Edge from a pair (i, j) already known to have 1 <= i < j, built without
 #: Edge's checks; call as _edge((i, j)).
 _edge = partial(tuple.__new__, Edge)
-
-
-def _coerce_edges(edges: Iterable) -> tuple[Edge, ...]:
-    out = []
-    for e in edges:
-        if not isinstance(e, Edge):
-            e = Edge(*e)
-        out.append(e)
-    return tuple(sorted(out))
 
 
 @dataclass(frozen=True)
@@ -91,10 +70,8 @@ class ValenceScheme:
     edges: tuple[Edge, ...] = ()
 
     def __post_init__(self) -> None:
-        n = operator.index(self.n)
-        if n < 1:
-            raise ValueError(f"need at least one vertex, got n={n}")
-        edges = _coerce_edges(self.edges)
+        n = _vertices(self.n)
+        edges = tuple(sorted(e if isinstance(e, Edge) else Edge(*e) for e in self.edges))
         for e in edges:
             if e[1] > n:
                 raise ValueError(f"edge {e} does not fit on {n} vertices")
@@ -109,11 +86,6 @@ class ValenceScheme:
         object.__setattr__(scheme, "n", n)
         object.__setattr__(scheme, "edges", edges)
         return scheme
-
-    def degree(self, v: int) -> int:
-        if not 1 <= v <= self.n:
-            raise ValueError(f"vertex {v} out of range 1..{self.n}")
-        return sum(1 for e in self.edges for end in e if end == v)
 
     def multidegree(self) -> Multidegree:
         degs = [0] * self.n

@@ -11,6 +11,8 @@ import operator
 from itertools import chain
 from typing import Hashable, Iterable, Mapping, Union
 
+from .counting import _vertices
+
 
 def combine(items: Iterable[tuple[Hashable, int]]) -> dict:
     """Sum the coefficients of equal keys; a key whose sum is 0 is dropped.
@@ -46,10 +48,7 @@ class SparseCombination:
         n: int,
         terms: Union[Mapping[Hashable, int], Iterable[tuple[Hashable, int]]] = (),
     ):
-        n = operator.index(n)
-        if n < 1:
-            raise ValueError(f"need at least one vertex, got n={n}")
-        self.n = n
+        self.n = _vertices(n)
         items = terms.items() if isinstance(terms, Mapping) else terms
         self.terms = combine(
             (self._check_key(key), operator.index(coeff)) for key, coeff in items

@@ -111,8 +111,12 @@ class TestCount:
         [
             (["--n", "3", "--m", "3000", "--method", "recurrence"], 2 * 3001 * 6001),
             (["--n", "3", "--m", "30000", "--method", "recurrence"], 2 * 30001 * 60001),
-            (["--multidegree", "20000,20000,20000,20000"], 3 * 20001 * 40001),
-            (["--multidegree", "20000,20000,20000,20000", "--method", "all"], 3 * 20001 * 40001),
+            # the folds of 20000 into the live merged degrees 20000, 0..40000, 0..20000
+            (["--multidegree", "20000,20000,20000,20000"], 20001 * (1 + 40001 + 20001)),
+            (
+                ["--multidegree", "20000,20000,20000,20000", "--method", "all"],
+                20001 * (1 + 40001 + 20001),
+            ),
         ],
     )
     def test_recurrence_is_guarded(self, capsys, argv, steps):
@@ -124,7 +128,17 @@ class TestCount:
         # the diagram guard's count comes from the recurrence, which is guarded first
         code, out, err = run(capsys, "enumerate", "--multidegree", "20000,20000,20000,20000")
         assert (code, out) == (2, "")
-        assert err.endswith(" recurrence steps exceed the --max-schemes guard (10000000)\n")
+        assert err == "error: 1200120003 recurrence steps exceed the --max-schemes guard (10000000)\n"
+
+    def test_multidegree_guard_follows_the_live_degrees(self, capsys):
+        # one merged degree is live, so the fold takes 20,001 steps, not 400,040,001
+        assert run(capsys, "count", "--multidegree", "20000,20000") == (0, "1\n", "")
+
+    @pytest.mark.parametrize("method", ["formula", "product"])
+    def test_nm_methods_refuse_multidegree(self, capsys, method):
+        code, out, err = run(capsys, "count", "--multidegree", "1,1", "--method", method)
+        assert (code, out) == (2, "")
+        assert err == f"error: method '{method}' applies to --n/--m, not --multidegree\n"
 
     def test_recurrence_guard_is_never_below_its_default(self, capsys, monkeypatch):
         # (n - 1)(m + 1)(2m + 1) = 30 steps at (3, 2)
@@ -503,6 +517,21 @@ class TestRender:
         code, out, err = run(capsys, "render", *argv)
         assert (code, out) == (2, "")
         assert err == "error: --size and the vertex count must fit a float\n"
+
+    @pytest.mark.parametrize("n", [100000000, 860])
+    def test_vertices_under_a_pixel_apart_are_refused(self, capsys, n):
+        # the circle of the default --size 360 is 2 pi 0.38 360 = 859.5 pixels long
+        code, out, err = run(capsys, "render", "--diagram", f"n={n};")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {n} vertices would sit less than a pixel apart (at most 859 at --size 360)\n"
+        )
+
+    def test_vertices_a_pixel_apart_render(self, capsys):
+        code, out, err = run(capsys, "render", "--diagram", "n=859;")
+        assert (code, err) == (0, "")
+        assert out.count("<text") == 859
+        assert run(capsys, "render", "--diagram", "n=860;", "--size", "361")[0] == 0
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "diagram.svg"

@@ -9,9 +9,13 @@ from functools import lru_cache
 from itertools import islice, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rumer.bijection import psi_section, verify_psi_bijection
+from rumer.brackets import BracketPolynomial, parse
 from rumer.counting import (
+    _n_recurrence_steps,
     binomial,
     compositions,
     even_triangle,
@@ -23,11 +27,13 @@ from rumer.counting import (
 )
 from rumer.diagrams import (
     RumerDiagram,
+    ValenceScheme,
     enumerate_rumer,
     enumerate_rumer_by_multidegree,
     enumerate_valence_schemes,
     enumerate_valence_schemes_by_multidegree,
 )
+from rumer.oracle import XPolynomial
 
 
 class TestBinomial:
@@ -202,6 +208,22 @@ class TestFoldAgainstReference:
         assert rho_sum_over_compositions(1, 5) == 0
 
 
+def counted_fold_steps(d: tuple[int, ...]) -> int:
+    """The merged-degree moves of n_recurrence's fold on d, counted one by one."""
+    live, left, steps = {d[-1]}, sum(d) - d[-1], 0
+    for a in reversed(d[:-1]):
+        left -= a
+        steps += sum(len(triangle_range(a, mu)) for mu in live)
+        live = {c for mu in live for c in triangle_range(a, mu) if c <= left}
+    return steps
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 12), min_size=1, max_size=8))
+def test_step_estimate_never_undercounts_the_fold(d):
+    assert _n_recurrence_steps(d) >= counted_fold_steps(tuple(d))
+
+
 class TestDeepInputs:
     def test_catalan_at_two_thousand_vertices(self):
         assert n_recurrence((1,) * 2000) == math.comb(2000, 1000) // 1001
@@ -277,3 +299,24 @@ def test_bad_input_is_refused(fn, args, error):
     compositions): nothing is iterated here."""
     with pytest.raises(error):
         fn(*args)
+
+
+@pytest.mark.parametrize("n,error", [(0, ValueError), (2.5, TypeError)])
+@pytest.mark.parametrize(
+    "call",
+    [
+        ValenceScheme,
+        BracketPolynomial,
+        XPolynomial,
+        lambda n: parse("[1,2]", n),
+        lambda n: parse("[1,3]", n),  # n = 2.5 once passed the check and met [1,3] as out of range
+        lambda n: rho_closed(n, 1),
+    ],
+    ids=["ValenceScheme", "BracketPolynomial", "XPolynomial", "parse[1,2]", "parse[1,3]", "rho_closed"],
+)
+def test_one_vertex_count_check(call, n, error):
+    """Every entry point that takes a vertex count checks it the same way."""
+    with pytest.raises(error) as caught:
+        call(n)
+    if error is ValueError:
+        assert str(caught.value) == "need at least one vertex, got n=0"

@@ -79,13 +79,6 @@ class TestEdge:
         with pytest.raises(ValueError):
             Edge(0, 1)
 
-    def test_other_endpoint(self):
-        e = Edge(2, 5)
-        assert e.other(2) == 5
-        assert e.other(5) == 2
-        with pytest.raises(ValueError):
-            e.other(3)
-
     def test_text_forms_and_order(self):
         assert repr(Edge(3, 1)) == "Edge(i=1, j=3)"
         assert str(Edge(i=3, j=1)) == "(1,3)"
