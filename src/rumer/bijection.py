@@ -98,8 +98,7 @@ def psi_section(diagram: RumerDiagram, m_n: int, m_n1: int) -> RumerDiagram:
     edges.extend(_edge((v, nv)) for v in kept)
     edges.extend(_edge((v, new_vertex)) for v in moved)
     edges.extend([_edge((nv, new_vertex))] * r)
-    # the one check left is the crossing scan of the public result
-    return RumerDiagram(ValenceScheme._trusted(new_vertex, tuple(sorted(edges))))
+    return RumerDiagram(new_vertex, edges)
 
 
 def verify_psi_bijection(degrees) -> dict:
@@ -172,7 +171,8 @@ def _verify_psi_bijection(d, diagrams, schemes, merged_sets: dict, schemes_of) -
             reason = f"collides with {images[merged]}"
         else:
             images[merged] = scheme
-            back = psi_section(RumerDiagram._trusted(merged), m_n, m_n1).scheme  # is_rumer passed
+            # merged passed is_rumer above
+            back = psi_section(RumerDiagram._trusted(merged.n, merged.edges), m_n, m_n1)
             if back == scheme:
                 continue
             reason = f"section returned {back}"
@@ -187,7 +187,7 @@ def _verify_psi_bijection(d, diagrams, schemes, merged_sets: dict, schemes_of) -
             walked, lower = merged_sets[e] = enumerate_rumer_by_multidegree(e), schemes_of(e)
             generator += _disagreement(e, walked, [s for s in lower if is_rumer(s)])
         walked, lower = merged_sets[e]
-        expected.update(diagram.scheme for diagram in walked)
+        expected.update(walked)
         bound = binomial(mu, m_n1 - (m_n + m_n1 - mu) // 2)
         for scheme in lower:
             count = hits.get(scheme, 0)
@@ -215,12 +215,11 @@ def _verify_psi_bijection(d, diagrams, schemes, merged_sets: dict, schemes_of) -
 def _disagreement(e, walked, brute_force: list[ValenceScheme]) -> list[dict]:
     """The counterexample, if any, of a walk whose diagrams of prescription e
     differ from the brute-force Rumer list."""
-    generated = [diagram.scheme for diagram in walked]
-    if generated == brute_force:
+    if walked == brute_force:
         return []
     return [{
         "multidegree": list(e),
         "reason": "generator disagrees with the brute-force filter",
-        "missing": sorted(s.to_text() for s in set(brute_force) - set(generated)),
-        "extra": sorted(s.to_text() for s in set(generated) - set(brute_force)),
+        "missing": sorted(s.to_text() for s in set(brute_force) - set(walked)),
+        "extra": sorted(s.to_text() for s in set(walked) - set(brute_force)),
     }]

@@ -15,7 +15,7 @@ import functools
 import json
 import math
 import sys
-from itertools import chain, product
+from itertools import chain
 from time import perf_counter
 from typing import Callable, Sequence
 
@@ -120,11 +120,13 @@ def _selection(args) -> tuple[dict, dict[str, Callable[[], int]], Callable[[], l
     --multidegree: the report label, the counting routes that apply, in
     table order, and the function that lists the diagrams.  The first route
     predicts their number for the --max-schemes guard, which the listing
-    checks first."""
+    checks first, and then the walk: one step per vertex and per bond of
+    each diagram."""
     if args.multidegree is not None:
         if args.n is not None or args.m is not None:
             raise _UsageError("--multidegree excludes --n/--m")
         d = args.multidegree
+        n, m = len(d), sum(d) // 2
         _check_recurrence(_n_recurrence_steps(d), args.max_schemes)
         label = {"multidegree": list(d)}
         routes = {"recurrence": functools.partial(n_recurrence, d)}
@@ -147,7 +149,9 @@ def _selection(args) -> tuple[dict, dict[str, Callable[[], int]], Callable[[], l
     predict = next(iter(routes.values()))
 
     def listing() -> list:
-        _check_max_schemes(predict(), args.max_schemes)
+        diagrams = predict()
+        _check_max_schemes(diagrams, args.max_schemes)
+        _check_max_schemes(diagrams * (n + m), args.max_schemes, "walk steps (diagrams x (n + m))")
         return enumerate_()
 
     return label, routes, listing
@@ -185,11 +189,11 @@ def _cmd_enumerate(args) -> int:
     diagrams = listing()
     if args.format == "json":
         _emit_json(
-            {**label, "count": len(diagrams), "diagrams": [d.scheme.to_json_dict() for d in diagrams]},
+            {**label, "count": len(diagrams), "diagrams": [d.to_json_dict() for d in diagrams]},
             args.out,
         )
     else:
-        lines = [d.scheme.to_text() for d in diagrams]
+        lines = [d.to_text() for d in diagrams]
         lines.append(f"count: {len(diagrams)}")
         _emit("\n".join(lines), args.out)
     return OK
@@ -280,14 +284,25 @@ def _verify_cell(n: int, m: int, stats: dict) -> dict:
 
 def _cmd_verify(args) -> int:
     (n_lo, n_hi), (m_lo, m_hi) = args.n, args.m
-    grid = list(product(range(n_lo, n_hi + 1), range(m_lo, m_hi + 1)))
-    for n, m in grid:
-        _check_max_schemes(_scheme_space(n, m), args.max_schemes, f"schemes of (n={n}, m={m})")
+
+    def grid():
+        return ((n, m) for n in range(n_lo, n_hi + 1) for m in range(m_lo, m_hi + 1))
+
+    # the grid is checked in order before any cell runs.  A cell counts at
+    # least 1 scheme and at least the C(n, 2) edges it lists, so a grid of
+    # more cells than the guard is refused at once; then the running total
+    # of schemes and each cell's recurrence steps are held to the guard
+    _check_max_schemes((n_hi - n_lo + 1) * (m_hi - m_lo + 1), args.max_schemes, "cells")
+    total = 0
+    for n, m in grid():
+        _check_recurrence(_rho_sum_steps(n, m), args.max_schemes)
+        total += max(1, binomial(n, 2), _scheme_space(n, m))
+        _check_max_schemes(total, args.max_schemes, f"schemes up to (n={n}, m={m})")
     stats = {
         "seconds": dict.fromkeys(STAGES, 0.0),
         **dict.fromkeys(("blocks", "fallback_blocks", "schemes", "rumer_diagrams", "pivots"), 0),
     }
-    cells = [_verify_cell(n, m, stats) for n, m in grid]
+    cells = [_verify_cell(n, m, stats) for n, m in grid()]
     all_ok = all(cell["ok"] for cell in cells)
     if args.format == "json":
         _emit_json({"ok": all_ok, "cells": cells}, args.out)

@@ -171,6 +171,8 @@ def rho_sum_over_compositions(n: int, m: int) -> int:
     and the count is the number of ways to end at (2m, 0).
     """
     n, m = _cell(n, m)
+    if n == 1:  # one vertex carries no bond; return before the table
+        return int(m == 0)
     total = 2 * m
     # ways[used][mu]; a merged degree above total - used can no longer reach
     # 0, so each row stops there.  The last vertex takes any degree.

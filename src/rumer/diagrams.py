@@ -56,14 +56,15 @@ class Edge(tuple):
 _edge = partial(tuple.__new__, Edge)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValenceScheme:
     """Loop-free multigraph on vertices 1..n; the edge multiset is kept sorted.
 
     Read as a bracket monomial, the scheme is the product of the brackets
     [i,j] over its edges, so bracket polynomials are keyed by schemes.  Two
     schemes are equal iff they have the same n and the same sorted edge list,
-    so schemes are usable as dict keys and set members.
+    so schemes are usable as dict keys and set members; a Rumer diagram
+    equals the scheme with its edges.
     """
 
     n: int
@@ -122,46 +123,33 @@ class ValenceScheme:
     def from_json(cls, text: str) -> "ValenceScheme":
         return cls.from_json_dict(json.loads(text))
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ValenceScheme):
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
     def __str__(self) -> str:
         return self.to_text()
 
 
-@dataclass(frozen=True)
-class RumerDiagram:
-    """A valence scheme whose chords are pairwise non-crossing."""
+class RumerDiagram(ValenceScheme):
+    """A valence scheme whose chords are pairwise non-crossing.  Build one as
+    RumerDiagram(n, edges) or, from a scheme, as RumerDiagram(scheme)."""
 
-    scheme: ValenceScheme
+    def __init__(self, n: int | ValenceScheme, edges: Iterable = ()) -> None:
+        super().__init__(*(n.n, n.edges) if isinstance(n, ValenceScheme) else (n, edges))
 
     def __post_init__(self) -> None:
-        bad = first_crossing(self.scheme)
+        super().__post_init__()
+        bad = first_crossing(self)
         if bad is not None:
             raise ValueError(f"edges {bad[0]} and {bad[1]} cross; not a Rumer diagram")
 
-    @classmethod
-    def _trusted(cls, scheme: ValenceScheme) -> "RumerDiagram":
-        """A diagram of a scheme already known not to cross, such as one that
-        is_rumer has just scanned; nothing is checked."""
-        diagram = object.__new__(cls)
-        object.__setattr__(diagram, "scheme", scheme)
-        return diagram
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable) -> "RumerDiagram":
-        return cls(ValenceScheme(n, edges))
-
-    @property
-    def n(self) -> int:
-        return self.scheme.n
-
-    @property
-    def edges(self) -> tuple[Edge, ...]:
-        return self.scheme.edges
-
-    def multidegree(self) -> Multidegree:
-        return self.scheme.multidegree()
-
-    def __str__(self) -> str:
-        return self.scheme.to_text()
+    from_edges = classmethod(lambda cls, n, edges: cls(n, edges))
+    scheme = property(lambda self: self, doc="The diagram itself, which is its valence scheme.")
 
 
 def edges_cross(e1: Edge, e2: Edge) -> bool:
@@ -352,11 +340,8 @@ def _moves_by_degrees(d: Multidegree) -> _Moves:
 def _sorted_diagrams(n: int, edge_lists: Iterable[tuple[Edge, ...]]) -> list[RumerDiagram]:
     """The diagrams of the ballot walk's edge lists, canonically ordered.  The
     walk makes only non-crossing lists of Edges on n vertices, so each list
-    is sorted and wrapped without the constructors' checks."""
-    found = [
-        RumerDiagram._trusted(ValenceScheme._trusted(n, tuple(sorted(edges))))
-        for edges in edge_lists
-    ]
+    is sorted and built without the constructor's checks."""
+    found = [RumerDiagram._trusted(n, tuple(sorted(edges))) for edges in edge_lists]
     found.sort(key=lambda D: D.edges)
     return found
 

@@ -81,9 +81,6 @@ class XPolynomial(SparseCombination):
     def _multiply(self, other: "XPolynomial") -> dict[ExponentVector, int]:
         return _mul_terms(self.terms, other.terms)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def __repr__(self) -> str:
         return f"XPolynomial(n={self.n}, {len(self.terms)} terms)"
 
@@ -372,7 +369,7 @@ class _BasisCheck:
         self.rumer_count += len(diagrams)
         x1, x2 = _block_codes(d)
         # rows and the Rumer set are keyed by edges: a scheme hashes in Python
-        rumer_edges = [diagram.scheme.edges for diagram in diagrams]
+        rumer_edges = [diagram.edges for diagram in diagrams]
         edge_lists = list(dict.fromkeys(chain((s.edges for s in schemes), rumer_edges)))
         rows = dict(zip(edge_lists, _expansions(edge_lists, x1, x2)))
         leads = set()
@@ -382,7 +379,7 @@ class _BasisCheck:
             if lead is not None and row[lead] == 1:
                 leads.add(lead)
         unit_triangular = len(leads) == len(rumer_edges)
-        basis = {diagram.scheme.edges for diagram in diagrams if is_rumer(diagram.scheme)}
+        basis = {diagram.edges for diagram in diagrams if is_rumer(diagram)}
         now = perf_counter()
         seconds["expand"] += now - start
         start = now

@@ -6,9 +6,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Union
 
-from .diagrams import RumerDiagram, ValenceScheme
+from .diagrams import ValenceScheme
 
 
 def _fmt(value: float) -> str:
@@ -17,10 +16,9 @@ def _fmt(value: float) -> str:
     return "0.00" if text == "-0.00" else text
 
 
-def render_svg(diagram: Union[ValenceScheme, RumerDiagram], size: int = 360) -> str:
-    """Render a scheme as a standalone SVG document string."""
-    scheme = diagram.scheme if isinstance(diagram, RumerDiagram) else diagram
-    n = scheme.n
+def render_svg(diagram: ValenceScheme, size: int = 360) -> str:
+    """Render a scheme, such as a Rumer diagram, as a standalone SVG document string."""
+    n = diagram.n
     center = size / 2.0
     radius = size * 0.38
     label_radius = size * 0.46
@@ -37,7 +35,7 @@ def render_svg(diagram: Union[ValenceScheme, RumerDiagram], size: int = 360) -> 
         'fill="none" stroke="#cccccc" stroke-width="1"/>',
     ]
 
-    for edge, count in sorted(Counter(scheme.edges).items()):
+    for edge, count in sorted(Counter(diagram.edges).items()):
         x1, y1 = on_circle(edge.i, radius)
         x2, y2 = on_circle(edge.j, radius)
         chord = math.hypot(x2 - x1, y2 - y1) or 1.0

@@ -198,6 +198,34 @@ class TestEnumerate:
         assert doc["count"] == 6
         assert {"n": 4, "edges": [[1, 2]]} in doc["diagrams"]
 
+    @pytest.mark.parametrize(
+        "argv,steps",
+        [
+            # one empty diagram, but the ballot walk keeps one frame per vertex
+            (["--n", "100000000", "--m", "0"], 100000000),
+            (["--n", "2", "--m", "100000000"], 100000002),
+        ],
+    )
+    def test_walk_is_guarded(self, capsys, argv, steps):
+        code, out, err = run(capsys, "enumerate", *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {steps} walk steps (diagrams x (n + m)) exceed the --max-schemes "
+            "guard (10000000)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv,steps",
+        # 20 diagrams of 4 vertices and 2 bonds; 3 of 4 vertices and 4 bonds
+        [(["--n", "4", "--m", "2"], 120), (["--multidegree", "2,2,2,2"], 24)],
+    )
+    def test_walk_guard_edge(self, capsys, argv, steps):
+        assert run(capsys, "enumerate", *argv, "--max-schemes", str(steps))[0] == 0
+        assert run(capsys, "enumerate", *argv, "--max-schemes", str(steps - 1))[1:] == ("", (
+            f"error: {steps} walk steps (diagrams x (n + m)) exceed the --max-schemes "
+            f"guard ({steps - 1})\n"
+        ))
+
 
 def int_text_limit():
     """The interpreter's int/str digit limit, or None where it has none."""
@@ -300,6 +328,42 @@ class TestVerify:
         )
         assert code == 2
         assert "--max-schemes" in err
+
+    @pytest.mark.parametrize(
+        "grid,refusal",
+        [
+            # the recurrence of (2, 6000) takes 6001 * 12001 steps
+            (["2..2", "6000..6000"], "72018001 recurrence steps"),
+            # (n, 0) has one scheme, but listing it walks all C(n, 2) edges
+            (["100000..100000", "0..0"], "4999950000 schemes up to (n=100000, m=0)"),
+            (["2..3000", "0..0"], "10039316 schemes up to (n=392, m=0)"),
+            (["2..100000000", "0..0"], "99999999 cells"),
+            (["1..1", "0..100000000"], "100000001 cells"),
+        ],
+    )
+    def test_grid_is_guarded_before_any_cell_runs(self, capsys, grid, refusal):
+        code, out, err = run(capsys, "verify", "--n", grid[0], "--m", grid[1])
+        assert (code, out) == (2, "")
+        assert err == f"error: {refusal} exceed the --max-schemes guard (10000000)\n"
+
+    @pytest.mark.parametrize(
+        "argv,work,refusal",
+        [
+            # (n, 0) counts its C(n, 2) edges: 1 + 3 + 6 schemes
+            (["--n", "2..4", "--m", "0..0"], 10, "10 schemes up to (n=4, m=0)"),
+            # 2 * 3 * 5 recurrence steps; 6 schemes
+            (["--n", "3..3", "--m", "2..2"], 30, "30 recurrence steps"),
+            (["--n", "1..1", "--m", "0..4"], 5, "5 cells"),
+        ],
+    )
+    def test_grid_guard_edge(self, capsys, monkeypatch, argv, work, refusal):
+        # lowered by the default: the recurrence guard never falls below it
+        monkeypatch.setattr(rumer.cli, "DEFAULT_MAX_SCHEMES", work)
+        assert run(capsys, "verify", *argv)[0] == 0
+        monkeypatch.setattr(rumer.cli, "DEFAULT_MAX_SCHEMES", work - 1)
+        assert run(capsys, "verify", *argv)[1:] == (
+            "", f"error: {refusal} exceed the --max-schemes guard ({work - 1})\n"
+        )
 
     def test_enumerates_each_cell_once(self, capsys, monkeypatch):
         calls = []

@@ -172,6 +172,11 @@ class TestSumOverCompositions:
             for m in range(0, 5):
                 assert rho_sum_over_compositions(n, m) == rho_closed(n, m), (n, m)
 
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 10**6])
+    def test_one_vertex(self, m):
+        # one vertex carries no bond; m = 10**6 would need a 4 * 10**12 entry table
+        assert rho_sum_over_compositions(1, m) == (m == 0)
+
 
 @lru_cache(maxsize=None)
 def reference_count(d: tuple[int, ...]) -> int:

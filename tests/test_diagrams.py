@@ -180,6 +180,12 @@ class TestRumerPredicate:
             RumerDiagram.from_edges(4, [(1, 3), (2, 4)])
         assert RumerDiagram.from_edges(4, [(1, 4), (2, 3)]).n == 4
 
+    def test_constructor_keeps_the_scheme_checks(self):
+        with pytest.raises(ValueError, match="does not fit"):
+            RumerDiagram(3, [(1, 4)])
+        with pytest.raises(ValueError, match="loop"):
+            RumerDiagram(3, [(2, 2)])
+
     def test_first_crossing_reports_pair(self):
         pair = first_crossing(ValenceScheme(5, [(1, 2), (2, 4), (3, 5)]))
         assert pair == (Edge(2, 4), Edge(3, 5))
@@ -193,6 +199,49 @@ class TestRumerPredicate:
                     pairs = [(e1, e2) for e1 in distinct for e2 in distinct if e1 < e2]
                     crossing = [pair for pair in pairs if oracle_cross(*pair)]
                     assert first_crossing(scheme) == min(crossing, default=None), scheme
+
+
+class TestOneType:
+    """A Rumer diagram is a valence scheme whose chords do not cross."""
+
+    SCHEME = ValenceScheme(4, [(1, 4), (2, 3), (2, 3)])
+
+    def test_equals_and_hashes_as_its_scheme(self):
+        s = self.SCHEME
+        d = RumerDiagram(s)
+        assert isinstance(d, ValenceScheme) and d.scheme is d
+        assert d == s and s == d and hash(d) == hash(s)
+        assert {s: "scheme"}[d] == "scheme" and {d, s} == {s}
+        assert d != ValenceScheme(5, s.edges) and d != s.edges
+
+    def test_every_constructor_builds_the_same_diagram(self):
+        s = self.SCHEME
+        built = [
+            RumerDiagram(4, [(2, 3), (1, 4), (3, 2)]),
+            RumerDiagram(s),
+            RumerDiagram.from_edges(4, s.edges),
+            RumerDiagram.from_text(s.to_text()),
+            RumerDiagram.from_json('{"n": 4, "edges": [[2, 3], [1, 4], [2, 3]]}'),
+            copy.deepcopy(RumerDiagram(s)),
+            pickle.loads(pickle.dumps(RumerDiagram(s))),
+        ]
+        for d in built:
+            assert type(d) is RumerDiagram and (d.n, d.edges) == (s.n, s.edges), d
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: RumerDiagram(4, [(1, 3), (2, 4)]),
+            lambda: RumerDiagram(ValenceScheme(4, [(1, 3), (2, 4)])),
+            lambda: RumerDiagram.from_edges(4, [(1, 3), (2, 4)]),
+            lambda: RumerDiagram.from_text("n=4; (1,3)(2,4)"),
+            lambda: RumerDiagram.from_json('{"n": 4, "edges": [[1, 3], [2, 4]]}'),
+        ],
+        ids=["n-edges", "scheme", "from_edges", "from_text", "from_json"],
+    )
+    def test_every_constructor_refuses_a_crossing(self, build):
+        with pytest.raises(ValueError, match="edges \\(1,3\\) and \\(2,4\\) cross"):
+            build()
 
 
 class TestMultidegree:
