@@ -238,7 +238,7 @@ def _verify_cell(n: int, m: int, stats: dict) -> dict:
     blocks = _multidegree_blocks(rumer, schemes)
     # the merged prescriptions are the blocks of the cells (n-1, k), k <= m
     lower = _multidegree_blocks((), chain.from_iterable(
-        enumerate_valence_schemes(n - 1, k) for k in range(m + 1) if n >= 2
+        enumerate_valence_schemes(n - 1, k) for k in range(m + 1 if n >= 2 else 0)
     ))
     seconds["enumerate"] += perf_counter() - start
     check = _BasisCheck(n, m)
