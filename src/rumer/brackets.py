@@ -15,14 +15,18 @@ straightening ends whichever crossing pair is rewritten; `straighten` takes
 monomials in descending crossing count and rewrites each at its first
 crossing pair until every monomial is a Rumer diagram.  Each rewrite touches
 only four vertices and preserves every vertex degree, so straightening is
-multidegree-preserving term by term.
+multidegree-preserving term by term.  So the schemes of one multidegree block
+straighten together: `_normal_forms` takes them in ascending crossing count
+and writes each crossing scheme's normal form as the sum of its two
+children's, rewriting each scheme once.
 """
 from __future__ import annotations
 
 from bisect import insort
 from collections import Counter
-from itertools import combinations
-from typing import Iterable, NamedTuple
+from itertools import chain, combinations
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 from .counting import _vertices
 from .diagrams import Edge, ValenceScheme, _edge, _first_crossing, edges_cross, is_rumer
@@ -207,6 +211,13 @@ def _rewrite(edges: Edges, k: int, e: Edge, f: Edge) -> list[tuple[Edges, int]]:
     return children
 
 
+def _descent_error(edges: Edges, e: Edge, f: Edge, j: int, k: int) -> RuntimeError:
+    return RuntimeError(
+        f"internal error: exchanging {e} and {f} in {_monomial_text(edges)} "
+        f"leaves {j} crossings, not fewer than {k}"
+    )
+
+
 def straighten(poly: BracketPolynomial) -> BracketPolynomial:
     """Rewrite a bracket polynomial into the non-crossing (Rumer) basis.
 
@@ -247,10 +258,7 @@ def straighten(poly: BracketPolynomial) -> BracketPolynomial:
             e, f = _first_crossing(edges)
             for child, j in _rewrite(edges, k, e, f):
                 if j >= k:
-                    raise RuntimeError(
-                        f"internal error: exchanging {e} and {f} in {_monomial_text(edges)} "
-                        f"leaves {j} crossings, not fewer than {k}"
-                    )
+                    raise _descent_error(edges, e, f, j, k)
                 level = levels[j]
                 new = level.get(child, 0) + coeff
                 if new:
@@ -264,6 +272,52 @@ def straighten(poly: BracketPolynomial) -> BracketPolynomial:
                 f"internal error: straightened term {_monomial_text(mono.edges)} still crosses"
             )
     return BracketPolynomial._of(n, out)
+
+
+def _normal_forms(
+    schemes: Sequence[ValenceScheme],
+) -> tuple[list[dict[Edges, int] | Exception], int]:
+    """The straightened form of every scheme of one multidegree block, in
+    input order, as a map from sorted edge tuples to coefficients, and the
+    number of rewrites made.
+
+    An exchange keeps every vertex degree and lowers the crossing count, so
+    both children of a block's scheme are schemes of the block with fewer
+    crossings.  A scheme that the `_first_crossing` scan passes is its own
+    normal form; every entry is a sum of such schemes, so that scan is the
+    non-crossing output guard.  The others are taken in ascending crossing
+    count and each is rewritten once, as in `straighten`: its normal form is
+    the sum of its two children's entries, already in the table.  A child
+    count that does not fall, and a child that is not a scheme of the block,
+    is an error of that scheme, and so of every scheme whose normal form
+    would need its entry; it is returned in place of the form, never raised.
+    """
+    table: dict[Edges, dict[Edges, int] | Exception] = {}
+    crossing = []
+    for scheme in schemes:
+        edges = scheme.edges
+        pair = _first_crossing(edges)
+        if pair is None:
+            table[edges] = {edges: 1}
+        else:
+            crossing.append((_crossings(scheme), edges, pair))
+    crossing.sort(key=itemgetter(0))
+    for k, edges, (e, f) in crossing:
+        forms = []
+        for child, j in _rewrite(edges, k, e, f):
+            form = table.get(child) if j < k else _descent_error(edges, e, f, j, k)
+            if form is None:
+                form = RuntimeError(
+                    f"exchanging {e} and {f} in {_monomial_text(edges)} gives "
+                    f"{_monomial_text(child)}, which is not a scheme of the block"
+                )
+            if isinstance(form, Exception):  # this scheme's failure, not the block's
+                table[edges] = form
+                break
+            forms.append(form)
+        else:
+            table[edges] = combine(chain.from_iterable(form.items() for form in forms))
+    return [table[scheme.edges] for scheme in schemes], len(crossing)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

@@ -228,7 +228,7 @@ STAGES = ("enumerate", "expand", "divide", "straighten", "fallback", "psi")
 def _verify_cell(n: int, m: int, stats: dict) -> dict:
     """One cell's report.  Its work is added to stats: seconds per stage, and
     counts of blocks, blocks that fell back to elimination, valence schemes,
-    Rumer diagrams and pivots."""
+    Rumer diagrams, pivots and straightening rewrites."""
     seconds = stats["seconds"]
     start = perf_counter()
     rumer = enumerate_rumer(n, m)
@@ -262,6 +262,7 @@ def _verify_cell(n: int, m: int, stats: dict) -> dict:
     stats["schemes"] += len(schemes)
     stats["rumer_diagrams"] += len(rumer)
     stats["pivots"] += basis["full_rank"]
+    stats["rewrites"] += check.rewrites
     counts = {
         "formula": rho_closed(n, m),
         "recurrence": rho_sum_over_compositions(n, m),
@@ -300,7 +301,9 @@ def _cmd_verify(args) -> int:
         _check_max_schemes(total, args.max_schemes, f"schemes up to (n={n}, m={m})")
     stats = {
         "seconds": dict.fromkeys(STAGES, 0.0),
-        **dict.fromkeys(("blocks", "fallback_blocks", "schemes", "rumer_diagrams", "pivots"), 0),
+        **dict.fromkeys(
+            ("blocks", "fallback_blocks", "schemes", "rumer_diagrams", "pivots", "rewrites"), 0
+        ),
     }
     cells = [_verify_cell(n, m, stats) for n, m in grid()]
     all_ok = all(cell["ok"] for cell in cells)

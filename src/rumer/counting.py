@@ -113,18 +113,23 @@ def rho_closed(n: int, m: int) -> int:
 
 
 def rho_product(n: int, m: int) -> int:
-    """Product form of the diagram count, defined for n >= 3.
+    """Product form of the diagram count, defined for n >= 3:
 
-    The numerator is assembled first and divided once at the end; the
-    division is asserted exact so a transcription bug cannot hide.
+        (m+1)(m+n-1) prod_{i=2}^{n-2} (m+i)^2 / ((n-1)! (n-2)!).
+
+    The product is divided as it goes: after step i, a is
+    (m+2)...(m+i) / (i-1)! = C(m+i, i-1), so each step's division is exact,
+    and the count is (m+1)(m+n-1) a^2 / ((n-1)(n-2)^2).  That last division
+    is asserted exact so a transcription bug cannot hide.
     """
     n, m = _cell(n, m)
     if n < 3:
         raise ValueError(f"product formula requires n >= 3, got n={n}")
-    numerator = (m + 1) * (m + n - 1)
+    a = 1
     for i in range(2, n - 1):
-        numerator *= (m + i) ** 2
-    denominator = math.factorial(n - 1) * math.factorial(n - 2)
+        a = a * (m + i) // (i - 1)
+    numerator = (m + 1) * (m + n - 1) * a * a
+    denominator = (n - 1) * (n - 2) ** 2
     quotient, remainder = divmod(numerator, denominator)
     if remainder:
         raise ArithmeticError(

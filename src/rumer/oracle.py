@@ -18,7 +18,7 @@ from operator import add, itemgetter
 from time import perf_counter
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .brackets import BracketPolynomial, straighten
+from .brackets import BracketPolynomial, _normal_forms
 from .counting import rho_closed
 from .diagrams import (
     Multidegree,
@@ -319,10 +319,6 @@ def _block_codes(d: Multidegree) -> tuple[list[int], list[int]]:
     return [0] + [1 << width * (n - v) for v in range(1, n + 1)], [0] * (n + 1)
 
 
-def _monomial(scheme: ValenceScheme) -> BracketPolynomial:
-    return BracketPolynomial._of(scheme.n, {scheme: 1})  # the scheme is checked already
-
-
 class _BasisCheck:
     """verify_basis of one cell, fed one multidegree block at a time.
 
@@ -336,16 +332,19 @@ class _BasisCheck:
     the leads read off the computed rows are distinct, each with
     coefficient 1, the Rumer rank is the diagram count.
 
-    Each scheme's straightened output is multiplied back over the rows: the
-    sum of coefficient times row over its terms must equal the scheme's row,
-    the division's certificate with the quotient given.  Terms of another
-    multidegree share no monomial with the block, so together they must
-    expand to zero in the full coordinates.  Any difference is an expansion
-    mismatch; a crossing term, or one of another multidegree, is named.  If
-    every output passes using only the block's Rumer schemes, those rows
-    span the block and the full rank is the Rumer rank.  A rank not
-    certified this way comes from fraction-free elimination of the same
-    rows, Rumer rows first.
+    The block's schemes are straightened together, through one table of
+    normal forms (brackets._normal_forms), and each scheme's output is
+    multiplied back over the rows on its own: the sum of coefficient times
+    row over its terms must equal the scheme's row, the division's
+    certificate with the quotient given.  An output that is the scheme
+    itself, times 1, of a scheme among the block's Rumer diagrams passes as
+    it is, with no copy of its row.  Terms of another multidegree share no
+    monomial with the block, so together they must expand to zero in the
+    full coordinates.  Any difference is an expansion mismatch; a crossing
+    term, or one of another multidegree, is named.  If every output passes
+    using only the block's Rumer schemes, those rows span the block and the
+    full rank is the Rumer rank.  A rank not certified this way comes from
+    fraction-free elimination of the same rows, Rumer rows first.
 
     Blocks have disjoint monomials, so the cell's ranks are the sums of its
     blocks' ranks.  Failures are reported in canonical scheme order, each
@@ -356,7 +355,7 @@ class _BasisCheck:
         self.n, self.m = n, m
         self.rumer_count = self.rumer_rank = self.full_rank = 0
         self.failures: list[tuple[tuple, dict]] = []  # (scheme edges, failure)
-        self.blocks = self.fallback_blocks = 0
+        self.blocks = self.fallback_blocks = self.rewrites = 0
         #: seconds spent in each stage, over all blocks so far
         self.seconds = dict.fromkeys(("expand", "divide", "straighten", "fallback"), 0.0)
 
@@ -383,12 +382,8 @@ class _BasisCheck:
         now = perf_counter()
         seconds["expand"] += now - start
         start = now
-        outputs = []
-        for scheme in schemes:
-            try:
-                outputs.append(straighten(_monomial(scheme)).terms)
-            except Exception as exc:  # reported below, never crashes the sweep
-                outputs.append(exc)
+        outputs, rewrites = _normal_forms(schemes)
+        self.rewrites += rewrites
         now = perf_counter()
         seconds["straighten"] += now - start
         start = now
@@ -398,12 +393,14 @@ class _BasisCheck:
                 spanned = False
                 self._fail(scheme, f"straighten raised: {terms}")
                 continue
+            if scheme.edges in basis and terms == {scheme.edges: 1}:
+                continue  # the scheme's own row times 1
             products, foreign, reasons = [], {}, []
-            for mono, coeff in terms.items():
-                edges = mono.edges
+            for edges, coeff in terms.items():
                 if edges not in basis:
                     spanned = False
                     term = BracketPolynomial.monomial(self.n, edges)
+                    (mono,) = term.terms
                     degrees = mono.multidegree()
                     if not is_rumer(mono):
                         reasons.append(f"crossing term {term}")

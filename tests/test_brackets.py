@@ -14,6 +14,7 @@ from rumer.brackets import (
     BracketPolynomial,
     _crossings,
     _exchange,
+    _normal_forms,
     _rewrite,
     LoopBracketError,
     PolynomialSyntaxError,
@@ -23,7 +24,13 @@ from rumer.brackets import (
     plucker_expand,
     straighten,
 )
-from rumer.diagrams import Edge, ValenceScheme, enumerate_valence_schemes, is_rumer
+from rumer.diagrams import (
+    Edge,
+    ValenceScheme,
+    enumerate_valence_schemes,
+    first_crossing,
+    is_rumer,
+)
 from rumer.oracle import expand
 
 
@@ -211,6 +218,73 @@ class TestStraightenGuards:
         monkeypatch.setattr(rumer.brackets, "is_rumer", lambda scheme: False)
         with pytest.raises(RuntimeError, match="internal error: .* still crosses"):
             straighten(poly("[1,3][2,4]", 4))
+
+
+def blocks(n, m):
+    """The valence schemes of the cell (n, m) grouped by multidegree."""
+    grouped = {}
+    for scheme in enumerate_valence_schemes(n, m):
+        grouped.setdefault(scheme.multidegree(), []).append(scheme)
+    return grouped
+
+
+def straightened(scheme):
+    """straighten's output on one scheme, keyed by edges like _normal_forms'."""
+    flat = straighten(BracketPolynomial.monomial(scheme.n, scheme.edges))
+    return {mono.edges: coeff for mono, coeff in flat.terms.items()}
+
+
+class TestNormalForms:
+    """The block straightener that verify runs, against straighten one
+    scheme at a time."""
+
+    @pytest.mark.parametrize(
+        "n,m", [(n, m) for n in range(1, 7) for m in range(5)] + [(7, 4)]
+    )
+    def test_equals_straighten_on_every_block(self, n, m):
+        for schemes in blocks(n, m).values():
+            forms, rewrites = _normal_forms(schemes)
+            assert rewrites == len([s for s in schemes if not is_rumer(s)])
+            for scheme, form in zip(schemes, forms):
+                assert form == straightened(scheme), scheme
+
+    def test_block_missing_a_child_fails_its_parents_only(self):
+        """Without one exchange child, the schemes whose rewrites reach it
+        carry an error in place of a form, and the call does not raise."""
+        removed = ((1, 2), (3, 4), (5, 6))
+        schemes = [s for s in blocks(6, 3)[(1,) * 6] if s.edges != removed]
+
+        def reaches(edges):
+            pair = first_crossing(ValenceScheme(6, edges))
+            if pair is None:
+                return False
+            rest = list(edges)
+            rest.remove(pair[0])
+            rest.remove(pair[1])
+            children = [tuple(sorted(rest + list(g))) for g in _exchange(*pair)]
+            return removed in children or any(reaches(child) for child in children)
+
+        forms, rewrites = _normal_forms(schemes)
+        assert rewrites == 10  # 15 perfect matchings, 5 of them Rumer diagrams
+        failed = {s.edges for s, form in zip(schemes, forms) if isinstance(form, Exception)}
+        assert failed == {s.edges for s in schemes if reaches(s.edges)}
+        assert ((1, 3), (2, 4), (5, 6)) in failed and len(failed) < 10
+        for scheme, form in zip(schemes, forms):
+            if scheme.edges in failed:
+                assert "[1,2][3,4][5,6], which is not a scheme of the block" in str(form)
+            else:
+                assert form == straightened(scheme), scheme
+
+    def test_exchange_that_keeps_the_crossing_fails_the_descent(self, monkeypatch):
+        monkeypatch.setattr(rumer.brackets, "_exchange", lambda e, f: ((e, f),))
+        schemes = blocks(4, 2)[(1, 1, 1, 1)]
+        forms, _ = _normal_forms(schemes)
+        for scheme, form in zip(schemes, forms):
+            if is_rumer(scheme):
+                assert form == {scheme.edges: 1}
+            else:
+                assert isinstance(form, RuntimeError)
+                assert str(form).startswith("internal error: exchanging (1,3) and (2,4)")
 
 
 class TestParse:

@@ -474,6 +474,8 @@ class TestVerify:
         diagrams = sum(rho_closed(n, m) for n, m in cells)
         assert stats["rumer_diagrams"] == stats["pivots"] == diagrams
         assert stats["fallback_blocks"] == 0 < stats["blocks"]
+        # one table rewrite per scheme that is not a Rumer diagram
+        assert stats["rewrites"] == stats["schemes"] - diagrams
 
     def test_clean_cells_take_the_division(self, capsys):
         """No block of a clean cell with n <= 6, m <= 4 needs elimination."""
@@ -483,17 +485,17 @@ class TestVerify:
         assert stats["fallback_blocks"] == 0
         assert stats["seconds"]["fallback"] == 0
 
-    def test_broken_straightener_takes_the_exact_route(self, capsys, monkeypatch):
+    def test_broken_straightener_takes_the_exact_route(self, capsys, straighten_each):
         """A straightener that returns [1,3][2,4] with a crossing term added
         breaks one block of (4, 2), and only that block falls back."""
-        real = rumer.oracle.straighten
+        real = rumer.brackets.straighten
         crossing = rumer.brackets.parse("[1,3][2,4]", 4)
 
         def broken(poly):
             flat = real(poly)
             return flat + crossing if poly == crossing else flat
 
-        monkeypatch.setattr(rumer.oracle, "straighten", broken)
+        straighten_each(broken)
         code, _, err = run(capsys, "verify", "--n", "4..4", "--m", "2..2", "--stats")
         assert code == 1
         assert json.loads(err)["fallback_blocks"] == 1

@@ -148,6 +148,11 @@ class TestProductFormula:
             for m in range(0, 21):
                 assert rho_product(n, m) == rho_closed(n, m), (n, m)
 
+    def test_many_vertices(self):
+        """The product is divided as it goes, so a large n with a small
+        count takes milliseconds, not a ((n-2)!)^2 numerator."""
+        assert rho_product(100000, 1) == rho_closed(100000, 1) == 4999950000
+
 
 class TestCompositions:
     def test_lexicographic_listing(self):

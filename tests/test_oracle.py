@@ -441,17 +441,13 @@ class TestVerifyBasis:
         assert report["straighten_failures"] == []
         assert not basis_ok(report)
 
-    def test_crossing_scheme_listed_as_a_diagram(self, monkeypatch):
+    def test_crossing_scheme_listed_as_a_diagram(self, straighten_each):
         """The Rumer list is not trusted to be non-crossing: a crossing scheme
         listed as a diagram and left as it is by the straightener is still
         reported as a crossing term, and its shared lead fails the count."""
         crossing = ValenceScheme(4, ((1, 3), (2, 4)))
         real = rumer.brackets.straighten
-        monkeypatch.setattr(
-            rumer.oracle,
-            "straighten",
-            lambda poly: poly if poly == parse("[1,3][2,4]", 4) else real(poly),
-        )
+        straighten_each(lambda poly: poly if poly == parse("[1,3][2,4]", 4) else real(poly))
         diagrams = enumerate_rumer(4, 2) + [RumerDiagram._trusted(4, crossing.edges)]
         report = rumer.oracle._verify_basis(4, 2, diagrams, enumerate_valence_schemes(4, 2))
         assert (report["rumer_count"], report["rumer_rank"], report["full_rank"]) == (21, 20, 20)
@@ -459,7 +455,7 @@ class TestVerifyBasis:
             {"scheme": "n=4; (1,3)(2,4)", "reason": "crossing term [1,3][2,4]"}
         ]
 
-    def test_corrupted_expansion_term(self, monkeypatch):
+    def test_corrupted_expansion_term(self, monkeypatch, straighten_each):
         """One wrong coefficient in one scheme's expansion: its row leaves the
         span of the Rumer rows, and its straightened output no longer matches.
         The one expansion routine is patched, so the block's coded rows and
@@ -489,12 +485,27 @@ class TestVerifyBasis:
                 raise RuntimeError("no basis today")
             return rumer.brackets.straighten(poly)
 
-        monkeypatch.setattr(rumer.oracle, "straighten", straighten)
+        straighten_each(straighten)
         report = verify_basis(4, 2)
         assert (report["rumer_rank"], report["full_rank"], report["rho"]) == (20, 21, 20)
         assert report["straighten_failures"] == [
             {"scheme": "n=4; (1,3)(2,4)", "reason": "straighten raised: no basis today"}
         ]
+
+    def test_scheme_list_missing_an_exchange_child(self):
+        """A block whose scheme list lacks an exchange child fails the
+        crossing scheme that needs it, and the sweep goes on."""
+        missing = ValenceScheme(4, ((1, 2), (3, 4)))
+        schemes = [s for s in enumerate_valence_schemes(4, 2) if s != missing]
+        report = rumer.oracle._verify_basis(4, 2, enumerate_rumer(4, 2), schemes)
+        assert report["straighten_failures"] == [
+            {
+                "scheme": "n=4; (1,3)(2,4)",
+                "reason": "straighten raised: exchanging (1,3) and (2,4) in [1,3][2,4] "
+                "gives [1,2][3,4], which is not a scheme of the block",
+            }
+        ]
+        assert (report["rumer_rank"], report["full_rank"]) == (20, 20)
 
     @pytest.mark.parametrize(
         "target,full_rank,failures",
@@ -604,39 +615,39 @@ class TestBrokenStraightenerIsCaught:
 
     N, M = 4, 2
 
-    def broken(self, monkeypatch, mutate):
+    def broken(self, straighten_each, mutate):
         real = rumer.brackets.straighten
-        monkeypatch.setattr(rumer.oracle, "straighten", lambda poly: mutate(real(poly)))
+        straighten_each(lambda poly: mutate(real(poly)))
         report = verify_basis(self.N, self.M)
         assert not basis_ok(report)
         return report["straighten_failures"]
 
-    def test_flipped_coefficient(self, monkeypatch):
+    def test_flipped_coefficient(self, straighten_each):
         def flip(flat):
             terms = dict(flat.terms)
             first = min(terms, key=lambda mono: mono.edges)
             terms[first] = -terms[first]
             return BracketPolynomial(flat.n, terms)
 
-        failures = self.broken(monkeypatch, flip)
+        failures = self.broken(straighten_each, flip)
         assert len(failures) == 21  # every scheme of (4, 2)
         assert {f["reason"] for f in failures} == {"expansion mismatch"}
         assert failures[0] == {"scheme": "n=4; (1,2)(1,2)", "reason": "expansion mismatch"}
 
-    def test_dropped_term(self, monkeypatch):
+    def test_dropped_term(self, straighten_each):
         def drop(flat):
             terms = dict(flat.terms)
             if len(terms) > 1:
                 del terms[min(terms, key=lambda mono: mono.edges)]
             return BracketPolynomial(flat.n, terms)
 
-        failures = self.broken(monkeypatch, drop)
+        failures = self.broken(straighten_each, drop)
         # only the crossing scheme straightens to more than one term
         assert failures == [{"scheme": "n=4; (1,3)(2,4)", "reason": "expansion mismatch"}]
 
-    def test_added_crossing_term(self, monkeypatch):
+    def test_added_crossing_term(self, straighten_each):
         crossing = parse("[1,3][2,4]", self.N)
-        failures = self.broken(monkeypatch, lambda flat: flat + crossing)
+        failures = self.broken(straighten_each, lambda flat: flat + crossing)
         # outside its own block the crossing term is of another multidegree,
         # which the full coordinates expand, so the sum no longer matches
         assert failures[:2] == [
@@ -645,9 +656,9 @@ class TestBrokenStraightenerIsCaught:
         ]
         assert {"scheme": "n=4; (1,3)(2,4)", "reason": "expansion mismatch"} in failures
 
-    def test_added_term_of_another_multidegree(self, monkeypatch):
+    def test_added_term_of_another_multidegree(self, straighten_each):
         other = parse("[3,4][3,4]", self.N)  # a Rumer diagram of the cell
-        failures = self.broken(monkeypatch, lambda flat: flat + other)
+        failures = self.broken(straighten_each, lambda flat: flat + other)
         assert failures[:2] == [
             {"scheme": "n=4; (1,2)(1,2)", "reason": "expansion mismatch"},
             {"scheme": "n=4; (1,2)(1,2)", "reason": "multidegree changed in [3,4][3,4]"},
@@ -657,7 +668,7 @@ class TestBrokenStraightenerIsCaught:
         # a second case: terms of one other multidegree that cancel in the
         # expansion are each named, with no mismatch outside their own block
         zero = parse("[1,3][2,4] - [1,2][3,4] - [1,4][2,3]", self.N)
-        failures = self.broken(monkeypatch, lambda flat: flat + zero)
+        failures = self.broken(straighten_each, lambda flat: flat + zero)
         named = [
             "crossing term [1,3][2,4]",
             "multidegree changed in [1,2][3,4]",
@@ -669,9 +680,9 @@ class TestBrokenStraightenerIsCaught:
         assert len(failures) == 18 * 3 + 3  # 18 schemes outside the block, 3 in it
         assert {f["reason"] for f in failures} == set(named)
 
-    def test_added_term_of_another_bond_count(self, monkeypatch):
+    def test_added_term_of_another_bond_count(self, straighten_each):
         other = parse("[1,2]", self.N)  # not in the cell: expanded directly
-        failures = self.broken(monkeypatch, lambda flat: flat + other)
+        failures = self.broken(straighten_each, lambda flat: flat + other)
         assert failures[:2] == [
             {"scheme": "n=4; (1,2)(1,2)", "reason": "expansion mismatch"},
             {"scheme": "n=4; (1,2)(1,2)", "reason": "multidegree changed in [1,2]"},
@@ -680,16 +691,16 @@ class TestBrokenStraightenerIsCaught:
         # a second case: more bonds than the cell, so more than any digit of
         # a block's codes holds; it is still expanded, in the full coordinates
         other = BracketPolynomial.monomial(self.N, [(1, 2)] * 5)
-        failures = self.broken(monkeypatch, lambda flat: flat + other)
+        failures = self.broken(straighten_each, lambda flat: flat + other)
         reasons = ["expansion mismatch", "multidegree changed in [1,2][1,2][1,2][1,2][1,2]"]
         assert failures[:2] == [{"scheme": "n=4; (1,2)(1,2)", "reason": r} for r in reasons]
         assert len(failures) == 2 * 21  # both reasons for every scheme of (4, 2)
         assert {f["reason"] for f in failures} == set(reasons)
 
-    def test_raising_straightener(self, monkeypatch):
+    def test_raising_straightener(self, straighten_each):
         def fail(flat):
             raise RuntimeError("no basis today")
 
-        failures = self.broken(monkeypatch, fail)
+        failures = self.broken(straighten_each, fail)
         assert len(failures) == 21
         assert failures[0] == {"scheme": "n=4; (1,2)(1,2)", "reason": "straighten raised: no basis today"}
