@@ -8,23 +8,28 @@ a BracketPolynomial maps schemes to coefficients.  The quadratic exchange rule
     p_ac p_bd = p_ab p_cd + p_ad p_bc        (a < b < c < d)
 
 replaces a crossing pair of chords by the two non-crossing pairs on the same
-four vertices.  Each exchange lowers the number of crossing pairs of bonds in
-both of its terms: a third chord crosses the new pair at most as often as it
-crossed the old pair, and the old pair's own crossing is gone.  So
-straightening ends whichever crossing pair is rewritten; `straighten` takes
-monomials in descending crossing count and rewrites each at its first
-crossing pair until every monomial is a Rumer diagram.  Each rewrite touches
-only four vertices and preserves every vertex degree, so straightening is
-multidegree-preserving term by term.  So the schemes of one multidegree block
-straighten together: `_normal_forms` takes them in ascending crossing count
-and writes each crossing scheme's normal form as the sum of its two
-children's, rewriting each scheme once.
+four vertices.  Straightening is ordered by a weight (`_weight`): a chord
+(i, j) on n vertices cuts the circle into arcs of j - i and n - j + i steps
+and weighs their product, and a scheme weighs the sum over its chords.  With
+arcs x = b - a, y = c - b, z = d - c and w = n - d + a, each at least 1, the
+child (a,b)(c,d) weighs 2yw less than the pair (a,c)(b,d) and the child
+(a,d)(b,c) 2xz less; no other chord changes.  So every exchange lowers the
+weight by at least 2, and straightening ends whichever crossing pair is
+rewritten.  The number of crossing pairs falls at each exchange too, but it
+does not set the order: the weight is a sum over chords and needs no scan of
+pairs of chords.  `straighten` takes monomials from the heaviest down and
+rewrites each at its first crossing pair until every monomial is a Rumer
+diagram.  Each rewrite touches only four vertices and preserves every vertex
+degree, so straightening is multidegree-preserving term by term.  So the
+schemes of one multidegree block straighten together: `_normal_forms` takes
+them in ascending weight and writes each crossing scheme's normal form as the
+sum of its two children's, rewriting each scheme once.
 """
 from __future__ import annotations
 
 from bisect import insort
-from collections import Counter
-from itertools import chain, combinations
+from heapq import heapify, heappop, heappush
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -172,49 +177,34 @@ def plucker_expand(e1: Edge, e2: Edge, n: int | None = None) -> BracketPolynomia
     return BracketPolynomial(n, {ValenceScheme(n, pair): 1 for pair in _exchange(e1, e2)})
 
 
-def _crossings(mono: ValenceScheme) -> int:
-    """Number of crossing pairs of bonds, parallel copies counted."""
-    mult = Counter(mono.edges)
-    # the edges come sorted, so (a, b) before (c, d) has a <= c, and the two
-    # cross exactly when a < c < b < d
-    return sum(mult[e] * mult[f] for e, f in combinations(mult, 2) if e[0] < f[0] < e[1] < f[1])
-
-
-def _crossed(chord: Edge, edges: list[Edge]) -> int:
-    """How many of the edges cross the chord."""
-    u, v = chord[0], chord[1]
-    return len([r for r in edges if u < r[0] < v < r[1] or r[0] < u < r[1] < v])
-
-
 Edges = tuple[Edge, ...]
 
 
-def _rewrite(edges: Edges, k: int, e: Edge, f: Edge) -> list[tuple[Edges, int]]:
-    """Exchange the crossing edges e and f of a sorted edge tuple with k
-    crossing pairs: the two children, sorted, each with its crossing count
-    derived from k as `straighten` describes."""
+def _weight(n: int, edges: Iterable[Edge]) -> int:
+    """The straightening order: each chord weighs the product of the two
+    arcs it cuts the circle of n vertices into, and a scheme the sum."""
+    return sum((j - i) * (n - j + i) for i, j in edges)
+
+
+def _children(edges: Edges, e: Edge, f: Edge) -> list[Edges]:
+    """Exchange the crossing edges e and f of a sorted edge tuple: the two
+    children, sorted."""
     rest = list(edges)
     rest.remove(e)
     rest.remove(f)
-    # an edge crossing a chord on the four ends has an end strictly inside
-    # the span of those ends, so the counts need only such edges of R
-    lo, hi = min(e[0], f[0]), max(e[1], f[1])
-    near = [r for r in rest if lo < r[0] < hi or lo < r[1] < hi]
-    base = k - 1 - _crossed(e, near) - _crossed(f, near)
     children = []
     for g, h in _exchange(e, f):
         child = rest.copy()
         insort(child, g)
         insort(child, h)
-        j = base + _crossed(g, near) + _crossed(h, near) + edges_cross(g, h)
-        children.append((tuple(child), j))
+        children.append(tuple(child))
     return children
 
 
 def _descent_error(edges: Edges, e: Edge, f: Edge, j: int, k: int) -> RuntimeError:
     return RuntimeError(
         f"internal error: exchanging {e} and {f} in {_monomial_text(edges)} "
-        f"leaves {j} crossings, not fewer than {k}"
+        f"leaves weight {j}, not less than {k}"
     )
 
 
@@ -226,46 +216,49 @@ def straighten(poly: BracketPolynomial) -> BracketPolynomial:
     carries the multidegree of the input monomial it descends from.  The
     map is linear and idempotent.
 
-    Monomials wait in buckets keyed by crossing count and are taken from the
-    highest count down.  Both exchange children have fewer crossings than
-    their parent, so a monomial is complete, with every contribution merged
-    into its coefficient, when its bucket is taken, and it is rewritten once.
+    Monomials wait in buckets keyed by weight (`_weight`) and are taken from
+    the heaviest down, through a heap of the weights.  Both exchange children
+    weigh less than their parent, by 2yw and 2xz for the arcs x, y, z, w that
+    the module docstring names, so a monomial is complete, with every
+    contribution merged into its coefficient, when its bucket is taken.  A
+    monomial that the `_first_crossing` scan passes is then an output term;
+    any other is rewritten once, at its first crossing pair.
 
     n is fixed for one call, so the buckets are keyed by raw sorted edge
     tuples, and only the surviving terms become ValenceSchemes, unchecked
-    since their edges are a rearrangement of checked input.  A monomial
-    with k crossings is rewritten at its first crossing pair (e, f).  Let R
-    be its edges less one copy each of e and f, and x(g) the number of
-    edges of R that cross g; then k = cross(R) + x(e) + x(f) + 1.  A child
-    is R with the exchanged pair g, h put back in order, and its count
-
-        k - x(e) - x(f) - 1 + x(g) + x(h) + [g, h cross]
-
-    takes O(|R|) steps instead of a recount of all pairs.  The last term is
-    0 for a true exchange.  Both the descent and the non-crossing output
-    are checked at runtime: a derived count that does not fall is an error,
-    and every output term must pass `is_rumer`, which scans it on its own.
+    since their edges are a rearrangement of checked input.  Both the
+    descent and the non-crossing output are checked at runtime: a child that
+    does not weigh less is an error, and every output term must pass
+    `is_rumer`, which scans it on its own.
     """
     n = poly.n
-    levels: list[dict[Edges, int]] = [{}]
+    buckets: dict[int, dict[Edges, int]] = {}
     for mono, coeff in poly.terms.items():
-        k = _crossings(mono)
-        levels.extend({} for _ in range(k + 1 - len(levels)))
-        levels[k][mono.edges] = coeff
-    while len(levels) > 1:
-        k = len(levels) - 1
-        for edges, coeff in levels.pop().items():
-            e, f = _first_crossing(edges)
-            for child, j in _rewrite(edges, k, e, f):
+        buckets.setdefault(_weight(n, mono.edges), {})[mono.edges] = coeff
+    heap = [-k for k in buckets]
+    heapify(heap)
+    out = {}
+    while heap:
+        k = -heappop(heap)
+        for edges, coeff in buckets.pop(k).items():
+            pair = _first_crossing(edges)
+            if pair is None:
+                out[ValenceScheme._trusted(n, edges)] = coeff
+                continue
+            e, f = pair
+            for child in _children(edges, e, f):
+                j = _weight(n, child)
                 if j >= k:
                     raise _descent_error(edges, e, f, j, k)
-                level = levels[j]
-                new = level.get(child, 0) + coeff
+                bucket = buckets.get(j)
+                if bucket is None:
+                    bucket = buckets[j] = {}
+                    heappush(heap, -j)
+                new = bucket.get(child, 0) + coeff
                 if new:
-                    level[child] = new
+                    bucket[child] = new
                 else:
-                    del level[child]
-    out = {ValenceScheme._trusted(n, edges): coeff for edges, coeff in levels[0].items()}
+                    del bucket[child]
     for mono in out:
         if not is_rumer(mono):
             raise RuntimeError(
@@ -281,16 +274,17 @@ def _normal_forms(
     input order, as a map from sorted edge tuples to coefficients, and the
     number of rewrites made.
 
-    An exchange keeps every vertex degree and lowers the crossing count, so
-    both children of a block's scheme are schemes of the block with fewer
-    crossings.  A scheme that the `_first_crossing` scan passes is its own
+    An exchange keeps every vertex degree and lowers the weight by 2yw or
+    2xz, so both children of a block's scheme are lighter schemes of the
+    block.  A scheme that the `_first_crossing` scan passes is its own
     normal form; every entry is a sum of such schemes, so that scan is the
-    non-crossing output guard.  The others are taken in ascending crossing
-    count and each is rewritten once, as in `straighten`: its normal form is
-    the sum of its two children's entries, already in the table.  A child
-    count that does not fall, and a child that is not a scheme of the block,
-    is an error of that scheme, and so of every scheme whose normal form
-    would need its entry; it is returned in place of the form, never raised.
+    non-crossing output guard.  The others are taken in ascending weight and
+    each is rewritten once, as in `straighten`: its normal form is the sum
+    of its two children's entries, already in the table.  A child that does
+    not weigh less than its parent, and a child that is not a scheme of the
+    block, is an error of that scheme, and so of every scheme whose normal
+    form would need its entry; it is returned in place of the form, never
+    raised.
     """
     table: dict[Edges, dict[Edges, int] | Exception] = {}
     crossing = []
@@ -300,11 +294,12 @@ def _normal_forms(
         if pair is None:
             table[edges] = {edges: 1}
         else:
-            crossing.append((_crossings(scheme), edges, pair))
+            crossing.append((_weight(scheme.n, edges), scheme.n, edges, pair))
     crossing.sort(key=itemgetter(0))
-    for k, edges, (e, f) in crossing:
+    for k, n, edges, (e, f) in crossing:
         forms = []
-        for child, j in _rewrite(edges, k, e, f):
+        for child in _children(edges, e, f):
+            j = _weight(n, child)
             form = table.get(child) if j < k else _descent_error(edges, e, f, j, k)
             if form is None:
                 form = RuntimeError(

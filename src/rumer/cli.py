@@ -5,8 +5,8 @@ render (SVG only) accepts, a subcommand writes a single JSON document to
 stdout and diagnostics to stderr only.  Exit codes are stable: 0 success,
 1 verification failure, 2 usage or parse error.
 Work guards are explicit flags with safe defaults, never silent truncation.
-Straightening needs no guard: every exchange lowers the crossing count, so it
-always ends.
+Straightening needs no guard: every exchange lowers a nonnegative integer
+weight of the scheme, so it always ends.
 """
 from __future__ import annotations
 
@@ -331,7 +331,7 @@ def _cmd_render(args) -> int:
     text = args.diagram.strip()
     try:
         scheme = (ValenceScheme.from_json if text.startswith("{") else ValenceScheme.from_text)(text)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:  # nested JSON recurses
         raise _UsageError(f"bad diagram: {exc}") from None
     try:
         float(args.size), float(scheme.n)

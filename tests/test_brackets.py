@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 import rumer.brackets
 from rumer.brackets import (
     BracketPolynomial,
-    _crossings,
+    _children,
     _exchange,
     _normal_forms,
-    _rewrite,
+    _weight,
     LoopBracketError,
     PolynomialSyntaxError,
     VertexRangeError,
@@ -381,6 +381,12 @@ def brute_crossings(edges):
     return sum(1 for (a, b), (c, d) in combinations(edges, 2) if a < c < b < d or c < a < d < b)
 
 
+def arc_products(n, edges):
+    """Each chord's two arcs of the circle of n vertices, counted in steps
+    from one end to the other each way round, multiplied, and summed."""
+    return sum(len(range(u, v)) * len(range(v, u + n)) for u, v in edges)
+
+
 @st.composite
 def crossing_monomials(draw):
     """A scheme on n <= 8 vertices with <= 6 chords, at least two of which
@@ -397,14 +403,42 @@ def crossing_monomials(draw):
     return scheme, draw(st.sampled_from(pairs))
 
 
+def crossing_closure(scheme):
+    """The crossing schemes reached from a scheme by exchanges at the first
+    crossing pair, found by a graph search without straighten."""
+    seen, todo, crossing = {scheme.edges}, [scheme.edges], set()
+    while todo:
+        edges = todo.pop()
+        pair = first_crossing(ValenceScheme(scheme.n, edges))
+        if pair is None:
+            continue
+        crossing.add(edges)
+        rest = list(edges)
+        rest.remove(pair[0])
+        rest.remove(pair[1])
+        for exchanged in _exchange(*pair):
+            child = ValenceScheme(scheme.n, rest + list(exchanged)).edges
+            if child not in seen:
+                seen.add(child)
+                todo.append(child)
+    return crossing
+
+
+@pytest.fixture
+def rewritten(monkeypatch):
+    """The edge tuples that straighten rewrites, one entry per rewrite."""
+    calls = []
+
+    def children(edges, e, f):
+        calls.append(edges)
+        return _children(edges, e, f)
+
+    monkeypatch.setattr(rumer.brackets, "_children", children)
+    return calls
+
+
 class TestTermination:
     """The argument that straightening ends, checked without straighten."""
-
-    def test_crossing_count_is_brute_force_count(self):
-        for n in range(2, 7):
-            for m in range(5):
-                for scheme in enumerate_valence_schemes(n, m):
-                    assert _crossings(scheme) == brute_crossings(scheme.edges), scheme
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(crossing_monomials())
@@ -423,20 +457,37 @@ class TestTermination:
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(crossing_monomials())
-    def test_derived_child_count_is_brute_force_count(self, drawn):
+    def test_children_are_the_sorted_exchange(self, drawn):
         scheme, (i, j) = drawn
         e, f = scheme.edges[i], scheme.edges[j]
         rest = [g for k, g in enumerate(scheme.edges) if k not in (i, j)]
-        children = _rewrite(scheme.edges, brute_crossings(scheme.edges), e, f)
-        assert [edges for edges, _ in children] == [
+        assert _children(scheme.edges, e, f) == [
             tuple(sorted(rest + list(pair))) for pair in _exchange(e, f)
         ]
-        for edges, count in children:
-            assert count == brute_crossings(edges), (scheme, e, f, edges)
 
-    def test_power_of_a_crossing_pair(self):
-        # a rewrite tree has 2**20 - 1 nodes; in descending crossing count
-        # each of the 210 distinct crossing monomials is rewritten once
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(crossing_monomials())
+    def test_every_exchange_lowers_the_weight_by_twice_opposite_arcs(self, drawn):
+        """With arcs x = b - a, y = c - b, z = d - c, w = n - (d - a) between
+        the ends of the crossing chords (a, c) and (b, d), the child
+        (a,b)(c,d) weighs 2yw less and the child (a,d)(b,c) 2xz less."""
+        scheme, (i, j) = drawn
+        n, e, f = scheme.n, scheme.edges[i], scheme.edges[j]
+        a, b, c, d = sorted((*e, *f))
+        x, y, z, w = b - a, c - b, d - c, n - (d - a)
+        assert min(x, y, z, w) >= 1
+        rest = [g for k, g in enumerate(scheme.edges) if k not in (i, j)]
+        near = rest + [(a, b), (c, d)]
+        far = rest + [(a, d), (b, c)]
+        weight = arc_products(n, scheme.edges)
+        assert arc_products(n, near) == weight - 2 * y * w, (scheme, e, f, near)
+        assert arc_products(n, far) == weight - 2 * x * z, (scheme, e, f, far)
+        for edges in (scheme.edges, *_children(scheme.edges, e, f)):
+            assert _weight(n, edges) == arc_products(n, edges), edges
+
+    def test_power_of_a_crossing_pair(self, rewritten):
+        # a rewrite tree has 2**20 - 1 nodes; in descending weight each of
+        # the 210 distinct crossing monomials is rewritten once
         p = BracketPolynomial.monomial(4, [(1, 3), (2, 4)] * 20)
         expected = BracketPolynomial(
             4,
@@ -446,3 +497,14 @@ class TestTermination:
             ],
         )
         assert straighten(p) == expected
+        assert len(rewritten) == len(set(rewritten)) == 210
+
+    def test_crossing_diameters_rewrite_each_monomial_once(self, rewritten):
+        # unlike a power of one pair on 4 points, whose weights form a chain,
+        # these children spread over many weights at once, so taking a bucket
+        # before a heavier one would rewrite some of its monomials twice
+        diameters = ValenceScheme(14, [(i, i + 7) for i in range(1, 8)])
+        p = BracketPolynomial.monomial(14, diameters.edges)
+        assert expand(straighten(p)) == expand(p)
+        assert len(rewritten) == len(set(rewritten))
+        assert set(rewritten) == crossing_closure(diameters)  # 977 monomials

@@ -22,6 +22,9 @@ import rumer.oracle
 from rumer.cli import build_parser, main
 from rumer.counting import rho_closed, triangle_range
 
+#: A diagram whose edge list nests 3,000 arrays deep, past json's recursion limit.
+NESTED_JSON = '{"n": 4, "edges": ' + "[" * 3000 + "]" * 3000 + "}"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -557,6 +560,13 @@ class TestRender:
         assert code == 2
         assert "bad diagram" in err
 
+    def test_deeply_nested_json_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "render", "--diagram", NESTED_JSON)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad diagram")
+        assert "Traceback" not in err
+
     def test_non_integral_json_is_one_line_usage_error(self, capsys):
         # JSON true and false are not vertex numbers, although they act as 1 and 0
         for diagram in (
@@ -753,7 +763,7 @@ BAD = {
     "--diagram": [
         "n=3; (1,1)", "n=2; (1,3)", "n=0;", '{"n": 2.5, "edges": []}', '{"edges": 1}',
         '{"n": 3, "edges": [[1]]}', "[]", "n=1" + "0" * 4000 + ";",
-        '{"n": 1' + "0" * 400 + ', "edges": [[1, 2]]}',
+        '{"n": 1' + "0" * 400 + ', "edges": [[1, 2]]}', NESTED_JSON,
     ],
     "--size": ["1" + "0" * 400, "9" * 4000],
 }
