@@ -22,7 +22,7 @@ from rumer import (
 degrees = (1, 1, 1, 1)
 print(f"diagrams with degrees {degrees} and where merging sends them:")
 for diagram in enumerate_rumer_by_multidegree(degrees):
-    merged = psi(diagram.scheme)
+    merged = psi(diagram)
     print(f"  {diagram}  ->  {merged.scheme}   (merged degree {merged.mu_n}, "
           f"{merged.m_join} joining bond(s) removed)")
 print()
@@ -35,10 +35,10 @@ print()
 # The section rebuilds the unique non-crossing preimage.  The bond ends at
 # the last vertex are ordered by far endpoint ascending from vertex 1; the
 # ones nearest the inserted vertex (going clockwise) move to it.
-G = RumerDiagram.from_edges(3, [(1, 3), (2, 3)])
+G = RumerDiagram(3, [(1, 3), (2, 3)])
 lifted = psi_section(G, 1, 1)
 print(f"section of {G} with targets (1, 1): {lifted}")
-print("merging back:", psi(lifted.scheme).scheme)
+print("merging back:", psi(lifted).scheme)
 print()
 
 # The exhaustive verifier checks injectivity, the image, the section, and

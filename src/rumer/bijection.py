@@ -9,7 +9,7 @@ This pair of maps is exactly what drives the counting recurrence.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .counting import _degrees, binomial, even_triangle, triangle_range
 from .diagrams import (
@@ -22,8 +22,7 @@ from .diagrams import (
 )
 
 
-@dataclass(frozen=True)
-class PsiResult:
+class PsiResult(NamedTuple):
     """Outcome of merging: the smaller scheme, the merged vertex's new degree,
     and the number of removed joining bonds.
 

@@ -80,10 +80,10 @@ def _check_max_schemes(amount: int, limit: int, what: str = "diagrams") -> None:
         raise _UsageError(f"{amount} {what} exceed the --max-schemes guard ({limit})")
 
 
-def _check_recurrence(steps: int, limit: int) -> None:
+def _check_steps(steps: int, limit: int, route: str = "recurrence") -> None:
     # never below the default: by --multidegree the recurrence is also the
     # count that the diagram guard compares, so a lower limit must reach it
-    _check_max_schemes(steps, max(limit, DEFAULT_MAX_SCHEMES), "recurrence steps")
+    _check_max_schemes(steps, max(limit, DEFAULT_MAX_SCHEMES), f"{route} steps")
 
 
 def _check_minimums(args) -> None:
@@ -127,7 +127,7 @@ def _selection(args) -> tuple[dict, dict[str, Callable[[], int]], Callable[[], l
             raise _UsageError("--multidegree excludes --n/--m")
         d = args.multidegree
         n, m = len(d), sum(d) // 2
-        _check_recurrence(_n_recurrence_steps(d), args.max_schemes)
+        _check_steps(_n_recurrence_steps(d), args.max_schemes)
         label = {"multidegree": list(d)}
         routes = {"recurrence": functools.partial(n_recurrence, d)}
         enumerate_ = functools.partial(enumerate_rumer_by_multidegree, d)
@@ -136,14 +136,18 @@ def _selection(args) -> tuple[dict, dict[str, Callable[[], int]], Callable[[], l
             raise _UsageError("need --n and --m, or --multidegree")
         n, m = args.n, args.m
 
+        def product() -> int:
+            _check_steps(n - 3, args.max_schemes, "product")
+            return rho_product(n, m)
+
         def recurrence() -> int:
-            _check_recurrence(_rho_sum_steps(n, m), args.max_schemes)
+            _check_steps(_rho_sum_steps(n, m), args.max_schemes)
             return rho_sum_over_compositions(n, m)
 
         label = {"n": n, "m": m}
         routes = {"formula": functools.partial(rho_closed, n, m)}
         if n >= 3:
-            routes["product"] = functools.partial(rho_product, n, m)
+            routes["product"] = product
         routes["recurrence"] = recurrence
         enumerate_ = functools.partial(enumerate_rumer, n, m)
     predict = next(iter(routes.values()))
@@ -296,7 +300,7 @@ def _cmd_verify(args) -> int:
     _check_max_schemes((n_hi - n_lo + 1) * (m_hi - m_lo + 1), args.max_schemes, "cells")
     total = 0
     for n, m in grid():
-        _check_recurrence(_rho_sum_steps(n, m), args.max_schemes)
+        _check_steps(_rho_sum_steps(n, m), args.max_schemes)
         total += max(1, binomial(n, 2), _scheme_space(n, m))
         _check_max_schemes(total, args.max_schemes, f"schemes up to (n={n}, m={m})")
     stats = {

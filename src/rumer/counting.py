@@ -101,15 +101,18 @@ def _n_recurrence_steps(degrees: Sequence[int]) -> int:
 def rho_closed(n: int, m: int) -> int:
     """Count of non-crossing diagrams with m bonds on n vertices.
 
-    Determinant of binomials; evaluates to 1 at m = 0 for every n.  The
+    The determinant ab - cd of a = C(m+n-1, n-1), b = C(m+n-2, n-2),
+    c = C(m+n-2, n-1) and d = C(m+n-1, n-2); it evaluates to 1 at m = 0 for
+    every n.  Only a is computed as a binomial: b = a(n-1)/(m+n-1),
+    c = am/(m+n-1) and d = a(n-1)/(m+1), each an exact division.  The
     degenerate n = 1 case is 1 for m = 0 and 0 otherwise.
     """
     n, m = _cell(n, m)
     if n == 1:
         return 1 if m == 0 else 0
-    return binomial(m + n - 1, n - 1) * binomial(m + n - 2, n - 2) - binomial(
-        m + n - 2, n - 1
-    ) * binomial(m + n - 1, n - 2)
+    a = binomial(m + n - 1, n - 1)
+    b, c, d = a * (n - 1) // (m + n - 1), a * m // (m + n - 1), a * (n - 1) // (m + 1)
+    return a * b - c * d
 
 
 def rho_product(n: int, m: int) -> int:

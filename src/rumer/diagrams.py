@@ -12,7 +12,6 @@ import json
 import operator
 from functools import partial
 import re
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, product, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -56,37 +55,38 @@ class Edge(tuple):
 _edge = partial(tuple.__new__, Edge)
 
 
-@dataclass(frozen=True, eq=False)
-class ValenceScheme:
-    """Loop-free multigraph on vertices 1..n; the edge multiset is kept sorted.
+class ValenceScheme(tuple):
+    """Loop-free multigraph on vertices 1..n, stored as the pair (n, edges)
+    with the edge multiset sorted.  Schemes compare, sort, hash and unpack as
+    that pair, as an Edge does as (i, j); so two schemes are equal iff they
+    have the same n and the same sorted edges, and a Rumer diagram equals the
+    scheme with its edges.
 
     Read as a bracket monomial, the scheme is the product of the brackets
-    [i,j] over its edges, so bracket polynomials are keyed by schemes.  Two
-    schemes are equal iff they have the same n and the same sorted edge list,
-    so schemes are usable as dict keys and set members; a Rumer diagram
-    equals the scheme with its edges.
+    [i,j] over its edges, so bracket polynomials are keyed by schemes.
     """
 
-    n: int
-    edges: tuple[Edge, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = _vertices(self.n)
-        edges = tuple(sorted(e if isinstance(e, Edge) else Edge(*e) for e in self.edges))
+    def __new__(cls, n: int, edges: Iterable = ()) -> "ValenceScheme":
+        n = _vertices(n)
+        edges = tuple(sorted(e if isinstance(e, Edge) else Edge(*e) for e in edges))
         for e in edges:
             if e[1] > n:
                 raise ValueError(f"edge {e} does not fit on {n} vertices")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
+        return tuple.__new__(cls, (n, edges))
+
+    n = property(operator.itemgetter(0), doc="The vertex count.")
+    edges = property(operator.itemgetter(1), doc="The sorted tuple of Edges.")
 
     @classmethod
     def _trusted(cls, n: int, edges: tuple[Edge, ...]) -> "ValenceScheme":
         """A scheme from a sorted tuple of Edges that already fit on n vertices,
         such as a rearrangement of a checked scheme's edges; nothing is checked."""
-        scheme = object.__new__(cls)
-        object.__setattr__(scheme, "n", n)
-        object.__setattr__(scheme, "edges", edges)
-        return scheme
+        return tuple.__new__(cls, (n, edges))
+
+    def __getnewargs__(self) -> tuple[int, tuple[Edge, ...]]:
+        return tuple(self)
 
     def multidegree(self) -> Multidegree:
         degs = [0] * self.n
@@ -123,33 +123,27 @@ class ValenceScheme:
     def from_json(cls, text: str) -> "ValenceScheme":
         return cls.from_json_dict(json.loads(text))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ValenceScheme):
-            return NotImplemented
-        return self.n == other.n and self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
-
     def __str__(self) -> str:
         return self.to_text()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self[0]}, edges={self[1]!r})"
 
 
 class RumerDiagram(ValenceScheme):
     """A valence scheme whose chords are pairwise non-crossing.  Build one as
     RumerDiagram(n, edges) or, from a scheme, as RumerDiagram(scheme)."""
 
-    def __init__(self, n: int | ValenceScheme, edges: Iterable = ()) -> None:
-        super().__init__(*(n.n, n.edges) if isinstance(n, ValenceScheme) else (n, edges))
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        bad = first_crossing(self)
+    def __new__(cls, n: int | ValenceScheme, edges: Iterable = ()) -> "RumerDiagram":
+        if isinstance(n, ValenceScheme):
+            n, edges = n
+        diagram = super().__new__(cls, n, edges)
+        bad = first_crossing(diagram)
         if bad is not None:
             raise ValueError(f"edges {bad[0]} and {bad[1]} cross; not a Rumer diagram")
-
-    from_edges = classmethod(lambda cls, n, edges: cls(n, edges))
-    scheme = property(lambda self: self, doc="The diagram itself, which is its valence scheme.")
+        return diagram
 
 
 def edges_cross(e1: Edge, e2: Edge) -> bool:

@@ -367,7 +367,7 @@ class _BasisCheck:
         self.blocks += 1
         self.rumer_count += len(diagrams)
         x1, x2 = _block_codes(d)
-        # rows and the Rumer set are keyed by edges: a scheme hashes in Python
+        # rows and the Rumer set are keyed by edges, as _normal_forms' forms are
         rumer_edges = [diagram.edges for diagram in diagrams]
         edge_lists = list(dict.fromkeys(chain((s.edges for s in schemes), rumer_edges)))
         rows = dict(zip(edge_lists, _expansions(edge_lists, x1, x2)))

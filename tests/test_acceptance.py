@@ -169,18 +169,18 @@ def test_criterion_8_merge_bijection_round_trip():
                 m_n, m_n1 = d[-2], d[-1]
                 prefix = d[:-2]
                 for diagram in enumerate_rumer_by_multidegree(d):
-                    merged = psi(diagram.scheme)
+                    merged = psi(diagram)
                     in_union = (
                         is_rumer(merged.scheme)
                         and even_triangle(m_n, m_n1, merged.mu_n)
                         and merged.scheme.multidegree() == prefix + (merged.mu_n,)
                     )
                     if not in_union:
-                        bad.append((d, diagram.scheme.to_text(), "image outside union"))
+                        bad.append((d, diagram.to_text(), "image outside union"))
                         continue
                     back = psi_section(RumerDiagram(merged.scheme), m_n, m_n1)
                     if back != diagram:
-                        bad.append((d, diagram.scheme.to_text(), "round trip failed"))
+                        bad.append((d, diagram.to_text(), "round trip failed"))
     elapsed = time.perf_counter() - start
     ok = not bad and elapsed < 60.0
     report(8, ok, f"merge/section round trip over sums<=8 on <=6 vertices, "

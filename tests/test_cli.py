@@ -95,6 +95,23 @@ class TestCount:
         assert code == 2
         assert "n >= 3" in err
 
+    @pytest.mark.parametrize("method", ["product", "all"])
+    def test_product_is_guarded(self, capsys, method):
+        # n - 3 steps; with --method all the product runs before the recurrence
+        n = 10**20
+        code, out, err = run(capsys, "count", "--n", str(n), "--m", "1", "--method", method)
+        assert (code, out) == (2, "")
+        assert err == f"error: {n - 3} product steps exceed the --max-schemes guard (10000000)\n"
+
+    def test_product_guard_is_never_below_its_default(self, capsys, monkeypatch):
+        argv = ("count", "--n", "14", "--m", "1", "--method", "product")
+        monkeypatch.setattr(rumer.cli, "DEFAULT_MAX_SCHEMES", 10)
+        assert run(capsys, *argv)[2] == (
+            "error: 11 product steps exceed the --max-schemes guard (10)\n"
+        )
+        assert run(capsys, *argv, "--max-schemes", "1")[2].endswith("guard (10)\n")
+        assert run(capsys, *argv, "--max-schemes", "11") == (0, "91\n", "")
+
     @pytest.mark.parametrize("subcommand", ["count", "enumerate"])
     def test_multidegree_excludes_nm(self, capsys, subcommand):
         code, out, err = run(capsys, subcommand, "--multidegree", "1,1", "--n", "2")
@@ -766,6 +783,8 @@ BAD = {
         '{"n": 1' + "0" * 400 + ', "edges": [[1, 2]]}', NESTED_JSON,
     ],
     "--size": ["1" + "0" * 400, "9" * 4000],
+    "--n": ["9" * 20],
+    "--m": ["9" * 20],
 }
 JUNK = [str(k) for k in range(-2, 1)] + ["", "x", "-", "--", "--help", "--bogus", "7..", "1.5"]
 POLYNOMIALS = ["[1,3][2,4]", "2*[3,1]-[2,1]", "[1,2][1,2][3,5]", "-[2,1]", "[1,", "[6,6]", "0"]

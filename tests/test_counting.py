@@ -127,6 +127,20 @@ class TestClosedFormula:
         for m in range(0, 51):
             assert rho_closed(2, m) == 1
 
+    def test_equals_the_four_binomial_determinant(self):
+        # rho_closed computes one binomial and divides the other three out of it
+        def determinant(n, m):
+            if n == 1:
+                return int(m == 0)
+            c = math.comb
+            return c(m + n - 1, n - 1) * c(m + n - 2, n - 2) - c(m + n - 2, n - 1) * c(
+                m + n - 1, n - 2
+            )
+
+        for n in range(1, 40):
+            for m in range(0, 40):
+                assert rho_closed(n, m) == determinant(n, m), (n, m)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             rho_closed(0, 1)
@@ -296,7 +310,7 @@ BAD_INPUTS = [
     _case(n_recurrence, ((1, -1),), ValueError),
     _case(even_triangle, (1.5, 0.5, 1), TypeError),
     _case(even_triangle, (1, 1, -2), ValueError),
-    _case(psi_section, (RumerDiagram.from_edges(2, [(1, 2)]), 1.5, 0.5), TypeError,
+    _case(psi_section, (RumerDiagram(2, [(1, 2)]), 1.5, 0.5), TypeError,
           label="(n=2;(1,2),1.5,0.5)"),
 ]
 

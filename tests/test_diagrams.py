@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rumer.bijection import psi
 from rumer.counting import compositions, rho_closed
 from rumer.diagrams import (
     Edge,
@@ -177,8 +178,8 @@ class TestRumerPredicate:
 
     def test_constructor_enforces_noncrossing(self):
         with pytest.raises(ValueError):
-            RumerDiagram.from_edges(4, [(1, 3), (2, 4)])
-        assert RumerDiagram.from_edges(4, [(1, 4), (2, 3)]).n == 4
+            RumerDiagram(4, [(1, 3), (2, 4)])
+        assert RumerDiagram(4, [(1, 4), (2, 3)]).n == 4
 
     def test_constructor_keeps_the_scheme_checks(self):
         with pytest.raises(ValueError, match="does not fit"):
@@ -209,17 +210,42 @@ class TestOneType:
     def test_equals_and_hashes_as_its_scheme(self):
         s = self.SCHEME
         d = RumerDiagram(s)
-        assert isinstance(d, ValenceScheme) and d.scheme is d
+        assert isinstance(d, ValenceScheme)
         assert d == s and s == d and hash(d) == hash(s)
         assert {s: "scheme"}[d] == "scheme" and {d, s} == {s}
         assert d != ValenceScheme(5, s.edges) and d != s.edges
+        assert s != ValenceScheme(5, s.edges) and ValenceScheme(3) != ValenceScheme(4)
+
+    def test_is_the_pair_of_n_and_edges(self):
+        # the pair's hash orders the sets and dicts behind the goldens
+        s = self.SCHEME
+        for scheme in (s, RumerDiagram(s), ValenceScheme(1), ValenceScheme(3)):
+            assert hash(scheme) == hash((scheme.n, scheme.edges))
+            assert scheme == (scheme.n, scheme.edges) and tuple(scheme) == (scheme.n, scheme.edges)
+        three, four = ValenceScheme(3), ValenceScheme(4)
+        assert sorted([s, three, four]) == [three, four, s]
+
+    def test_repr_names_the_fields(self):
+        assert repr(RumerDiagram(4, [(1, 4)])) == "RumerDiagram(n=4, edges=(Edge(i=1, j=4),))"
+        assert repr(ValenceScheme(2)) == "ValenceScheme(n=2, edges=())"
+
+    @pytest.mark.parametrize(
+        "value, field",
+        [(SCHEME, "n"), (RumerDiagram(SCHEME), "n"), (psi(SCHEME), "mu_n")],
+        ids=["scheme", "diagram", "psi-result"],
+    )
+    def test_slots_copies_and_immutability(self, value, field):
+        assert not hasattr(value, "__dict__")
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and twin == value
+        with pytest.raises(AttributeError):
+            setattr(value, field, 5)
 
     def test_every_constructor_builds_the_same_diagram(self):
         s = self.SCHEME
         built = [
             RumerDiagram(4, [(2, 3), (1, 4), (3, 2)]),
             RumerDiagram(s),
-            RumerDiagram.from_edges(4, s.edges),
             RumerDiagram.from_text(s.to_text()),
             RumerDiagram.from_json('{"n": 4, "edges": [[2, 3], [1, 4], [2, 3]]}'),
             copy.deepcopy(RumerDiagram(s)),
@@ -233,11 +259,10 @@ class TestOneType:
         [
             lambda: RumerDiagram(4, [(1, 3), (2, 4)]),
             lambda: RumerDiagram(ValenceScheme(4, [(1, 3), (2, 4)])),
-            lambda: RumerDiagram.from_edges(4, [(1, 3), (2, 4)]),
             lambda: RumerDiagram.from_text("n=4; (1,3)(2,4)"),
             lambda: RumerDiagram.from_json('{"n": 4, "edges": [[1, 3], [2, 4]]}'),
         ],
-        ids=["n-edges", "scheme", "from_edges", "from_text", "from_json"],
+        ids=["n-edges", "scheme", "from_text", "from_json"],
     )
     def test_every_constructor_refuses_a_crossing(self, build):
         with pytest.raises(ValueError, match="edges \\(1,3\\) and \\(2,4\\) cross"):
@@ -286,7 +311,7 @@ class TestEnumerateByMultidegree:
     def test_results_are_rumer_with_requested_degrees(self):
         for d in compositions(6, 5):
             for diagram in enumerate_rumer_by_multidegree(d):
-                assert is_rumer(diagram.scheme)
+                assert is_rumer(diagram)
                 assert diagram.multidegree() == d
 
 
@@ -359,13 +384,13 @@ class TestGeneratorAgainstBruteForce:
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=7))
     def test_by_multidegree(self, degrees):
         brute = [s for s in enumerate_valence_schemes_by_multidegree(degrees) if is_rumer(s)]
-        assert [d.scheme for d in enumerate_rumer_by_multidegree(degrees)] == brute
+        assert enumerate_rumer_by_multidegree(degrees) == brute
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 6), st.integers(0, 4))
     def test_by_cell(self, n, m):
         brute = [s for s in enumerate_valence_schemes(n, m) if is_rumer(s)]
-        assert [d.scheme for d in enumerate_rumer(n, m)] == brute
+        assert enumerate_rumer(n, m) == brute
 
 
 class TestEnumerateValenceSchemes:

@@ -541,7 +541,7 @@ class TestVerifyBasis:
         rows = {s: expand(BracketPolynomial.monomial(4, s.edges)) for s in schemes}
         lead = max(rows[ValenceScheme(4, target)].terms)
         assert rows[ValenceScheme(4, target)].terms[lead] == 2
-        rumer_rows = [rows[d.scheme] for d in enumerate_rumer(4, 2)]
+        rumer_rows = [rows[d] for d in enumerate_rumer(4, 2)]
         check = rumer.oracle._BasisCheck(4, 2)
         for d, block in sorted(
             rumer.oracle._multidegree_blocks(enumerate_rumer(4, 2), rows).items()

@@ -28,8 +28,8 @@ def test_parallel_bonds_drawn_as_offset_arcs():
 
 
 def test_accepts_rumer_diagram_wrapper():
-    diagram = RumerDiagram.from_edges(4, [(1, 4), (2, 3)])
-    assert render_svg(diagram) == render_svg(diagram.scheme)
+    diagram = RumerDiagram(4, [(1, 4), (2, 3)])
+    assert render_svg(diagram) == render_svg(ValenceScheme(4, [(1, 4), (2, 3)]))
 
 
 def test_deterministic_bytes():
