@@ -27,14 +27,16 @@ sum of its two children's, rewriting each scheme once.
 """
 from __future__ import annotations
 
+import re
 from bisect import insort
+from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .counting import _vertices
-from .diagrams import Edge, ValenceScheme, _edge, _first_crossing, edges_cross, is_rumer
+from .diagrams import Edge, ValenceScheme, _edge, edges_cross, first_crossing, is_rumer
 from .sparse import SparseCombination, combine
 
 
@@ -73,7 +75,7 @@ def bracket(a: int, b: int) -> SignedBracket:
 
 
 def _monomial_text(edges: Iterable[Edge]) -> str:
-    """Edges as a bracket monomial: "[1,2][3,4]", or "1" with no edges."""
+    """A monomial's edges as bracket text: "[1,2][3,4]", or "1" with no edges."""
     return "".join(f"[{i},{j}]" for i, j in edges) or "1"
 
 
@@ -177,18 +179,21 @@ def plucker_expand(e1: Edge, e2: Edge, n: int | None = None) -> BracketPolynomia
     return BracketPolynomial(n, {ValenceScheme(n, pair): 1 for pair in _exchange(e1, e2)})
 
 
-Edges = tuple[Edge, ...]
+#: ValenceScheme from a pair (n, edges) whose sorted edges already fit on n
+#: vertices, built without the constructor's checks; call as _scheme((n, edges)).
+_scheme = partial(tuple.__new__, ValenceScheme)
 
 
-def _weight(n: int, edges: Iterable[Edge]) -> int:
+def _weight(scheme: ValenceScheme) -> int:
     """The straightening order: each chord weighs the product of the two
     arcs it cuts the circle of n vertices into, and a scheme the sum."""
+    n, edges = scheme
     return sum((j - i) * (n - j + i) for i, j in edges)
 
 
-def _children(edges: Edges, e: Edge, f: Edge) -> list[Edges]:
-    """Exchange the crossing edges e and f of a sorted edge tuple: the two
-    children, sorted."""
+def _children(scheme: ValenceScheme, e: Edge, f: Edge) -> list[ValenceScheme]:
+    """Exchange the crossing edges e and f of a scheme: the two children."""
+    n, edges = scheme
     rest = list(edges)
     rest.remove(e)
     rest.remove(f)
@@ -197,13 +202,13 @@ def _children(edges: Edges, e: Edge, f: Edge) -> list[Edges]:
         child = rest.copy()
         insort(child, g)
         insort(child, h)
-        children.append(tuple(child))
+        children.append(_scheme((n, tuple(child))))
     return children
 
 
-def _descent_error(edges: Edges, e: Edge, f: Edge, j: int, k: int) -> RuntimeError:
+def _descent_error(scheme: ValenceScheme, e: Edge, f: Edge, j: int, k: int) -> RuntimeError:
     return RuntimeError(
-        f"internal error: exchanging {e} and {f} in {_monomial_text(edges)} "
+        f"internal error: exchanging {e} and {f} in {_monomial_text(scheme.edges)} "
         f"leaves weight {j}, not less than {k}"
     )
 
@@ -221,35 +226,31 @@ def straighten(poly: BracketPolynomial) -> BracketPolynomial:
     weigh less than their parent, by 2yw and 2xz for the arcs x, y, z, w that
     the module docstring names, so a monomial is complete, with every
     contribution merged into its coefficient, when its bucket is taken.  A
-    monomial that the `_first_crossing` scan passes is then an output term;
-    any other is rewritten once, at its first crossing pair.
+    monomial that `first_crossing` passes is then an output term; any other
+    is rewritten once, at its first crossing pair.
 
-    n is fixed for one call, so the buckets are keyed by raw sorted edge
-    tuples, and only the surviving terms become ValenceSchemes, unchecked
-    since their edges are a rearrangement of checked input.  Both the
-    descent and the non-crossing output are checked at runtime: a child that
-    does not weigh less is an error, and every output term must pass
-    `is_rumer`, which scans it on its own.
+    Both the descent and the non-crossing output are checked at runtime: a
+    child that does not weigh less is an error, and every output term must
+    pass `is_rumer`, which scans it on its own.
     """
-    n = poly.n
-    buckets: dict[int, dict[Edges, int]] = {}
+    buckets: dict[int, dict[ValenceScheme, int]] = {}
     for mono, coeff in poly.terms.items():
-        buckets.setdefault(_weight(n, mono.edges), {})[mono.edges] = coeff
+        buckets.setdefault(_weight(mono), {})[mono] = coeff
     heap = [-k for k in buckets]
     heapify(heap)
     out = {}
     while heap:
         k = -heappop(heap)
-        for edges, coeff in buckets.pop(k).items():
-            pair = _first_crossing(edges)
+        for mono, coeff in buckets.pop(k).items():
+            pair = first_crossing(mono)
             if pair is None:
-                out[ValenceScheme._trusted(n, edges)] = coeff
+                out[mono] = coeff
                 continue
             e, f = pair
-            for child in _children(edges, e, f):
-                j = _weight(n, child)
+            for child in _children(mono, e, f):
+                j = _weight(child)
                 if j >= k:
-                    raise _descent_error(edges, e, f, j, k)
+                    raise _descent_error(mono, e, f, j, k)
                 bucket = buckets.get(j)
                 if bucket is None:
                     bucket = buckets[j] = {}
@@ -264,77 +265,69 @@ def straighten(poly: BracketPolynomial) -> BracketPolynomial:
             raise RuntimeError(
                 f"internal error: straightened term {_monomial_text(mono.edges)} still crosses"
             )
-    return BracketPolynomial._of(n, out)
+    return BracketPolynomial._of(poly.n, out)
 
 
 def _normal_forms(
     schemes: Sequence[ValenceScheme],
-) -> tuple[list[dict[Edges, int] | Exception], int]:
+) -> tuple[list[dict[ValenceScheme, int] | Exception], int]:
     """The straightened form of every scheme of one multidegree block, in
-    input order, as a map from sorted edge tuples to coefficients, and the
-    number of rewrites made.
+    input order, as a BracketPolynomial term map, and the number of rewrites
+    made.
 
     An exchange keeps every vertex degree and lowers the weight by 2yw or
     2xz, so both children of a block's scheme are lighter schemes of the
-    block.  A scheme that the `_first_crossing` scan passes is its own
-    normal form; every entry is a sum of such schemes, so that scan is the
-    non-crossing output guard.  The others are taken in ascending weight and
-    each is rewritten once, as in `straighten`: its normal form is the sum
-    of its two children's entries, already in the table.  A child that does
-    not weigh less than its parent, and a child that is not a scheme of the
+    block.  A scheme that `first_crossing` passes is its own normal form;
+    every entry is a sum of such schemes, so that scan is the non-crossing
+    output guard.  The others are taken in ascending weight and each is
+    rewritten once, as in `straighten`: its normal form is the sum of its
+    two children's entries, already in the table.  A child that does not
+    weigh less than its parent, and a child that is not a scheme of the
     block, is an error of that scheme, and so of every scheme whose normal
     form would need its entry; it is returned in place of the form, never
     raised.
     """
-    table: dict[Edges, dict[Edges, int] | Exception] = {}
+    table: dict[ValenceScheme, dict[ValenceScheme, int] | Exception] = {}
     crossing = []
     for scheme in schemes:
-        edges = scheme.edges
-        pair = _first_crossing(edges)
+        pair = first_crossing(scheme)
         if pair is None:
-            table[edges] = {edges: 1}
+            table[scheme] = {scheme: 1}
         else:
-            crossing.append((_weight(scheme.n, edges), scheme.n, edges, pair))
+            crossing.append((_weight(scheme), scheme, pair))
     crossing.sort(key=itemgetter(0))
-    for k, n, edges, (e, f) in crossing:
+    for k, scheme, (e, f) in crossing:
         forms = []
-        for child in _children(edges, e, f):
-            j = _weight(n, child)
-            form = table.get(child) if j < k else _descent_error(edges, e, f, j, k)
+        for child in _children(scheme, e, f):
+            j = _weight(child)
+            form = table.get(child) if j < k else _descent_error(scheme, e, f, j, k)
             if form is None:
                 form = RuntimeError(
-                    f"exchanging {e} and {f} in {_monomial_text(edges)} gives "
-                    f"{_monomial_text(child)}, which is not a scheme of the block"
+                    f"exchanging {e} and {f} in {_monomial_text(scheme.edges)} gives "
+                    f"{_monomial_text(child.edges)}, which is not a scheme of the block"
                 )
             if isinstance(form, Exception):  # this scheme's failure, not the block's
-                table[edges] = form
+                table[scheme] = form
                 break
             forms.append(form)
         else:
-            table[edges] = combine(chain.from_iterable(form.items() for form in forms))
-    return [table[scheme.edges] for scheme in schemes], len(crossing)
+            table[scheme] = combine(chain.from_iterable(form.items() for form in forms))
+    return [table[scheme] for scheme in schemes], len(crossing)
+
+
+#: A number, a symbol of the grammar, or any other non-space character, which
+#: is an error.  \d is exactly the digits that int() reads.
+_TOKEN = re.compile(r"(\d+)|([][,+*-])|(\S)")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i, length = 0, len(text)
-    while i < length:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < length and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-            continue
-        if ch in "[],+-*":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise PolynomialSyntaxError(f"unexpected character {ch!r}", i)
+    for match in _TOKEN.finditer(text):
+        number, symbol, other = match.groups()
+        at = match.start()
+        if other is not None:
+            raise PolynomialSyntaxError(f"unexpected character {other!r}", at)
+        tokens.append(("int", number, at) if number else (symbol, symbol, at))
     return tokens
 
 

@@ -20,7 +20,7 @@ from time import perf_counter
 from typing import Callable, Sequence
 
 from .bijection import _verify_psi_bijection
-from .brackets import ParseError, parse as parse_polynomial, straighten
+from .brackets import BracketPolynomial, ParseError, parse as parse_polynomial, straighten
 from .counting import (
     _n_recurrence_steps,
     _rho_sum_steps,
@@ -203,6 +203,26 @@ def _cmd_enumerate(args) -> int:
     return OK
 
 
+def _on_used_vertices(*polys: BracketPolynomial) -> list[BracketPolynomial]:
+    """Polynomials on one n with the t vertices they use relabelled 1..t in
+    order (t >= 1).  The relabelling keeps i < j in every bracket and only
+    renames coordinate variables, so two of them expand equally iff the
+    originals do, at a cost that follows the terms, not n."""
+    used = sorted({v for poly in polys for mono in poly.terms for e in mono.edges for v in e})
+    label = {v: k for k, v in enumerate(used, 1)}
+    t = max(len(used), 1)
+    return [
+        BracketPolynomial(
+            t,
+            [
+                (ValenceScheme(t, [(label[i], label[j]) for i, j in mono.edges]), coeff)
+                for mono, coeff in poly.terms.items()
+            ],
+        )
+        for poly in polys
+    ]
+
+
 def _cmd_straighten(args) -> int:
     try:
         poly = parse_polynomial(args.polynomial, args.n)
@@ -211,7 +231,8 @@ def _cmd_straighten(args) -> int:
     flat = straighten(poly)
     verified = None
     if args.verify:
-        verified = expand(flat) == expand(poly)
+        before, after = _on_used_vertices(poly, flat)
+        verified = expand(after) == expand(before)
     if args.format == "json":
         document = {"input": args.polynomial, **flat.to_json_dict()}
         if verified is not None:

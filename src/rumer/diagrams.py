@@ -23,7 +23,7 @@ Multidegree = tuple[int, ...]
 
 class Edge(tuple):
     """Chord between two distinct vertices, stored normalized as the pair (i, j)
-    with i < j.  Edges compare, sort and hash as that pair."""
+    with i < j.  An edge compares, sorts and hashes as that pair."""
 
     __slots__ = ()
 
@@ -77,11 +77,11 @@ class ValenceScheme(tuple):
         return tuple.__new__(cls, (n, edges))
 
     n = property(operator.itemgetter(0), doc="The vertex count.")
-    edges = property(operator.itemgetter(1), doc="The sorted tuple of Edges.")
+    edges = property(operator.itemgetter(1), doc="The sorted tuple of edges.")
 
     @classmethod
     def _trusted(cls, n: int, edges: tuple[Edge, ...]) -> "ValenceScheme":
-        """A scheme from a sorted tuple of Edges that already fit on n vertices,
+        """A scheme from a sorted tuple of edges that already fit on n vertices,
         such as a rearrangement of a checked scheme's edges; nothing is checked."""
         return tuple.__new__(cls, (n, edges))
 
@@ -165,11 +165,7 @@ def first_crossing(scheme: ValenceScheme) -> tuple[Edge, Edge] | None:
     next first chord.  Parallel copies never cross, so a repeat of the first
     chord is skipped and a repeat of the second fails the test.
     """
-    return _first_crossing(scheme.edges)
-
-
-def _first_crossing(edges: tuple[Edge, ...]) -> tuple[Edge, Edge] | None:
-    """first_crossing on a sorted edge tuple, such as a scheme's edges."""
+    edges = scheme[1]  # indexing beats the property
     size = len(edges)
     previous = None
     for i, e1 in enumerate(edges):
@@ -201,7 +197,7 @@ def _realizable(degrees: Sequence[int]) -> bool:
 def _degree_constrained_edge_lists(degrees: Sequence[int]) -> Iterator[tuple[Edge, ...]]:
     """Backtracking core of enumerate_valence_schemes_by_multidegree.
 
-    Edges are chosen in nondecreasing lexicographic order, so every multiset
+    Chords are chosen in nondecreasing lexicographic order, so every multiset
     is produced exactly once and already canonically sorted.  The next edge
     must cover the smallest vertex that still has free valence: later edges
     cannot reach it, so anything else is a dead end.  An odd degree sum, or a
@@ -333,10 +329,10 @@ def _moves_by_degrees(d: Multidegree) -> _Moves:
 
 def _sorted_diagrams(n: int, edge_lists: Iterable[tuple[Edge, ...]]) -> list[RumerDiagram]:
     """The diagrams of the ballot walk's edge lists, canonically ordered.  The
-    walk makes only non-crossing lists of Edges on n vertices, so each list
+    walk makes only non-crossing lists of edges on n vertices, so each list
     is sorted and built without the constructor's checks."""
     found = [RumerDiagram._trusted(n, tuple(sorted(edges))) for edges in edge_lists]
-    found.sort(key=lambda D: D.edges)
+    found.sort()  # as the pairs (n, edges), with n fixed
     return found
 
 

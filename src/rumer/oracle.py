@@ -18,7 +18,7 @@ from operator import add, itemgetter
 from time import perf_counter
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .brackets import BracketPolynomial, _normal_forms
+from .brackets import BracketPolynomial, _monomial_text, _normal_forms
 from .counting import rho_closed
 from .diagrams import (
     Multidegree,
@@ -132,7 +132,7 @@ def expand(poly: BracketPolynomial) -> XPolynomial:
     the empty monomial expands to the constant 1.
     """
     n = poly.n
-    items = sorted(poly.terms.items(), key=lambda item: item[0].edges)
+    items = sorted(poly.terms.items())
     # no variable's exponent exceeds the factor count, so a digit of this
     # width per variable never carries; the first variable is the top digit
     width = max((len(mono.edges) for mono, _ in items), default=0).bit_length() or 1
@@ -336,15 +336,17 @@ class _BasisCheck:
     normal forms (brackets._normal_forms), and each scheme's output is
     multiplied back over the rows on its own: the sum of coefficient times
     row over its terms must equal the scheme's row, the division's
-    certificate with the quotient given.  An output that is the scheme
-    itself, times 1, of a scheme among the block's Rumer diagrams passes as
-    it is, with no copy of its row.  Terms of another multidegree share no
-    monomial with the block, so together they must expand to zero in the
-    full coordinates.  Any difference is an expansion mismatch; a crossing
-    term, or one of another multidegree, is named.  If every output passes
-    using only the block's Rumer schemes, those rows span the block and the
-    full rank is the Rumer rank.  A rank not certified this way comes from
-    fraction-free elimination of the same rows, Rumer rows first.
+    certificate with the quotient given.  The rows, one per scheme, the
+    Rumer set and the normal forms are all keyed by scheme.  An output that
+    is the scheme itself, times 1, of a scheme among the block's Rumer
+    diagrams passes as it is, with no copy of its row.  Terms of another
+    multidegree share no monomial with the block, so together they must
+    expand to zero in the full coordinates.  Any difference is an expansion
+    mismatch; a crossing term, or one of another multidegree, is named, its
+    multidegree, crossing and text read off its scheme.  If every output
+    passes using only the block's Rumer schemes, those rows span the block
+    and the full rank is the Rumer rank.  A rank not certified this way
+    comes from fraction-free elimination of the same rows, Rumer rows first.
 
     Blocks have disjoint monomials, so the cell's ranks are the sums of its
     blocks' ranks.  Failures are reported in canonical scheme order, each
@@ -354,7 +356,7 @@ class _BasisCheck:
     def __init__(self, n: int, m: int):
         self.n, self.m = n, m
         self.rumer_count = self.rumer_rank = self.full_rank = 0
-        self.failures: list[tuple[tuple, dict]] = []  # (scheme edges, failure)
+        self.failures: list[tuple[ValenceScheme, dict]] = []  # (scheme, failure)
         self.blocks = self.fallback_blocks = self.rewrites = 0
         #: seconds spent in each stage, over all blocks so far
         self.seconds = dict.fromkeys(("expand", "divide", "straighten", "fallback"), 0.0)
@@ -367,18 +369,17 @@ class _BasisCheck:
         self.blocks += 1
         self.rumer_count += len(diagrams)
         x1, x2 = _block_codes(d)
-        # rows and the Rumer set are keyed by edges, as _normal_forms' forms are
-        rumer_edges = [diagram.edges for diagram in diagrams]
-        edge_lists = list(dict.fromkeys(chain((s.edges for s in schemes), rumer_edges)))
-        rows = dict(zip(edge_lists, _expansions(edge_lists, x1, x2)))
+        # rows and the Rumer set are keyed by scheme, as _normal_forms' forms are
+        keys = list(dict.fromkeys(chain(schemes, diagrams)))
+        rows = dict(zip(keys, _expansions((key.edges for key in keys), x1, x2)))
         leads = set()
-        for edges in rumer_edges:
-            row = rows[edges]
+        for diagram in diagrams:
+            row = rows[diagram]
             lead = max(row, default=None)
             if lead is not None and row[lead] == 1:
                 leads.add(lead)
-        unit_triangular = len(leads) == len(rumer_edges)
-        basis = {diagram.edges for diagram in diagrams if is_rumer(diagram)}
+        unit_triangular = len(leads) == len(diagrams)
+        basis = {diagram for diagram in diagrams if is_rumer(diagram)}
         now = perf_counter()
         seconds["expand"] += now - start
         start = now
@@ -393,30 +394,28 @@ class _BasisCheck:
                 spanned = False
                 self._fail(scheme, f"straighten raised: {terms}")
                 continue
-            if scheme.edges in basis and terms == {scheme.edges: 1}:
+            if scheme in basis and terms == {scheme: 1}:
                 continue  # the scheme's own row times 1
             products, foreign, reasons = [], {}, []
-            for edges, coeff in terms.items():
-                if edges not in basis:
+            for mono, coeff in terms.items():
+                if mono not in basis:
                     spanned = False
-                    term = BracketPolynomial.monomial(self.n, edges)
-                    (mono,) = term.terms
                     degrees = mono.multidegree()
                     if not is_rumer(mono):
-                        reasons.append(f"crossing term {term}")
+                        reasons.append(f"crossing term {_monomial_text(mono.edges)}")
                     elif degrees != d:
-                        reasons.append(f"multidegree changed in {term}")
+                        reasons.append(f"multidegree changed in {_monomial_text(mono.edges)}")
                     if degrees != d:
                         foreign[mono] = coeff
                         continue
-                row = rows.get(edges)
+                row = rows.get(mono)
                 if row is None:
-                    (row,) = _expansions([edges], x1, x2)
+                    (row,) = _expansions([mono.edges], x1, x2)
                 products.append((row, coeff))
             expansion = combine(
                 (key, coeff * c) for row, coeff in products for key, c in row.items()
             )
-            if expansion != rows[scheme.edges] or (
+            if expansion != rows[scheme] or (
                 foreign and expand(BracketPolynomial._of(self.n, foreign))
             ):
                 spanned = False
@@ -430,8 +429,8 @@ class _BasisCheck:
         if not (unit_triangular and spanned):
             self.fallback_blocks += 1
             pivots: dict = {}
-            for edges in rumer_edges:
-                _insert(pivots, rows[edges])
+            for diagram in diagrams:
+                _insert(pivots, rows[diagram])
             rumer_rank = len(pivots)
             for row in rows.values():
                 _insert(pivots, row)
@@ -441,7 +440,7 @@ class _BasisCheck:
         self.full_rank += full_rank
 
     def _fail(self, scheme: ValenceScheme, reason: str) -> None:
-        self.failures.append((scheme.edges, {"scheme": scheme.to_text(), "reason": reason}))
+        self.failures.append((scheme, {"scheme": scheme.to_text(), "reason": reason}))
 
     def report(self) -> dict:
         self.failures.sort(key=itemgetter(0))  # stable: a scheme's failures keep their order

@@ -21,7 +21,7 @@ def straighten_each(monkeypatch):
                 except Exception as exc:
                     forms.append(exc)
                 else:
-                    forms.append({mono.edges: coeff for mono, coeff in flat.terms.items()})
+                    forms.append(dict(flat.terms))
             return forms, 0
 
         monkeypatch.setattr(rumer.oracle, "_normal_forms", normal_forms)

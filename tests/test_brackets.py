@@ -229,9 +229,9 @@ def blocks(n, m):
 
 
 def straightened(scheme):
-    """straighten's output on one scheme, keyed by edges like _normal_forms'."""
-    flat = straighten(BracketPolynomial.monomial(scheme.n, scheme.edges))
-    return {mono.edges: coeff for mono, coeff in flat.terms.items()}
+    """straighten's output on one scheme, as a term map keyed by scheme like
+    _normal_forms' forms."""
+    return dict(straighten(BracketPolynomial.monomial(scheme.n, scheme.edges)).terms)
 
 
 class TestNormalForms:
@@ -251,26 +251,26 @@ class TestNormalForms:
     def test_block_missing_a_child_fails_its_parents_only(self):
         """Without one exchange child, the schemes whose rewrites reach it
         carry an error in place of a form, and the call does not raise."""
-        removed = ((1, 2), (3, 4), (5, 6))
-        schemes = [s for s in blocks(6, 3)[(1,) * 6] if s.edges != removed]
+        removed = ValenceScheme(6, [(1, 2), (3, 4), (5, 6)])
+        schemes = [s for s in blocks(6, 3)[(1,) * 6] if s != removed]
 
-        def reaches(edges):
-            pair = first_crossing(ValenceScheme(6, edges))
+        def reaches(scheme):
+            pair = first_crossing(scheme)
             if pair is None:
                 return False
-            rest = list(edges)
+            rest = list(scheme.edges)
             rest.remove(pair[0])
             rest.remove(pair[1])
-            children = [tuple(sorted(rest + list(g))) for g in _exchange(*pair)]
+            children = [ValenceScheme(6, rest + list(g)) for g in _exchange(*pair)]
             return removed in children or any(reaches(child) for child in children)
 
         forms, rewrites = _normal_forms(schemes)
         assert rewrites == 10  # 15 perfect matchings, 5 of them Rumer diagrams
-        failed = {s.edges for s, form in zip(schemes, forms) if isinstance(form, Exception)}
-        assert failed == {s.edges for s in schemes if reaches(s.edges)}
-        assert ((1, 3), (2, 4), (5, 6)) in failed and len(failed) < 10
+        failed = {s for s, form in zip(schemes, forms) if isinstance(form, Exception)}
+        assert failed == {s for s in schemes if reaches(s)}
+        assert ValenceScheme(6, [(1, 3), (2, 4), (5, 6)]) in failed and len(failed) < 10
         for scheme, form in zip(schemes, forms):
-            if scheme.edges in failed:
+            if scheme in failed:
                 assert "[1,2][3,4][5,6], which is not a scheme of the block" in str(form)
             else:
                 assert form == straightened(scheme), scheme
@@ -281,7 +281,7 @@ class TestNormalForms:
         forms, _ = _normal_forms(schemes)
         for scheme, form in zip(schemes, forms):
             if is_rumer(scheme):
-                assert form == {scheme.edges: 1}
+                assert form == {scheme: 1}
             else:
                 assert isinstance(form, RuntimeError)
                 assert str(form).startswith("internal error: exchanging (1,3) and (2,4)")
@@ -319,6 +319,15 @@ class TestParse:
         assert info.value.position == 3
         with pytest.raises(VertexRangeError):
             parse("[0,2]", 4)
+
+    def test_non_decimal_digit_is_an_unexpected_character(self):
+        # str.isdigit accepts "²" and "①", int() does not
+        cases = [("[²,1]", "²", 1), ("2*[1,¹]", "¹", 5), ("①*[1,2]", "①", 0)]
+        for text, char, position in cases:
+            with pytest.raises(PolynomialSyntaxError) as info:
+                parse(text, 4)
+            assert str(info.value) == f"unexpected character {char!r} (at position {position})"
+            assert info.value.position == position
 
     def test_loop_error(self):
         with pytest.raises(LoopBracketError):
@@ -406,18 +415,18 @@ def crossing_monomials(draw):
 def crossing_closure(scheme):
     """The crossing schemes reached from a scheme by exchanges at the first
     crossing pair, found by a graph search without straighten."""
-    seen, todo, crossing = {scheme.edges}, [scheme.edges], set()
+    seen, todo, crossing = {scheme}, [scheme], set()
     while todo:
-        edges = todo.pop()
-        pair = first_crossing(ValenceScheme(scheme.n, edges))
+        mono = todo.pop()
+        pair = first_crossing(mono)
         if pair is None:
             continue
-        crossing.add(edges)
-        rest = list(edges)
+        crossing.add(mono)
+        rest = list(mono.edges)
         rest.remove(pair[0])
         rest.remove(pair[1])
         for exchanged in _exchange(*pair):
-            child = ValenceScheme(scheme.n, rest + list(exchanged)).edges
+            child = ValenceScheme(scheme.n, rest + list(exchanged))
             if child not in seen:
                 seen.add(child)
                 todo.append(child)
@@ -426,12 +435,12 @@ def crossing_closure(scheme):
 
 @pytest.fixture
 def rewritten(monkeypatch):
-    """The edge tuples that straighten rewrites, one entry per rewrite."""
+    """The schemes that straighten rewrites, one entry per rewrite."""
     calls = []
 
-    def children(edges, e, f):
-        calls.append(edges)
-        return _children(edges, e, f)
+    def children(scheme, e, f):
+        calls.append(scheme)
+        return _children(scheme, e, f)
 
     monkeypatch.setattr(rumer.brackets, "_children", children)
     return calls
@@ -461,9 +470,9 @@ class TestTermination:
         scheme, (i, j) = drawn
         e, f = scheme.edges[i], scheme.edges[j]
         rest = [g for k, g in enumerate(scheme.edges) if k not in (i, j)]
-        assert _children(scheme.edges, e, f) == [
-            tuple(sorted(rest + list(pair))) for pair in _exchange(e, f)
-        ]
+        children = _children(scheme, e, f)
+        assert children == [ValenceScheme(scheme.n, rest + list(pair)) for pair in _exchange(e, f)]
+        assert all(type(child) is ValenceScheme for child in children)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(crossing_monomials())
@@ -482,8 +491,8 @@ class TestTermination:
         weight = arc_products(n, scheme.edges)
         assert arc_products(n, near) == weight - 2 * y * w, (scheme, e, f, near)
         assert arc_products(n, far) == weight - 2 * x * z, (scheme, e, f, far)
-        for edges in (scheme.edges, *_children(scheme.edges, e, f)):
-            assert _weight(n, edges) == arc_products(n, edges), edges
+        for mono in (scheme, *_children(scheme, e, f)):
+            assert _weight(mono) == arc_products(n, mono.edges), mono
 
     def test_power_of_a_crossing_pair(self, rewritten):
         # a rewrite tree has 2**20 - 1 nodes; in descending weight each of

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import sys
+import time
 from itertools import islice
 from unittest import mock
 
@@ -19,6 +20,7 @@ import rumer.brackets
 import rumer.cli
 import rumer.diagrams
 import rumer.oracle
+from rumer.brackets import BracketPolynomial, straighten
 from rumer.cli import build_parser, main
 from rumer.counting import rho_closed, triangle_range
 
@@ -319,6 +321,49 @@ class TestStraighten:
         code, _, err = run(capsys, "straighten", "[1,5]", "--n", "4")
         assert code == 2
         assert "position" in err
+
+    def test_superscript_digit_is_one_line_usage_error(self, capsys):
+        code, out, err = run(capsys, "straighten", "[²,1]", "--n", "4")
+        assert (code, out) == (2, "")
+        assert err == "error: unexpected character '²' (at position 1)\n"
+
+    def test_verify_expands_only_the_vertices_used(self, capsys, monkeypatch):
+        sizes = []
+
+        def expand(poly):
+            sizes.append(poly.n)
+            return rumer.oracle.expand(poly)
+
+        monkeypatch.setattr(rumer.cli, "expand", expand)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "straighten", "[1,2]", "--n", "100000000", "--verify")
+        assert time.perf_counter() - start < 1
+        assert (code, out, sizes) == (0, "[1,2]\nverify: pass\n", [2, 2])
+        sizes.clear()
+        code, out, _ = run(capsys, "straighten", "[9,3][7,12]", "--n", "20", "--verify")
+        assert (code, out, sizes) == (0, "-[3,7][9,12] - [3,12][7,9]\nverify: pass\n", [4, 4])
+        sizes.clear()
+        code, out, _ = run(capsys, "straighten", "0*[1,2]", "--n", "5", "--verify")
+        assert (code, out, sizes) == (0, "0\nverify: pass\n", [1, 1])
+
+    @pytest.mark.parametrize(
+        "broken",
+        [
+            lambda flat: BracketPolynomial._of(flat.n, dict(list(flat.terms.items())[1:])),
+            lambda flat: flat + BracketPolynomial.monomial(flat.n, [(5, 6)]),
+        ],
+        ids=["drops-a-term", "adds-an-unused-vertex"],
+    )
+    def test_verify_fails_a_wrong_straightening(self, capsys, monkeypatch, broken):
+        monkeypatch.setattr(rumer.cli, "straighten", lambda p: broken(straighten(p)))
+        code, out, _ = run(capsys, "straighten", "[1,3][2,4]", "--n", "6", "--verify")
+        assert code == 1
+        assert out.splitlines()[-1] == "verify: FAIL"
+        code, out, _ = run(
+            capsys, "straighten", "[1,3][2,4]", "--n", "6", "--verify", "--format", "json"
+        )
+        assert code == 1
+        assert json.loads(out)["verified"] is False
 
 
 class TestVerify:
@@ -787,7 +832,9 @@ BAD = {
     "--m": ["9" * 20],
 }
 JUNK = [str(k) for k in range(-2, 1)] + ["", "x", "-", "--", "--help", "--bogus", "7..", "1.5"]
-POLYNOMIALS = ["[1,3][2,4]", "2*[3,1]-[2,1]", "[1,2][1,2][3,5]", "-[2,1]", "[1,", "[6,6]", "0"]
+POLYNOMIALS = [
+    "[1,3][2,4]", "2*[3,1]-[2,1]", "[1,2][1,2][3,5]", "-[2,1]", "[1,", "[6,6]", "0", "[²,1]"
+]
 
 
 @st.composite
