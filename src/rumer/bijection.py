@@ -15,7 +15,9 @@ from .counting import _degrees, binomial, even_triangle, triangle_range
 from .diagrams import (
     RumerDiagram,
     ValenceScheme,
+    _diagram,
     _edge,
+    _scheme,
     enumerate_rumer_by_multidegree,
     enumerate_valence_schemes_by_multidegree,
     is_rumer,
@@ -63,7 +65,7 @@ def psi(scheme: ValenceScheme) -> PsiResult:
             new_edges.append(e)
     # still sorted: among the edges from i, (i, top) came last and its image
     # (i, target) is at least every other one
-    merged = ValenceScheme._trusted(target, tuple(new_edges))
+    merged = _scheme((target, tuple(new_edges)))
     return PsiResult(merged, mu_n=m_n + m_n1 - 2 * m_join, m_join=m_join)
 
 
@@ -171,7 +173,7 @@ def _verify_psi_bijection(d, diagrams, schemes, merged_sets: dict, schemes_of) -
         else:
             images[merged] = scheme
             # merged passed is_rumer above
-            back = psi_section(RumerDiagram._trusted(merged.n, merged.edges), m_n, m_n1)
+            back = psi_section(_diagram(merged), m_n, m_n1)
             if back == scheme:
                 continue
             reason = f"section returned {back}"

@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import re
 from bisect import insort
-from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .counting import _vertices
-from .diagrams import Edge, ValenceScheme, _edge, edges_cross, first_crossing, is_rumer
+from .diagrams import Edge, ValenceScheme, _edge, _scheme, edges_cross, first_crossing, is_rumer
 from .sparse import SparseCombination, combine
 
 
@@ -177,11 +176,6 @@ def plucker_expand(e1: Edge, e2: Edge, n: int | None = None) -> BracketPolynomia
     if n is None:
         n = max(e1[1], e2[1])
     return BracketPolynomial(n, {ValenceScheme(n, pair): 1 for pair in _exchange(e1, e2)})
-
-
-#: ValenceScheme from a pair (n, edges) whose sorted edges already fit on n
-#: vertices, built without the constructor's checks; call as _scheme((n, edges)).
-_scheme = partial(tuple.__new__, ValenceScheme)
 
 
 def _weight(scheme: ValenceScheme) -> int:

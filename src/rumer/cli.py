@@ -15,12 +15,9 @@ import functools
 import json
 import math
 import sys
-from itertools import chain
-from time import perf_counter
 from typing import Callable, Sequence
 
-from .bijection import _verify_psi_bijection
-from .brackets import BracketPolynomial, ParseError, parse as parse_polynomial, straighten
+from .brackets import ParseError, parse as parse_polynomial, straighten
 from .counting import (
     _n_recurrence_steps,
     _rho_sum_steps,
@@ -30,13 +27,8 @@ from .counting import (
     rho_product,
     rho_sum_over_compositions,
 )
-from .diagrams import (
-    ValenceScheme,
-    enumerate_rumer,
-    enumerate_rumer_by_multidegree,
-    enumerate_valence_schemes,
-)
-from .oracle import _BasisCheck, _multidegree_blocks, basis_ok, expand
+from .diagrams import ValenceScheme, enumerate_rumer, enumerate_rumer_by_multidegree
+from .oracle import _new_stats, _same_expansion, _verify_cell
 from .render import render_svg
 
 OK, FAIL, USAGE = 0, 1, 2
@@ -84,6 +76,12 @@ def _check_steps(steps: int, limit: int, route: str = "recurrence") -> None:
     # never below the default: by --multidegree the recurrence is also the
     # count that the diagram guard compares, so a lower limit must reach it
     _check_max_schemes(steps, max(limit, DEFAULT_MAX_SCHEMES), f"{route} steps")
+
+
+def _guarded(route: str, steps: int, limit: int, count: Callable[..., int], *args) -> int:
+    """count(*args), once its steps are held to the guard."""
+    _check_steps(steps, limit, route)
+    return count(*args)
 
 
 def _check_minimums(args) -> None:
@@ -135,20 +133,18 @@ def _selection(args) -> tuple[dict, dict[str, Callable[[], int]], Callable[[], l
         if args.n is None or args.m is None:
             raise _UsageError("need --n and --m, or --multidegree")
         n, m = args.n, args.m
-
-        def product() -> int:
-            _check_steps(n - 3, args.max_schemes, "product")
-            return rho_product(n, m)
-
-        def recurrence() -> int:
-            _check_steps(_rho_sum_steps(n, m), args.max_schemes)
-            return rho_sum_over_compositions(n, m)
-
         label = {"n": n, "m": m}
-        routes = {"formula": functools.partial(rho_closed, n, m)}
-        if n >= 3:
-            routes["product"] = product
-        routes["recurrence"] = recurrence
+        # each route's steps: the formula's binomial multiplies min(m, n - 1)
+        # times, the product n - 3 times, and the recurrence fills its table
+        routes = {
+            route: functools.partial(_guarded, route, steps, args.max_schemes, count, n, m)
+            for route, steps, count in (
+                ("formula", min(m, n - 1), rho_closed),
+                ("product", n - 3, rho_product),
+                ("recurrence", _rho_sum_steps(n, m), rho_sum_over_compositions),
+            )
+            if route != "product" or n >= 3
+        }
         enumerate_ = functools.partial(enumerate_rumer, n, m)
     predict = next(iter(routes.values()))
 
@@ -203,26 +199,6 @@ def _cmd_enumerate(args) -> int:
     return OK
 
 
-def _on_used_vertices(*polys: BracketPolynomial) -> list[BracketPolynomial]:
-    """Polynomials on one n with the t vertices they use relabelled 1..t in
-    order (t >= 1).  The relabelling keeps i < j in every bracket and only
-    renames coordinate variables, so two of them expand equally iff the
-    originals do, at a cost that follows the terms, not n."""
-    used = sorted({v for poly in polys for mono in poly.terms for e in mono.edges for v in e})
-    label = {v: k for k, v in enumerate(used, 1)}
-    t = max(len(used), 1)
-    return [
-        BracketPolynomial(
-            t,
-            [
-                (ValenceScheme(t, [(label[i], label[j]) for i, j in mono.edges]), coeff)
-                for mono, coeff in poly.terms.items()
-            ],
-        )
-        for poly in polys
-    ]
-
-
 def _cmd_straighten(args) -> int:
     try:
         poly = parse_polynomial(args.polynomial, args.n)
@@ -231,8 +207,7 @@ def _cmd_straighten(args) -> int:
     flat = straighten(poly)
     verified = None
     if args.verify:
-        before, after = _on_used_vertices(poly, flat)
-        verified = expand(after) == expand(before)
+        verified = _same_expansion(poly.terms, flat.terms)
     if args.format == "json":
         document = {"input": args.polynomial, **flat.to_json_dict()}
         if verified is not None:
@@ -244,68 +219,6 @@ def _cmd_straighten(args) -> int:
             lines.append(f"verify: {'pass' if verified else 'FAIL'}")
         _emit("\n".join(lines), args.out)
     return OK if verified in (None, True) else FAIL
-
-
-#: The stages of verify that --stats times, in pipeline order.
-STAGES = ("enumerate", "expand", "divide", "straighten", "fallback", "psi")
-
-
-def _verify_cell(n: int, m: int, stats: dict) -> dict:
-    """One cell's report.  Its work is added to stats: seconds per stage, and
-    counts of blocks, blocks that fell back to elimination, valence schemes,
-    Rumer diagrams, pivots and straightening rewrites."""
-    seconds = stats["seconds"]
-    start = perf_counter()
-    rumer = enumerate_rumer(n, m)
-    schemes = list(enumerate_valence_schemes(n, m))
-    # the cell's multidegree blocks, in the order of compositions(2m, n); a
-    # composition that no multigraph realizes has no block
-    blocks = _multidegree_blocks(rumer, schemes)
-    # the merged prescriptions are the blocks of the cells (n-1, k), k <= m
-    lower = _multidegree_blocks((), chain.from_iterable(
-        enumerate_valence_schemes(n - 1, k) for k in range(m + 1 if n >= 2 else 0)
-    ))
-    seconds["enumerate"] += perf_counter() - start
-    check = _BasisCheck(n, m)
-    bijection_failures = []
-    merged_sets: dict = {}  # this cell's merged prescriptions, each enumerated once
-    for d in sorted(blocks):
-        check.block(d, *blocks[d])
-        if n >= 2:
-            start = perf_counter()
-            report = _verify_psi_bijection(
-                d, *blocks[d], merged_sets, lambda e: lower[e][1] if e in lower else []
-            )
-            seconds["psi"] += perf_counter() - start
-            if not report["bijection_ok"]:
-                bijection_failures.append(report)
-    basis = check.report()
-    for stage, spent in check.seconds.items():
-        seconds[stage] += spent
-    stats["blocks"] += check.blocks
-    stats["fallback_blocks"] += check.fallback_blocks
-    stats["schemes"] += len(schemes)
-    stats["rumer_diagrams"] += len(rumer)
-    stats["pivots"] += basis["full_rank"]
-    stats["rewrites"] += check.rewrites
-    counts = {
-        "formula": rho_closed(n, m),
-        "recurrence": rho_sum_over_compositions(n, m),
-        "enumerate": len(rumer),
-    }
-    if n >= 3:
-        counts["product"] = rho_product(n, m)
-    counts_agree = len(set(counts.values())) == 1
-    cell_ok = counts_agree and basis_ok(basis) and not bijection_failures
-    return {
-        "n": n,
-        "m": m,
-        "counts": counts,
-        "counts_agree": counts_agree,
-        "basis": basis,
-        "bijection_failures": bijection_failures,
-        "ok": cell_ok,
-    }
 
 
 def _cmd_verify(args) -> int:
@@ -324,12 +237,7 @@ def _cmd_verify(args) -> int:
         _check_steps(_rho_sum_steps(n, m), args.max_schemes)
         total += max(1, binomial(n, 2), _scheme_space(n, m))
         _check_max_schemes(total, args.max_schemes, f"schemes up to (n={n}, m={m})")
-    stats = {
-        "seconds": dict.fromkeys(STAGES, 0.0),
-        **dict.fromkeys(
-            ("blocks", "fallback_blocks", "schemes", "rumer_diagrams", "pivots", "rewrites"), 0
-        ),
-    }
+    stats = _new_stats()
     cells = [_verify_cell(n, m, stats) for n, m in grid()]
     all_ok = all(cell["ok"] for cell in cells)
     if args.format == "json":

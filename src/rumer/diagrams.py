@@ -79,12 +79,6 @@ class ValenceScheme(tuple):
     n = property(operator.itemgetter(0), doc="The vertex count.")
     edges = property(operator.itemgetter(1), doc="The sorted tuple of edges.")
 
-    @classmethod
-    def _trusted(cls, n: int, edges: tuple[Edge, ...]) -> "ValenceScheme":
-        """A scheme from a sorted tuple of edges that already fit on n vertices,
-        such as a rearrangement of a checked scheme's edges; nothing is checked."""
-        return tuple.__new__(cls, (n, edges))
-
     def __getnewargs__(self) -> tuple[int, tuple[Edge, ...]]:
         return tuple(self)
 
@@ -144,6 +138,13 @@ class RumerDiagram(ValenceScheme):
         if bad is not None:
             raise ValueError(f"edges {bad[0]} and {bad[1]} cross; not a Rumer diagram")
         return diagram
+
+
+#: A scheme or a diagram from a pair (n, edges) whose sorted edges already fit
+#: on n vertices (and, for a diagram, do not cross), built without the
+#: constructor's checks; call as _scheme((n, edges)) or _diagram((n, edges)).
+_scheme = partial(tuple.__new__, ValenceScheme)
+_diagram = partial(tuple.__new__, RumerDiagram)
 
 
 def edges_cross(e1: Edge, e2: Edge) -> bool:
@@ -331,7 +332,7 @@ def _sorted_diagrams(n: int, edge_lists: Iterable[tuple[Edge, ...]]) -> list[Rum
     """The diagrams of the ballot walk's edge lists, canonically ordered.  The
     walk makes only non-crossing lists of edges on n vertices, so each list
     is sorted and built without the constructor's checks."""
-    found = [RumerDiagram._trusted(n, tuple(sorted(edges))) for edges in edge_lists]
+    found = [_diagram((n, tuple(sorted(edges)))) for edges in edge_lists]
     found.sort()  # as the pairs (n, edges), with n fixed
     return found
 
@@ -358,7 +359,7 @@ def enumerate_valence_schemes_by_multidegree(degrees: Sequence[int]) -> list[Val
     d = _degrees(degrees)
     n = len(d)
     # each edge list is sorted and fits on the n vertices
-    return [ValenceScheme._trusted(n, edges) for edges in _degree_constrained_edge_lists(d)]
+    return [_scheme((n, edges)) for edges in _degree_constrained_edge_lists(d)]
 
 
 def enumerate_rumer(n: int, m: int) -> list[RumerDiagram]:
@@ -383,4 +384,4 @@ def enumerate_valence_schemes(n: int, m: int) -> Iterator[ValenceScheme]:
     n, m = _cell(n, m)  # here, not in a generator: bad input raises at the call
     all_edges = [Edge(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     # each multiset of the sorted edges comes out sorted
-    return (ValenceScheme._trusted(n, c) for c in combinations_with_replacement(all_edges, m))
+    return (_scheme((n, c)) for c in combinations_with_replacement(all_edges, m))

@@ -6,7 +6,8 @@ dimensions are then decided by exact integer arithmetic.  The basis check
 works one multidegree block at a time, where the x2 coordinates can be set
 to 1 without losing information.  Nothing in this module is allowed to
 touch floating point: ranks are exact claims, and a tolerance would hide
-rank deficiency.
+rank deficiency.  `rumer verify` checks each cell here: the counting routes,
+the basis check and the merge bijection, timed into one stats record.
 """
 from __future__ import annotations
 
@@ -19,7 +20,8 @@ from time import perf_counter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .brackets import BracketPolynomial, _monomial_text, _normal_forms
-from .counting import rho_closed
+from .bijection import _verify_psi_bijection
+from .counting import rho_closed, rho_product, rho_sum_over_compositions
 from .diagrams import (
     Multidegree,
     RumerDiagram,
@@ -31,6 +33,8 @@ from .diagrams import (
 from .sparse import SparseCombination, combine
 
 ExponentVector = tuple[int, ...]
+#: The _expansions code of each vertex's x1 or x2 variable, by vertex.
+Codes = Sequence[int] | Mapping[int, int]
 
 
 def variable_index(vertex: int, component: int) -> int:
@@ -100,7 +104,7 @@ def _times_bracket(terms: dict[int, int], plus: int, minus: int) -> dict[int, in
 
 
 def _expansions(
-    edge_lists: Iterable[Sequence[tuple[int, int]]], x1: Sequence[int], x2: Sequence[int]
+    edge_lists: Iterable[Sequence[tuple[int, int]]], x1: Codes, x2: Codes
 ) -> Iterator[dict[int, int]]:
     """The expansion of each edge list's bracket product, in turn.
 
@@ -125,6 +129,33 @@ def _expansions(
         yield stack[-1]
 
 
+def _summed(terms: Mapping[ValenceScheme, int], x1: Codes, x2: Codes) -> dict[int, int]:
+    """The coded expansion of a term map, a sum of coefficients times bracket
+    monomials: _expansions' map of each monomial, in sorted order so that
+    neighbours share prefixes, times its coefficient, summed."""
+    items = sorted(terms.items())
+    return combine(
+        (key, coeff * c)
+        for (_, coeff), row in zip(items, _expansions((mono.edges for mono, _ in items), x1, x2))
+        for key, c in row.items()
+    )
+
+
+def _codes(maps: Sequence[Mapping]) -> tuple[int, dict, dict]:
+    """The bits of one digit and the _expansions codes, keyed by vertex, of
+    only the vertices the term maps use.  Each, in increasing order, takes
+    the next two digits from the top, for x1 and then x2, so integer order
+    is the lexicographic order of exponent vectors.  No exponent exceeds its
+    monomial's factor count, so digits as wide as the largest count never
+    carry and the code is one-to-one."""
+    used = sorted({v for terms in maps for mono in terms for e in mono.edges for v in e})
+    width = max((len(mono.edges) for terms in maps for mono in terms), default=0).bit_length() or 1
+    top = 2 * len(used)
+    x1 = {v: 1 << width * (top - 1 - 2 * k) for k, v in enumerate(used)}
+    x2 = {v: 1 << width * (top - 2 - 2 * k) for k, v in enumerate(used)}
+    return width, x1, x2
+
+
 def expand(poly: BracketPolynomial) -> XPolynomial:
     """Replace every bracket by its determinant and expand the products.
 
@@ -132,22 +163,24 @@ def expand(poly: BracketPolynomial) -> XPolynomial:
     the empty monomial expands to the constant 1.
     """
     n = poly.n
-    items = sorted(poly.terms.items())
-    # no variable's exponent exceeds the factor count, so a digit of this
-    # width per variable never carries; the first variable is the top digit
-    width = max((len(mono.edges) for mono, _ in items), default=0).bit_length() or 1
-    shift = [width * (2 * n - 1 - p) for p in range(2 * n)]
-    x1 = [0] + [1 << shift[variable_index(v, 1)] for v in range(1, n + 1)]
-    x2 = [0] + [1 << shift[variable_index(v, 2)] for v in range(1, n + 1)]
+    width, x1, x2 = _codes([poly.terms])
+    # the low bit of each coded variable's digit, by its place in the vector
+    shift = {variable_index(v, 1): code.bit_length() - 1 for v, code in x1.items()}
+    shift.update((variable_index(v, 2), code.bit_length() - 1) for v, code in x2.items())
     mask = (1 << width) - 1
-    summed = combine(
-        (key, coeff * c)
-        for (_, coeff), terms in zip(items, _expansions((mono.edges for mono, _ in items), x1, x2))
-        for key, c in terms.items()
-    )
-    return XPolynomial._of(
-        n, {tuple(key >> s & mask for s in shift): c for key, c in summed.items()}
-    )
+    summed = _summed(poly.terms, x1, x2)
+    return XPolynomial._of(n, {
+        tuple(key >> shift[p] & mask if p in shift else 0 for p in range(2 * n)): c
+        for key, c in summed.items()
+    })
+
+
+def _same_expansion(left: Mapping, right: Mapping) -> bool:
+    """Whether two term maps, sums of bracket monomials, expand to the same
+    polynomial.  Only the vertices either uses get codes, so the cost
+    follows the terms, not n."""
+    _, x1, x2 = _codes([left, right])
+    return _summed(left, x1, x2) == _summed(right, x1, x2)
 
 
 @dataclass(frozen=True)
@@ -290,7 +323,7 @@ def _verify_basis(n: int, m: int, rumer: list, schemes: Iterable[ValenceScheme])
     valence schemes, checked one multidegree block at a time: each scheme's
     straightened output is multiplied back over its block's rows (see
     _BasisCheck)."""
-    check = _BasisCheck(n, m)
+    check = _BasisCheck(n, m, _new_stats())
     for d, (diagrams, block) in sorted(_multidegree_blocks(rumer, schemes).items()):
         check.block(d, diagrams, block)
     return check.report()
@@ -341,7 +374,7 @@ class _BasisCheck:
     is the scheme itself, times 1, of a scheme among the block's Rumer
     diagrams passes as it is, with no copy of its row.  Terms of another
     multidegree share no monomial with the block, so together they must
-    expand to zero in the full coordinates.  Any difference is an expansion
+    expand to zero (_same_expansion).  Any difference is an expansion
     mismatch; a crossing term, or one of another multidegree, is named, its
     multidegree, crossing and text read off its scheme.  If every output
     passes using only the block's Rumer schemes, those rows span the block
@@ -353,20 +386,20 @@ class _BasisCheck:
     scheme's in the order found.  Only one block's rows are held at a time.
     """
 
-    def __init__(self, n: int, m: int):
-        self.n, self.m = n, m
+    def __init__(self, n: int, m: int, stats: dict):
+        self.n, self.m, self.stats = n, m, stats
         self.rumer_count = self.rumer_rank = self.full_rank = 0
         self.failures: list[tuple[ValenceScheme, dict]] = []  # (scheme, failure)
-        self.blocks = self.fallback_blocks = self.rewrites = 0
-        #: seconds spent in each stage, over all blocks so far
-        self.seconds = dict.fromkeys(("expand", "divide", "straighten", "fallback"), 0.0)
 
     def block(self, d: Multidegree, diagrams: list, schemes: list) -> None:
         """Check one block: its multidegree d, its Rumer diagrams and its
-        valence schemes."""
-        seconds = self.seconds
+        valence schemes.  Its work goes into the stats record (_new_stats)."""
+        stats = self.stats
+        seconds = stats["seconds"]
         start = perf_counter()
-        self.blocks += 1
+        stats["blocks"] += 1
+        stats["schemes"] += len(schemes)
+        stats["rumer_diagrams"] += len(diagrams)
         self.rumer_count += len(diagrams)
         x1, x2 = _block_codes(d)
         # rows and the Rumer set are keyed by scheme, as _normal_forms' forms are
@@ -384,7 +417,7 @@ class _BasisCheck:
         seconds["expand"] += now - start
         start = now
         outputs, rewrites = _normal_forms(schemes)
-        self.rewrites += rewrites
+        stats["rewrites"] += rewrites
         now = perf_counter()
         seconds["straighten"] += now - start
         start = now
@@ -415,9 +448,7 @@ class _BasisCheck:
             expansion = combine(
                 (key, coeff * c) for row, coeff in products for key, c in row.items()
             )
-            if expansion != rows[scheme] or (
-                foreign and expand(BracketPolynomial._of(self.n, foreign))
-            ):
+            if expansion != rows[scheme] or (foreign and not _same_expansion(foreign, {})):
                 spanned = False
                 reasons.insert(0, "expansion mismatch")
             for reason in reasons:
@@ -427,7 +458,7 @@ class _BasisCheck:
         start = now
         rumer_rank = full_rank = len(diagrams)
         if not (unit_triangular and spanned):
-            self.fallback_blocks += 1
+            stats["fallback_blocks"] += 1
             pivots: dict = {}
             for diagram in diagrams:
                 _insert(pivots, rows[diagram])
@@ -438,6 +469,7 @@ class _BasisCheck:
             seconds["fallback"] += perf_counter() - start
         self.rumer_rank += rumer_rank
         self.full_rank += full_rank
+        stats["pivots"] += full_rank
 
     def _fail(self, scheme: ValenceScheme, reason: str) -> None:
         self.failures.append((scheme, {"scheme": scheme.to_text(), "reason": reason}))
@@ -461,3 +493,64 @@ def basis_ok(report: dict) -> bool:
         report["rumer_rank"] == report["rumer_count"] == report["rho"] == report["full_rank"]
         and not report["straighten_failures"]
     )
+
+
+#: The stages of verify that its stats record times, in pipeline order.
+STAGES = ("enumerate", "expand", "divide", "straighten", "fallback", "psi")
+
+
+def _new_stats() -> dict:
+    """An empty stats record of verify's work: seconds per stage, and counts
+    of blocks, blocks that fell back to elimination, valence schemes, Rumer
+    diagrams, pivots and straightening rewrites."""
+    counts = ("blocks", "fallback_blocks", "schemes", "rumer_diagrams", "pivots", "rewrites")
+    return {"seconds": dict.fromkeys(STAGES, 0.0), **dict.fromkeys(counts, 0)}
+
+
+def _verify_cell(n: int, m: int, stats: dict) -> dict:
+    """One cell's verify report: the four counts of its diagrams agree, its
+    Rumer diagrams form a basis (_BasisCheck), and merging the last vertex
+    is a bijection on each of its blocks (_verify_psi_bijection).  Its work
+    is added to stats (_new_stats)."""
+    seconds = stats["seconds"]
+    start = perf_counter()
+    rumer = enumerate_rumer(n, m)
+    # the cell's multidegree blocks, in the order of compositions(2m, n); a
+    # composition that no multigraph realizes has no block
+    blocks = _multidegree_blocks(rumer, enumerate_valence_schemes(n, m))
+    # the merged prescriptions are the blocks of the cells (n-1, k), k <= m
+    lower = _multidegree_blocks((), chain.from_iterable(
+        enumerate_valence_schemes(n - 1, k) for k in range(m + 1 if n >= 2 else 0)
+    ))
+    seconds["enumerate"] += perf_counter() - start
+    check = _BasisCheck(n, m, stats)
+    bijection_failures = []
+    merged_sets: dict = {}  # this cell's merged prescriptions, each enumerated once
+    for d in sorted(blocks):
+        check.block(d, *blocks[d])
+        if n >= 2:
+            start = perf_counter()
+            report = _verify_psi_bijection(
+                d, *blocks[d], merged_sets, lambda e: lower[e][1] if e in lower else []
+            )
+            seconds["psi"] += perf_counter() - start
+            if not report["bijection_ok"]:
+                bijection_failures.append(report)
+    basis = check.report()
+    counts = {
+        "formula": rho_closed(n, m),
+        "recurrence": rho_sum_over_compositions(n, m),
+        "enumerate": len(rumer),
+    }
+    if n >= 3:
+        counts["product"] = rho_product(n, m)
+    counts_agree = len(set(counts.values())) == 1
+    return {
+        "n": n,
+        "m": m,
+        "counts": counts,
+        "counts_agree": counts_agree,
+        "basis": basis,
+        "bijection_failures": bijection_failures,
+        "ok": counts_agree and basis_ok(basis) and not bijection_failures,
+    }

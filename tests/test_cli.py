@@ -105,6 +105,25 @@ class TestCount:
         assert (code, out) == (2, "")
         assert err == f"error: {n - 3} product steps exceed the --max-schemes guard (10000000)\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count"],
+            ["count", "--method", "formula"],
+            ["count", "--method", "all"],
+            ["count", "--method", "enumerate"],
+            ["enumerate"],
+            ["enumerate", "--format", "json"],
+        ],
+    )
+    def test_formula_is_guarded(self, capsys, argv):
+        # min(m, n - 1) multiplications of the binomial; math.comb raised
+        # OverflowError on these before any guard was reached
+        n = m = 10**20 - 1
+        code, out, err = run(capsys, *argv, "--n", str(n), "--m", str(m))
+        assert (code, out) == (2, "")
+        assert err == f"error: {n - 1} formula steps exceed the --max-schemes guard (10000000)\n"
+
     def test_product_guard_is_never_below_its_default(self, capsys, monkeypatch):
         argv = ("count", "--n", "14", "--m", "1", "--method", "product")
         monkeypatch.setattr(rumer.cli, "DEFAULT_MAX_SCHEMES", 10)
@@ -328,23 +347,27 @@ class TestStraighten:
         assert err == "error: unexpected character '²' (at position 1)\n"
 
     def test_verify_expands_only_the_vertices_used(self, capsys, monkeypatch):
-        sizes = []
+        coded = []  # the vertices given x1 and x2 codes, per expansion
+        expansions = rumer.oracle._expansions
 
-        def expand(poly):
-            sizes.append(poly.n)
-            return rumer.oracle.expand(poly)
+        def recorded(edge_lists, x1, x2):
+            coded.append((sorted(x1), sorted(x2)))
+            return expansions(edge_lists, x1, x2)
 
-        monkeypatch.setattr(rumer.cli, "expand", expand)
+        monkeypatch.setattr(rumer.oracle, "_expansions", recorded)
         start = time.perf_counter()
         code, out, _ = run(capsys, "straighten", "[1,2]", "--n", "100000000", "--verify")
         assert time.perf_counter() - start < 1
-        assert (code, out, sizes) == (0, "[1,2]\nverify: pass\n", [2, 2])
-        sizes.clear()
+        assert (code, out, coded) == (0, "[1,2]\nverify: pass\n", [([1, 2], [1, 2])] * 2)
+        coded.clear()
         code, out, _ = run(capsys, "straighten", "[9,3][7,12]", "--n", "20", "--verify")
-        assert (code, out, sizes) == (0, "-[3,7][9,12] - [3,12][7,9]\nverify: pass\n", [4, 4])
-        sizes.clear()
+        used = [3, 7, 9, 12]
+        assert (code, out, coded) == (
+            0, "-[3,7][9,12] - [3,12][7,9]\nverify: pass\n", [(used, used)] * 2
+        )
+        coded.clear()
         code, out, _ = run(capsys, "straighten", "0*[1,2]", "--n", "5", "--verify")
-        assert (code, out, sizes) == (0, "0\nverify: pass\n", [1, 1])
+        assert (code, out, coded) == (0, "0\nverify: pass\n", [([], [])] * 2)
 
     @pytest.mark.parametrize(
         "broken",
@@ -504,13 +527,13 @@ class TestVerify:
         """verify takes the brute-force Rumer lists of the merged prescriptions
         from the cells one vertex down, so a scheme missing there is caught
         by comparing the walk by multidegree with it."""
-        real = rumer.cli.enumerate_valence_schemes
+        real = rumer.oracle.enumerate_valence_schemes
         dropped = rumer.diagrams.ValenceScheme(3, [(1, 2), (1, 2)])  # the first Rumer scheme
 
         def lossy(n, m):
             return [s for s in real(n, m) if s != dropped]
 
-        monkeypatch.setattr(rumer.cli, "enumerate_valence_schemes", lossy)
+        monkeypatch.setattr(rumer.oracle, "enumerate_valence_schemes", lossy)
         code, out, _ = run(capsys, "verify", "--n", "4..4", "--m", "2..2", "--format", "json")
         assert code == 1
         failures = json.loads(out)["cells"][0]["bijection_failures"]
@@ -831,6 +854,8 @@ BAD = {
     "--n": ["9" * 20],
     "--m": ["9" * 20],
 }
+#: Flags whose BAD values may be drawn together in one argv.
+BOTH = ("--n", "--m")
 JUNK = [str(k) for k in range(-2, 1)] + ["", "x", "-", "--", "--help", "--bogus", "7..", "1.5"]
 POLYNOMIALS = [
     "[1,3][2,4]", "2*[3,1]-[2,1]", "[1,2][1,2][3,5]", "-[2,1]", "[1,", "[6,6]", "0", "[²,1]"
@@ -840,8 +865,9 @@ POLYNOMIALS = [
 @st.composite
 def argvs(draw):
     """A subcommand with its flags, at most one of them given a bad or junk
-    value, or else sometimes one loose token anywhere; integers run over
-    -2..6, and --out is never drawn, so nothing is written."""
+    value, or a bad value on both --n and --m, or else sometimes one loose
+    token anywhere; integers run over -2..6, and --out is never drawn, so
+    nothing is written."""
     sub = draw(st.sampled_from(sorted(REQUIRED)))
     argv = [sub]
     if sub == "straighten":
@@ -850,12 +876,18 @@ def argvs(draw):
         st.lists(st.sampled_from(OPTIONAL[sub]), max_size=3)
     )
     faulty = draw(st.sampled_from([None] * len(flags) + list(range(len(flags)))))
+    # a bad --n or --m may bring its partner's bad values along: together,
+    # the 20-digit ones parse but overflow a counting route
+    both = faulty is not None and flags[faulty] in BOTH and draw(st.booleans())
     for k, flag in enumerate(flags):
         argv.append(flag)
         if flag in ("--verify", "--stats"):
             continue
         key = f"{sub} {flag}" if f"{sub} {flag}" in GOOD else flag
-        values = BAD.get(key, []) + JUNK if k == faulty else GOOD[key]
+        if both and key in BOTH:
+            values = BAD[key]
+        else:
+            values = BAD.get(key, []) + JUNK if k == faulty else GOOD[key]
         argv.append(draw(st.sampled_from(values)))
     if faulty is None and draw(st.sampled_from([False] * 4 + [True])):
         loose = draw(st.sampled_from(JUNK + POLYNOMIALS + sorted(REQUIRED)))

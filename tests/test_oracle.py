@@ -10,8 +10,8 @@ import rumer.oracle
 from rumer.brackets import BracketPolynomial, parse
 from rumer.counting import compositions, n_recurrence, rho_closed
 from rumer.diagrams import (
-    RumerDiagram,
     ValenceScheme,
+    _diagram,
     enumerate_rumer,
     enumerate_rumer_by_multidegree,
     enumerate_valence_schemes,
@@ -448,7 +448,7 @@ class TestVerifyBasis:
         crossing = ValenceScheme(4, ((1, 3), (2, 4)))
         real = rumer.brackets.straighten
         straighten_each(lambda poly: poly if poly == parse("[1,3][2,4]", 4) else real(poly))
-        diagrams = enumerate_rumer(4, 2) + [RumerDiagram._trusted(4, crossing.edges)]
+        diagrams = enumerate_rumer(4, 2) + [_diagram(crossing)]
         report = rumer.oracle._verify_basis(4, 2, diagrams, enumerate_valence_schemes(4, 2))
         assert (report["rumer_count"], report["rumer_rank"], report["full_rank"]) == (21, 20, 20)
         assert report["straighten_failures"] == [
@@ -542,13 +542,14 @@ class TestVerifyBasis:
         lead = max(rows[ValenceScheme(4, target)].terms)
         assert rows[ValenceScheme(4, target)].terms[lead] == 2
         rumer_rows = [rows[d] for d in enumerate_rumer(4, 2)]
-        check = rumer.oracle._BasisCheck(4, 2)
+        stats = rumer.oracle._new_stats()
+        check = rumer.oracle._BasisCheck(4, 2, stats)
         for d, block in sorted(
             rumer.oracle._multidegree_blocks(enumerate_rumer(4, 2), rows).items()
         ):
             check.block(d, *block)
         report = check.report()
-        assert (check.blocks, check.fallback_blocks) == (19, 1)
+        assert (stats["blocks"], stats["fallback_blocks"]) == (19, 1)
         assert report["rumer_rank"] == reference_rank(rumer_rows) == 20
         assert report["full_rank"] == reference_rank(list(rows.values())) == full_rank
         assert report["straighten_failures"] == failures
