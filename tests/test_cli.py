@@ -876,8 +876,8 @@ def argvs(draw):
         st.lists(st.sampled_from(OPTIONAL[sub]), max_size=3)
     )
     faulty = draw(st.sampled_from([None] * len(flags) + list(range(len(flags)))))
-    # a bad --n or --m may bring its partner's bad values along: together,
-    # the 20-digit ones parse but overflow a counting route
+    # a bad --n or --m may bring its partner's bad values along: the 20-digit
+    # ones together parse, and only the formula route's guard stops them
     both = faulty is not None and flags[faulty] in BOTH and draw(st.booleans())
     for k, flag in enumerate(flags):
         argv.append(flag)
