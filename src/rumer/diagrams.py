@@ -200,11 +200,15 @@ def _degree_constrained_edge_lists(degrees: Sequence[int]) -> Iterator[tuple[Edg
 
     Chords are chosen in nondecreasing lexicographic order, so every multiset
     is produced exactly once and already canonically sorted.  The next edge
-    must cover the smallest vertex that still has free valence: later edges
-    cannot reach it, so anything else is a dead end.  An odd degree sum, or a
-    degree above the sum of the others, has no multigraph at all and yields
-    nothing without a search.  The search runs on an explicit stack, so its
-    depth is the bond count, not Python's recursion limit.
+    must cover the smallest vertex v that still has free valence, since later
+    edges cannot reach it; after each edge (v, w) the search backs out unless
+    the free valences are still realizable and v's fits in those of the
+    vertices from w on.  That spares a star its exponentially many dead ends,
+    but not every dead end is caught: on (2, 2, 2), (1, 3) passes and fails.
+    An odd degree sum, or a degree above the sum of the others, has no
+    multigraph at all and yields nothing without a search.  The search runs
+    on an explicit stack, so its depth is the bond count, not Python's
+    recursion limit.
     """
     if not _realizable(degrees):
         return
@@ -239,6 +243,9 @@ def _degree_constrained_edge_lists(degrees: Sequence[int]) -> Iterator[tuple[Edg
         remaining[v] -= 1
         remaining[w] -= 1
         chosen.append(_edge((v, w)))  # w > v
+        if not (_realizable(remaining) and remaining[v] <= sum(remaining[w:])):
+            unchoose()  # the rest has no multigraph, or v too few partners from w on
+            continue
         u = free_from(v)
         if u is None:
             yield tuple(chosen)

@@ -315,18 +315,38 @@ def verify_basis(n: int, m: int) -> dict:
     mismatch, a crossing output term, or a changed multidegree).  All four
     numbers agreeing with an empty violation list is a pass; see basis_ok.
     """
-    return _verify_basis(n, m, enumerate_rumer(n, m), enumerate_valence_schemes(n, m))
+    blocks = _multidegree_blocks(enumerate_rumer(n, m), enumerate_valence_schemes(n, m))
+    return _verify_basis(n, m, blocks, _new_stats())
 
 
-def _verify_basis(n: int, m: int, rumer: list, schemes: Iterable[ValenceScheme]) -> dict:
+def _verify_basis(n: int, m: int, blocks: Mapping, stats: dict) -> dict:
     """verify_basis of the cell (n, m), given its Rumer diagrams and its
-    valence schemes, checked one multidegree block at a time: each scheme's
-    straightened output is multiplied back over its block's rows (see
-    _BasisCheck)."""
-    check = _BasisCheck(n, m, _new_stats())
-    for d, (diagrams, block) in sorted(_multidegree_blocks(rumer, schemes).items()):
-        check.block(d, diagrams, block)
-    return check.report()
+    valence schemes grouped by multidegree (_multidegree_blocks): each block
+    is checked in sorted order (_check_block), its work added to stats
+    (_new_stats).  Blocks have disjoint monomials, so the cell's ranks are
+    the sums of its blocks' ranks.  Failures are reported in canonical
+    scheme order, each scheme's in the order found.  Only one block's rows
+    are held at a time."""
+    rumer_count = rumer_rank = full_rank = 0
+    failures: list[tuple[ValenceScheme, str]] = []  # (scheme, reason)
+    for d, (diagrams, schemes) in sorted(blocks.items()):
+        block_rumer, block_full, found = _check_block(d, diagrams, schemes, stats)
+        rumer_count += len(diagrams)
+        rumer_rank += block_rumer
+        full_rank += block_full
+        failures += found
+    failures.sort(key=itemgetter(0))  # stable: a scheme's failures keep their order
+    return {
+        "n": n,
+        "m": m,
+        "rumer_count": rumer_count,
+        "rumer_rank": rumer_rank,
+        "full_rank": full_rank,
+        "rho": rho_closed(n, m),
+        "straighten_failures": [
+            {"scheme": scheme.to_text(), "reason": reason} for scheme, reason in failures
+        ],
+    }
 
 
 def _multidegree_blocks(
@@ -352,8 +372,13 @@ def _block_codes(d: Multidegree) -> tuple[list[int], list[int]]:
     return [0] + [1 << width * (n - v) for v in range(1, n + 1)], [0] * (n + 1)
 
 
-class _BasisCheck:
-    """verify_basis of one cell, fed one multidegree block at a time.
+def _check_block(
+    d: Multidegree, diagrams: list, schemes: list, stats: dict
+) -> tuple[int, int, list[tuple[ValenceScheme, str]]]:
+    """The Rumer rank, the full rank and the failures, each a pair (scheme,
+    reason), of one multidegree block: its multidegree d, its Rumer diagrams
+    and its valence schemes.  Its work goes into the stats record
+    (_new_stats).
 
     In every monomial of a block's expansions the exponents of x1^(v) and
     x2^(v) sum to d_v, so setting x2 = 1 is injective on the block's span
@@ -380,111 +405,80 @@ class _BasisCheck:
     passes using only the block's Rumer schemes, those rows span the block
     and the full rank is the Rumer rank.  A rank not certified this way
     comes from fraction-free elimination of the same rows, Rumer rows first.
-
-    Blocks have disjoint monomials, so the cell's ranks are the sums of its
-    blocks' ranks.  Failures are reported in canonical scheme order, each
-    scheme's in the order found.  Only one block's rows are held at a time.
     """
-
-    def __init__(self, n: int, m: int, stats: dict):
-        self.n, self.m, self.stats = n, m, stats
-        self.rumer_count = self.rumer_rank = self.full_rank = 0
-        self.failures: list[tuple[ValenceScheme, dict]] = []  # (scheme, failure)
-
-    def block(self, d: Multidegree, diagrams: list, schemes: list) -> None:
-        """Check one block: its multidegree d, its Rumer diagrams and its
-        valence schemes.  Its work goes into the stats record (_new_stats)."""
-        stats = self.stats
-        seconds = stats["seconds"]
-        start = perf_counter()
-        stats["blocks"] += 1
-        stats["schemes"] += len(schemes)
-        stats["rumer_diagrams"] += len(diagrams)
-        self.rumer_count += len(diagrams)
-        x1, x2 = _block_codes(d)
-        # rows and the Rumer set are keyed by scheme, as _normal_forms' forms are
-        keys = list(dict.fromkeys(chain(schemes, diagrams)))
-        rows = dict(zip(keys, _expansions((key.edges for key in keys), x1, x2)))
-        leads = set()
+    seconds = stats["seconds"]
+    start = perf_counter()
+    stats["blocks"] += 1
+    stats["schemes"] += len(schemes)
+    stats["rumer_diagrams"] += len(diagrams)
+    x1, x2 = _block_codes(d)
+    # rows and the Rumer set are keyed by scheme, as _normal_forms' forms are
+    keys = list(dict.fromkeys(chain(schemes, diagrams)))
+    rows = dict(zip(keys, _expansions((key.edges for key in keys), x1, x2)))
+    leads = set()
+    for diagram in diagrams:
+        row = rows[diagram]
+        lead = max(row, default=None)
+        if lead is not None and row[lead] == 1:
+            leads.add(lead)
+    unit_triangular = len(leads) == len(diagrams)
+    basis = {diagram for diagram in diagrams if is_rumer(diagram)}
+    now = perf_counter()
+    seconds["expand"] += now - start
+    start = now
+    outputs, rewrites = _normal_forms(schemes)
+    stats["rewrites"] += rewrites
+    now = perf_counter()
+    seconds["straighten"] += now - start
+    start = now
+    failures = []
+    spanned = True  # every output so far passed, using only basis terms
+    for scheme, terms in zip(schemes, outputs):
+        if isinstance(terms, Exception):
+            spanned = False
+            failures.append((scheme, f"straighten raised: {terms}"))
+            continue
+        if scheme in basis and terms == {scheme: 1}:
+            continue  # the scheme's own row times 1
+        products, foreign, reasons = [], {}, []
+        for mono, coeff in terms.items():
+            if mono not in basis:
+                spanned = False
+                degrees = mono.multidegree()
+                if not is_rumer(mono):
+                    reasons.append(f"crossing term {_monomial_text(mono.edges)}")
+                elif degrees != d:
+                    reasons.append(f"multidegree changed in {_monomial_text(mono.edges)}")
+                if degrees != d:
+                    foreign[mono] = coeff
+                    continue
+            row = rows.get(mono)
+            if row is None:
+                (row,) = _expansions([mono.edges], x1, x2)
+            products.append((row, coeff))
+        expansion = combine(
+            (key, coeff * c) for row, coeff in products for key, c in row.items()
+        )
+        if expansion != rows[scheme] or (foreign and not _same_expansion(foreign, {})):
+            spanned = False
+            reasons.insert(0, "expansion mismatch")
+        failures += ((scheme, reason) for reason in reasons)
+    now = perf_counter()
+    seconds["divide"] += now - start
+    start = now
+    rumer_rank = full_rank = len(diagrams)
+    if not (unit_triangular and spanned):
+        stats["fallback_blocks"] += 1
+        pivots: dict = {}
         for diagram in diagrams:
-            row = rows[diagram]
-            lead = max(row, default=None)
-            if lead is not None and row[lead] == 1:
-                leads.add(lead)
-        unit_triangular = len(leads) == len(diagrams)
-        basis = {diagram for diagram in diagrams if is_rumer(diagram)}
-        now = perf_counter()
-        seconds["expand"] += now - start
-        start = now
-        outputs, rewrites = _normal_forms(schemes)
-        stats["rewrites"] += rewrites
-        now = perf_counter()
-        seconds["straighten"] += now - start
-        start = now
-        spanned = True  # every output so far passed, using only basis terms
-        for scheme, terms in zip(schemes, outputs):
-            if isinstance(terms, Exception):
-                spanned = False
-                self._fail(scheme, f"straighten raised: {terms}")
-                continue
-            if scheme in basis and terms == {scheme: 1}:
-                continue  # the scheme's own row times 1
-            products, foreign, reasons = [], {}, []
-            for mono, coeff in terms.items():
-                if mono not in basis:
-                    spanned = False
-                    degrees = mono.multidegree()
-                    if not is_rumer(mono):
-                        reasons.append(f"crossing term {_monomial_text(mono.edges)}")
-                    elif degrees != d:
-                        reasons.append(f"multidegree changed in {_monomial_text(mono.edges)}")
-                    if degrees != d:
-                        foreign[mono] = coeff
-                        continue
-                row = rows.get(mono)
-                if row is None:
-                    (row,) = _expansions([mono.edges], x1, x2)
-                products.append((row, coeff))
-            expansion = combine(
-                (key, coeff * c) for row, coeff in products for key, c in row.items()
-            )
-            if expansion != rows[scheme] or (foreign and not _same_expansion(foreign, {})):
-                spanned = False
-                reasons.insert(0, "expansion mismatch")
-            for reason in reasons:
-                self._fail(scheme, reason)
-        now = perf_counter()
-        seconds["divide"] += now - start
-        start = now
-        rumer_rank = full_rank = len(diagrams)
-        if not (unit_triangular and spanned):
-            stats["fallback_blocks"] += 1
-            pivots: dict = {}
-            for diagram in diagrams:
-                _insert(pivots, rows[diagram])
-            rumer_rank = len(pivots)
-            for row in rows.values():
-                _insert(pivots, row)
-            full_rank = len(pivots)
-            seconds["fallback"] += perf_counter() - start
-        self.rumer_rank += rumer_rank
-        self.full_rank += full_rank
-        stats["pivots"] += full_rank
-
-    def _fail(self, scheme: ValenceScheme, reason: str) -> None:
-        self.failures.append((scheme, {"scheme": scheme.to_text(), "reason": reason}))
-
-    def report(self) -> dict:
-        self.failures.sort(key=itemgetter(0))  # stable: a scheme's failures keep their order
-        return {
-            "n": self.n,
-            "m": self.m,
-            "rumer_count": self.rumer_count,
-            "rumer_rank": self.rumer_rank,
-            "full_rank": self.full_rank,
-            "rho": rho_closed(self.n, self.m),
-            "straighten_failures": [failure for _, failure in self.failures],
-        }
+            _insert(pivots, rows[diagram])
+        rumer_rank = len(pivots)
+        for row in rows.values():
+            _insert(pivots, row)
+        full_rank = len(pivots)
+        seconds["fallback"] += perf_counter() - start
+    stats["pivots"] += full_rank
+    return rumer_rank, full_rank, failures
 
 
 def basis_ok(report: dict) -> bool:
@@ -509,7 +503,7 @@ def _new_stats() -> dict:
 
 def _verify_cell(n: int, m: int, stats: dict) -> dict:
     """One cell's verify report: the four counts of its diagrams agree, its
-    Rumer diagrams form a basis (_BasisCheck), and merging the last vertex
+    Rumer diagrams form a basis (_verify_basis), and merging the last vertex
     is a bijection on each of its blocks (_verify_psi_bijection).  Its work
     is added to stats (_new_stats)."""
     seconds = stats["seconds"]
@@ -523,20 +517,17 @@ def _verify_cell(n: int, m: int, stats: dict) -> dict:
         enumerate_valence_schemes(n - 1, k) for k in range(m + 1 if n >= 2 else 0)
     ))
     seconds["enumerate"] += perf_counter() - start
-    check = _BasisCheck(n, m, stats)
+    basis = _verify_basis(n, m, blocks, stats)
     bijection_failures = []
     merged_sets: dict = {}  # this cell's merged prescriptions, each enumerated once
-    for d in sorted(blocks):
-        check.block(d, *blocks[d])
-        if n >= 2:
-            start = perf_counter()
-            report = _verify_psi_bijection(
-                d, *blocks[d], merged_sets, lambda e: lower[e][1] if e in lower else []
-            )
-            seconds["psi"] += perf_counter() - start
-            if not report["bijection_ok"]:
-                bijection_failures.append(report)
-    basis = check.report()
+    for d in sorted(blocks) if n >= 2 else ():  # a merge needs two vertices
+        start = perf_counter()
+        report = _verify_psi_bijection(
+            d, *blocks[d], merged_sets, lambda e: lower[e][1] if e in lower else []
+        )
+        seconds["psi"] += perf_counter() - start
+        if not report["bijection_ok"]:
+            bijection_failures.append(report)
     counts = {
         "formula": rho_closed(n, m),
         "recurrence": rho_sum_over_compositions(n, m),

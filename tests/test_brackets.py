@@ -93,11 +93,15 @@ class TestPolynomial:
     def test_mixed_n_rejected(self):
         with pytest.raises(ValueError):
             poly("[1,2]", 2) + poly("[1,2]", 3)
+        with pytest.raises(ValueError, match=r"monomial \[1,2\] lives on 2 vertices, not 3"):
+            BracketPolynomial(3, {ValenceScheme(2, [(1, 2)]): 1})
 
     def test_text_formatting(self):
         assert BracketPolynomial.zero(3).to_text() == "0"
         assert poly("[1,2] - 2*[1,3]", 3).to_text() == "[1,2] - 2*[1,3]"
         assert poly("-[1,2]", 2).to_text() == "-[1,2]"
+        assert BracketPolynomial.monomial(3, (), 2).to_text() == "2"
+        assert (BracketPolynomial.monomial(2, (), 3) - poly("[1,2]", 2)).to_text() == "3 - [1,2]"
 
     def test_json_round_trip(self):
         p = poly("2*[1,2][3,4] - [1,4][2,3]", 4)

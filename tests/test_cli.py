@@ -192,7 +192,7 @@ class TestCount:
         assert run(capsys, *argv, "--max-schemes", "30")[:2] == (0, "6\n")
 
     def test_enumerate_many_parallel_bonds(self, capsys):
-        # the backtracker went one recursion level per bond
+        # 1,500 parallel bonds: the ballot walk takes one step per vertex, not per bond
         code, out, err = run(
             capsys, "count", "--multidegree", "1500,1500", "--method", "enumerate"
         )
@@ -217,7 +217,7 @@ class TestEnumerate:
         "argv", [["--multidegree", "1500,1500"], ["--n", "2", "--m", "1500"]]
     )
     def test_many_parallel_bonds(self, capsys, argv):
-        # the backtracker went one recursion level per bond
+        # 1,500 parallel bonds: the ballot walk takes one step per vertex, not per bond
         code, out, err = run(capsys, "enumerate", *argv)
         assert (code, out, err) == (0, "n=2; " + "(1,2)" * 1500 + "\ncount: 1\n", "")
 
@@ -591,6 +591,9 @@ class TestVerify:
     def test_bad_range_syntax(self, capsys):
         with pytest.raises(SystemExit) as info:
             run(capsys, "verify", "--n", "3..2", "--m", "0..1")
+        assert info.value.code == 2
+        with pytest.raises(SystemExit) as info:
+            run(capsys, "verify", "--n", "1..2..3", "--m", "0..1")
         assert info.value.code == 2
 
     def test_generator_dropping_a_diagram_fails(self, capsys, monkeypatch):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rumer.diagrams
 from rumer.bijection import psi
 from rumer.counting import compositions, rho_closed
 from rumer.diagrams import (
@@ -411,6 +412,29 @@ class TestEnumerateValenceSchemes:
             (Edge(1, 4), Edge(2, 3)),
         }
         assert enumerate_valence_schemes_by_multidegree((1, 0)) == []
+
+    @pytest.mark.parametrize("degrees", [(1,) * 12 + (12,), (12,) + (1,) * 12])
+    def test_star_and_hub_back_out_at_once(self, monkeypatch, degrees):
+        """Each leaf of a 12-leaf star or hub has one partner, the centre: the
+        backtracker backs out of every other edge as soon as it is tried, so
+        it tries at most C(13, 2) = 78 edges, not exponentially many."""
+        real = rumer.diagrams._edge
+        tried = []
+        monkeypatch.setattr(rumer.diagrams, "_edge", lambda pair: tried.append(pair) or real(pair))
+        assert len(enumerate_valence_schemes_by_multidegree(degrees)) == 1
+        assert len(tried) <= 78
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_by_multidegree_equals_the_cell_route(self, n):
+        """The backtracker by multidegree gives, in order, the schemes of the
+        cell (n, m) with that multidegree, which the cell route lists as all
+        m-multisets of edges, with no degree constraint to prune by."""
+        for m in range(5):
+            cell: dict = {}
+            for scheme in enumerate_valence_schemes(n, m):
+                cell.setdefault(scheme.multidegree(), []).append(scheme)
+            for d in compositions(2 * m, n):
+                assert enumerate_valence_schemes_by_multidegree(d) == cell.get(d, []), d
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_equals_the_strict_construction(self, n):

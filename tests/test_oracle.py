@@ -427,16 +427,18 @@ class TestVerifyBasis:
         """A Rumer diagram missing from the list lowers rumer_rank only: its
         scheme still enters full_rank among the other schemes' rows."""
         diagrams = enumerate_rumer(4, 2)
-        report = rumer.oracle._verify_basis(4, 2, diagrams[1:], enumerate_valence_schemes(4, 2))
+        blocks = rumer.oracle._multidegree_blocks(diagrams[1:], enumerate_valence_schemes(4, 2))
+        report = rumer.oracle._verify_basis(4, 2, blocks, rumer.oracle._new_stats())
         assert (report["rumer_count"], report["rumer_rank"], report["full_rank"]) == (19, 19, 20)
         assert not basis_ok(report)
 
     def test_duplicate_rumer_diagram(self):
         """A Rumer diagram listed twice is counted twice but adds no rank."""
         diagrams = enumerate_rumer(4, 2)
-        report = rumer.oracle._verify_basis(
-            4, 2, diagrams + diagrams[:1], enumerate_valence_schemes(4, 2)
+        blocks = rumer.oracle._multidegree_blocks(
+            diagrams + diagrams[:1], enumerate_valence_schemes(4, 2)
         )
+        report = rumer.oracle._verify_basis(4, 2, blocks, rumer.oracle._new_stats())
         assert (report["rumer_count"], report["rumer_rank"], report["full_rank"]) == (21, 20, 20)
         assert report["straighten_failures"] == []
         assert not basis_ok(report)
@@ -449,7 +451,8 @@ class TestVerifyBasis:
         real = rumer.brackets.straighten
         straighten_each(lambda poly: poly if poly == parse("[1,3][2,4]", 4) else real(poly))
         diagrams = enumerate_rumer(4, 2) + [_diagram(crossing)]
-        report = rumer.oracle._verify_basis(4, 2, diagrams, enumerate_valence_schemes(4, 2))
+        blocks = rumer.oracle._multidegree_blocks(diagrams, enumerate_valence_schemes(4, 2))
+        report = rumer.oracle._verify_basis(4, 2, blocks, rumer.oracle._new_stats())
         assert (report["rumer_count"], report["rumer_rank"], report["full_rank"]) == (21, 20, 20)
         assert report["straighten_failures"] == [
             {"scheme": "n=4; (1,3)(2,4)", "reason": "crossing term [1,3][2,4]"}
@@ -497,7 +500,8 @@ class TestVerifyBasis:
         crossing scheme that needs it, and the sweep goes on."""
         missing = ValenceScheme(4, ((1, 2), (3, 4)))
         schemes = [s for s in enumerate_valence_schemes(4, 2) if s != missing]
-        report = rumer.oracle._verify_basis(4, 2, enumerate_rumer(4, 2), schemes)
+        blocks = rumer.oracle._multidegree_blocks(enumerate_rumer(4, 2), schemes)
+        report = rumer.oracle._verify_basis(4, 2, blocks, rumer.oracle._new_stats())
         assert report["straighten_failures"] == [
             {
                 "scheme": "n=4; (1,3)(2,4)",
@@ -506,6 +510,30 @@ class TestVerifyBasis:
             }
         ]
         assert (report["rumer_rank"], report["full_rank"]) == (20, 20)
+
+    def test_straightened_term_missing_from_the_scheme_list(self, monkeypatch, straighten_each):
+        """A straightened term of the block's multidegree that is in neither
+        list has no row of the block: it is expanded on its own, multiplies
+        back, and only the ranks fall back to elimination."""
+        twin = ((1, 2), (3, 4))
+        real = rumer.oracle._expansions
+        calls = []
+
+        def record(edge_lists, x1, x2):
+            edge_lists = list(edge_lists)
+            calls.append(edge_lists)
+            return real(edge_lists, x1, x2)
+
+        monkeypatch.setattr(rumer.oracle, "_expansions", record)
+        straighten_each(rumer.brackets.straighten)
+        diagrams = [d for d in enumerate_rumer(4, 2) if d.edges != twin]
+        schemes = [s for s in enumerate_valence_schemes(4, 2) if s.edges != twin]
+        blocks = rumer.oracle._multidegree_blocks(diagrams, schemes)
+        report = rumer.oracle._verify_basis(4, 2, blocks, rumer.oracle._new_stats())
+        assert (report["rumer_count"], report["rumer_rank"]) == (19, 19)
+        assert (report["full_rank"], report["rho"]) == (20, 20)
+        assert report["straighten_failures"] == []
+        assert [edge_lists for edge_lists in calls if twin in edge_lists] == [[twin]]
 
     @pytest.mark.parametrize(
         "target,full_rank,failures",
@@ -543,12 +571,8 @@ class TestVerifyBasis:
         assert rows[ValenceScheme(4, target)].terms[lead] == 2
         rumer_rows = [rows[d] for d in enumerate_rumer(4, 2)]
         stats = rumer.oracle._new_stats()
-        check = rumer.oracle._BasisCheck(4, 2, stats)
-        for d, block in sorted(
-            rumer.oracle._multidegree_blocks(enumerate_rumer(4, 2), rows).items()
-        ):
-            check.block(d, *block)
-        report = check.report()
+        blocks = rumer.oracle._multidegree_blocks(enumerate_rumer(4, 2), rows)
+        report = rumer.oracle._verify_basis(4, 2, blocks, stats)
         assert (stats["blocks"], stats["fallback_blocks"]) == (19, 1)
         assert report["rumer_rank"] == reference_rank(rumer_rows) == 20
         assert report["full_rank"] == reference_rank(list(rows.values())) == full_rank
@@ -572,7 +596,8 @@ class TestVerifyBasis:
         monkeypatch.setattr(rumer.oracle, "_expansions", corrupt)
         schemes = [s for s in enumerate_valence_schemes(4, 2) if is_rumer(s)]
         rows = [expand(BracketPolynomial.monomial(4, s.edges)) for s in schemes]
-        report = rumer.oracle._verify_basis(4, 2, enumerate_rumer(4, 2), schemes)
+        blocks = rumer.oracle._multidegree_blocks(enumerate_rumer(4, 2), schemes)
+        report = rumer.oracle._verify_basis(4, 2, blocks, rumer.oracle._new_stats())
         assert report["rumer_rank"] == report["full_rank"] == reference_rank(rows) == 20
 
     def test_rumer_expansions_are_independent(self):
