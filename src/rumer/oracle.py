@@ -3,11 +3,12 @@
 Every bracket is expanded into the polynomial ring over the coordinates
 x1^(1), x2^(1), ..., x1^(n), x2^(n); equalities, group invariance, and span
 dimensions are then decided by exact integer arithmetic.  The basis check
-works one multidegree block at a time, where the x2 coordinates can be set
-to 1 without losing information.  Nothing in this module is allowed to
-touch floating point: ranks are exact claims, and a tolerance would hide
-rank deficiency.  `rumer verify` checks each cell here: the counting routes,
-the basis check and the merge bijection, timed into one stats record.
+works one multidegree block at a time, where the x2 coordinates and x1^(n)
+can be set to 1 without losing information, and each row is one integer.
+Nothing in this module is allowed to touch floating point: ranks are exact
+claims, and a tolerance would hide rank deficiency.  `rumer verify` checks
+each cell here: the counting routes, the basis check and the merge
+bijection, timed into one stats record.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from itertools import chain
 from math import gcd
 from operator import add, itemgetter
 from time import perf_counter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .brackets import BracketPolynomial, _monomial_text, _normal_forms
 from .bijection import _verify_psi_bijection
@@ -35,6 +36,7 @@ from .sparse import SparseCombination, combine
 ExponentVector = tuple[int, ...]
 #: The _expansions code of each vertex's x1 or x2 variable, by vertex.
 Codes = Sequence[int] | Mapping[int, int]
+Row = TypeVar("Row")
 
 
 def variable_index(vertex: int, component: int) -> int:
@@ -103,20 +105,18 @@ def _times_bracket(terms: dict[int, int], plus: int, minus: int) -> dict[int, in
     return out
 
 
-def _expansions(
-    edge_lists: Iterable[Sequence[tuple[int, int]]], x1: Codes, x2: Codes
-) -> Iterator[dict[int, int]]:
-    """The expansion of each edge list's bracket product, in turn.
-
-    A monomial is coded as one integer, the sum of its variables' codes:
-    x1[v] and x2[v] code x1^(v) and x2^(v), and a code of 0 sets that
-    variable to 1.  Each bracket [i,j] is x1^(i) x2^(j) - x2^(i) x1^(j).  The
+def _products(
+    edge_lists: Iterable[Sequence[tuple[int, int]]],
+    one: Row,
+    times: Callable[[Row, int, int], Row],
+) -> Iterator[Row]:
+    """The product of each edge list's brackets, in turn: one is the empty
+    product, and times(row, i, j) is row times the bracket [i,j].  The
     products of the current list's prefixes stay on a stack, so a list that
     shares its first k edges with the one before costs one bracket product
-    per edge after those k; sorted lists share long prefixes.  A yielded map
-    may also serve as a later prefix and must not be modified.
-    """
-    stack: list[dict[int, int]] = [{0: 1}]
+    per edge after those k; sorted lists share long prefixes.  A yielded
+    product may also serve as a later prefix and must not be modified."""
+    stack = [one]
     previous: Sequence[tuple[int, int]] = ()
     for edges in edge_lists:
         k, limit = 0, min(len(edges), len(stack) - 1)
@@ -124,9 +124,26 @@ def _expansions(
             k += 1
         del stack[k + 1 :]
         for i, j in edges[k:]:
-            stack.append(_times_bracket(stack[-1], x1[i] + x2[j], x2[i] + x1[j]))
+            stack.append(times(stack[-1], i, j))
         previous = edges
         yield stack[-1]
+
+
+def _expansions(
+    edge_lists: Iterable[Sequence[tuple[int, int]]], x1: Codes, x2: Codes
+) -> Iterator[dict[int, int]]:
+    """The expansion of each edge list's bracket product, in turn, as a term
+    map (_products).
+
+    A monomial is coded as one integer, the sum of its variables' codes:
+    x1[v] and x2[v] code x1^(v) and x2^(v), and a code of 0 sets that
+    variable to 1.  Each bracket [i,j] is x1^(i) x2^(j) - x2^(i) x1^(j).
+    """
+    return _products(
+        edge_lists,
+        {0: 1},
+        lambda terms, i, j: _times_bracket(terms, x1[i] + x2[j], x2[i] + x1[j]),
+    )
 
 
 def _summed(terms: Mapping[ValenceScheme, int], x1: Codes, x2: Codes) -> dict[int, int]:
@@ -362,14 +379,58 @@ def _multidegree_blocks(
     return blocks
 
 
-def _block_codes(d: Multidegree) -> tuple[list[int], list[int]]:
-    """The _expansions codes of the block of multidegree d, with x2 = 1: the
-    x1 exponents as digits, x1^(1) the top one, so that integer order is the
-    lexicographic order.  No exponent of x1^(v) exceeds d_v, so no digit
-    carries and the code is one-to-one on the block's monomials."""
+def _block_rows(
+    d: Multidegree, width: int, edge_lists: Iterable[Sequence[tuple[int, int]]]
+) -> Iterator[int]:
+    """The row of each edge list's bracket product in the block of
+    multidegree d, in turn, as one integer (_products): the expansion with
+    x2 = 1 and x1^(n) = 1, evaluated at x1^(v) = 2^(width e_v).  The mixed
+    radix has e_n = 0, e_(n-1) = 1 and e_v = (d_(v+1) + 1) e_(v+1); so the
+    bracket [i,j], x1^(i) - x1^(j), is a difference of two shifts.
+
+    The x1 exponent of every vertex v < n is at most d_v, also in a prefix
+    product, so the digit position sum e_v a_v of a monomial is one-to-one
+    on those exponents, and integer order of positions is the lexicographic
+    order, x1^(1) on top.  Every monomial of the block has x1-degree m, so
+    the exponent of x1^(n) is fixed by the others and setting it to 1 loses
+    nothing.  A row is read as its balanced base-2^width digits, each
+    coefficient of the row's polynomial at its position (_digits); that
+    reading is exact while every coefficient is below 2^(width-1) in size.
+    """
     n = len(d)
-    width = max(d, default=0).bit_length() or 1
-    return [0] + [1 << width * (n - v) for v in range(1, n + 1)], [0] * (n + 1)
+    shift, e = [0] * (n + 1), 1  # shift[v] = width e_v, by vertex
+    for v in range(n - 1, 0, -1):
+        shift[v] = width * e
+        e *= d[v - 1] + 1
+    return _products(edge_lists, 1, lambda row, i, j: (row << shift[i]) - (row << shift[j]))
+
+
+def _digits(row: int, width: int) -> dict[int, int]:
+    """A _block_rows integer as its term map: each nonzero balanced
+    base-2^width digit, a coefficient of size below 2^(width-1), by its
+    position."""
+    terms, position, half = {}, 0, 1 << width - 1
+    while row:
+        digit = (row + half & (1 << width) - 1) - half
+        if digit:
+            terms[position] = digit
+        row = (row - digit) >> width
+        position += 1
+    return terms
+
+
+def _lead(row: int, width: int) -> tuple[int, int] | None:
+    """The position and the value of a nonzero _block_rows integer's top
+    balanced digit, or None for 0.  With every digit below 2^(width-1) in
+    size, a row whose top digit is at position k lies strictly between
+    2^(kw-1) and 2^((k+1)w-1) in size, w the width: so k is
+    (bit_length(2 row) - 1) // w, and the lower digits sum to less than
+    half of 2^(kw), so rounding the row to a multiple of 2^(kw) leaves the
+    top digit."""
+    if not row:
+        return None
+    k = ((row << 1).bit_length() - 1) // width
+    return k, (row + (1 << k * width >> 1)) >> k * width
 
 
 def _check_block(
@@ -382,54 +443,69 @@ def _check_block(
 
     In every monomial of a block's expansions the exponents of x1^(v) and
     x2^(v) sum to d_v, so setting x2 = 1 is injective on the block's span
-    and a row is keyed by its x1 exponents alone.  Order those keys
-    lexicographically with x1^(1) > ... > x1^(n).  The lead of [i,j], i < j,
-    is then x1^(i) with coefficient 1, and a product's lead is the product
-    of its factors' leads, so each Rumer row should have its own lead with
-    coefficient 1: a unit-triangular basis.  Nothing here assumes that: if
-    the leads read off the computed rows are distinct, each with
-    coefficient 1, the Rumer rank is the diagram count.
+    and a row is keyed by its x1 exponents alone; each row is one integer
+    (_block_rows).  Order those keys lexicographically with x1^(1) > ... >
+    x1^(n).  The lead of [i,j], i < j, is then x1^(i) with coefficient 1,
+    and a product's lead is the product of its factors' leads, so each
+    Rumer row should have its own lead with coefficient 1: a
+    unit-triangular basis.  Nothing here assumes that: if the leads read off
+    the computed rows (_lead) are distinct, each with coefficient 1, the
+    Rumer rank is the diagram count.
 
-    The block's schemes are straightened together, through one table of
-    normal forms (brackets._normal_forms), and each scheme's output is
+    The block's schemes are straightened first, together, through one table
+    of normal forms (brackets._normal_forms), and each scheme's output is
     multiplied back over the rows on its own: the sum of coefficient times
     row over its terms must equal the scheme's row, the division's
     certificate with the quotient given.  The rows, one per scheme, the
     Rumer set and the normal forms are all keyed by scheme.  An output that
     is the scheme itself, times 1, of a scheme among the block's Rumer
-    diagrams passes as it is, with no copy of its row.  Terms of another
-    multidegree share no monomial with the block, so together they must
-    expand to zero (_same_expansion).  Any difference is an expansion
-    mismatch; a crossing term, or one of another multidegree, is named, its
-    multidegree, crossing and text read off its scheme.  If every output
-    passes using only the block's Rumer schemes, those rows span the block
-    and the full rank is the Rumer rank.  A rank not certified this way
-    comes from fraction-free elimination of the same rows, Rumer rows first.
+    diagrams passes as it is.  Terms of another multidegree share no
+    monomial with the block, so together they must expand to zero
+    (_same_expansion).  Any difference is an expansion mismatch; a crossing
+    term, or one of another multidegree, is named, its multidegree, crossing
+    and text read off its scheme.  If every output passes using only the
+    block's Rumer schemes, those rows span the block and the full rank is
+    the Rumer rank.  A rank not certified this way comes from fraction-free
+    elimination of the same rows, decoded (_digits), Rumer rows first.
+
+    The integer test is exact.  A row is a product of m brackets, each a
+    binomial with coefficients 1 and -1, so no coefficient of a row exceeds
+    2^m in size, and the multiply-back difference, the sum of c_t times R_t
+    less R_s, has coefficients of size at most (S + 1) 2^m, where S, the sum
+    of |c_t|, is at most the largest over the block's outputs.  The digit
+    width is m + 2 + bit_length(S + 1), so that bound is below 2^(width-2).
+    Balanced base-2^width digits below 2^(width-1) in size are unique, so
+    the difference is the integer 0 exactly when it is the zero
+    polynomial.  The check stays a coordinate expansion, independent of the
+    straightener; the straightener only sets the width.
     """
     seconds = stats["seconds"]
     start = perf_counter()
     stats["blocks"] += 1
     stats["schemes"] += len(schemes)
     stats["rumer_diagrams"] += len(diagrams)
-    x1, x2 = _block_codes(d)
-    # rows and the Rumer set are keyed by scheme, as _normal_forms' forms are
-    keys = list(dict.fromkeys(chain(schemes, diagrams)))
-    rows = dict(zip(keys, _expansions((key.edges for key in keys), x1, x2)))
-    leads = set()
-    for diagram in diagrams:
-        row = rows[diagram]
-        lead = max(row, default=None)
-        if lead is not None and row[lead] == 1:
-            leads.add(lead)
-    unit_triangular = len(leads) == len(diagrams)
-    basis = {diagram for diagram in diagrams if is_rumer(diagram)}
-    now = perf_counter()
-    seconds["expand"] += now - start
-    start = now
     outputs, rewrites = _normal_forms(schemes)
     stats["rewrites"] += rewrites
     now = perf_counter()
     seconds["straighten"] += now - start
+    start = now
+    total = max(
+        (sum(map(abs, terms.values())) for terms in outputs if not isinstance(terms, Exception)),
+        default=0,
+    )
+    width = sum(d) // 2 + 2 + (total + 1).bit_length()
+    # rows and the Rumer set are keyed by scheme, as _normal_forms' forms are
+    keys = list(dict.fromkeys(chain(schemes, diagrams)))
+    rows = dict(zip(keys, _block_rows(d, width, (key.edges for key in keys))))
+    leads = set()
+    for diagram in diagrams:
+        lead = _lead(rows[diagram], width)
+        if lead is not None and lead[1] == 1:
+            leads.add(lead[0])
+    unit_triangular = len(leads) == len(diagrams)
+    basis = {diagram for diagram in diagrams if is_rumer(diagram)}
+    now = perf_counter()
+    seconds["expand"] += now - start
     start = now
     failures = []
     spanned = True  # every output so far passed, using only basis terms
@@ -440,7 +516,7 @@ def _check_block(
             continue
         if scheme in basis and terms == {scheme: 1}:
             continue  # the scheme's own row times 1
-        products, foreign, reasons = [], {}, []
+        difference, foreign, reasons = -rows[scheme], {}, []
         for mono, coeff in terms.items():
             if mono not in basis:
                 spanned = False
@@ -454,12 +530,9 @@ def _check_block(
                     continue
             row = rows.get(mono)
             if row is None:
-                (row,) = _expansions([mono.edges], x1, x2)
-            products.append((row, coeff))
-        expansion = combine(
-            (key, coeff * c) for row, coeff in products for key, c in row.items()
-        )
-        if expansion != rows[scheme] or (foreign and not _same_expansion(foreign, {})):
+                (row,) = _block_rows(d, width, [mono.edges])
+            difference += coeff * row
+        if difference or (foreign and not _same_expansion(foreign, {})):
             spanned = False
             reasons.insert(0, "expansion mismatch")
         failures += ((scheme, reason) for reason in reasons)
@@ -471,10 +544,10 @@ def _check_block(
         stats["fallback_blocks"] += 1
         pivots: dict = {}
         for diagram in diagrams:
-            _insert(pivots, rows[diagram])
+            _insert(pivots, _digits(rows[diagram], width))
         rumer_rank = len(pivots)
         for row in rows.values():
-            _insert(pivots, row)
+            _insert(pivots, _digits(row, width))
         full_rank = len(pivots)
         seconds["fallback"] += perf_counter() - start
     stats["pivots"] += full_rank

@@ -496,15 +496,15 @@ class TestVerify:
             counting(rumer.diagrams, name, tuple)
         counting(rumer.oracle, "expand", lambda poly: poly)
         counting(rumer.oracle, "_insert", lambda pivots, terms: len(terms))
-        rows, expansions = [], rumer.oracle._expansions
+        rows, block_rows = [], rumer.oracle._block_rows
 
-        def recorded(edge_lists, x1, x2):
+        def recorded(d, width, edge_lists):
             edge_lists = list(edge_lists)
-            for edges, terms in zip(edge_lists, expansions(edge_lists, x1, x2)):
+            for edges, row in zip(edge_lists, block_rows(d, width, edge_lists)):
                 rows.append(edges)
-                yield terms
+                yield row
 
-        monkeypatch.setattr(rumer.oracle, "_expansions", recorded)
+        monkeypatch.setattr(rumer.oracle, "_block_rows", recorded)
         code, out, _ = run(capsys, "verify", "--n", "5..5", "--m", "4..4")
         assert code == 0
         assert "n=5 m=4: ok" in out

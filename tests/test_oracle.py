@@ -2,6 +2,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -148,18 +149,66 @@ def test_rumer_leads_are_distinct_with_coefficient_one(n, m):
         assert len(set(leads)) == len(leads), d
 
 
+def block_position(d, evec):
+    """The digit position, in the block of multidegree d, of a monomial given
+    by its full-coordinate exponent vector: x2 = 1, x1^(n) = 1, and x1^(v)
+    weighs the product of d_u + 1 over v < u < n."""
+    n = len(d)
+    return sum(
+        evec[variable_index(v, 1)] * prod(d[u - 1] + 1 for u in range(v + 1, n))
+        for v in range(1, n)
+    )
+
+
+def block_terms(d, edges):
+    """expand's terms of one bracket monomial, projected into its block."""
+    terms = expand(BracketPolynomial.monomial(len(d), edges)).terms
+    return {block_position(d, evec): c for evec, c in terms.items()}
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 @pytest.mark.parametrize("m", range(1, 5))
 def test_block_codes_are_one_to_one(n, m):
-    """Setting x2 = 1 loses nothing inside a block: the coded keys of the
-    block's rows are exactly as many as its full-coordinate monomials."""
+    """Setting x2 = 1 and x1^(n) = 1 loses nothing inside a block: the digit
+    positions of the block's rows are exactly as many as its
+    full-coordinate monomials."""
+    width = m + 2
     for d in compositions(2 * m, n):
         schemes = enumerate_valence_schemes_by_multidegree(d)
-        codes = rumer.oracle._block_codes(d)
-        rows = rumer.oracle._expansions([s.edges for s in schemes], *codes)
-        keys = {key for row in rows for key in row}
+        rows = rumer.oracle._block_rows(d, width, [s.edges for s in schemes])
+        keys = {key for row in rows for key in rumer.oracle._digits(row, width)}
         full = {e for s in schemes for e in expand(BracketPolynomial.monomial(n, s.edges)).terms}
         assert len(keys) == len(full), d
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("m", range(0, 5))
+def test_block_rows_decode_to_the_projected_expansion(n, m):
+    """Every block row, at the narrowest width that holds its coefficients,
+    decodes to expand's terms projected to x2 = 1 and x1^(n) = 1, and the
+    lead read off the integer is the decoded map's largest key and its
+    coefficient."""
+    width = m + 2  # a row's coefficients are at most 2^m < 2^(width-1)
+    for d in compositions(2 * m, n):
+        schemes = enumerate_valence_schemes_by_multidegree(d)
+        rows = rumer.oracle._block_rows(d, width, [s.edges for s in schemes])
+        for scheme, row in zip(schemes, rows):
+            terms = rumer.oracle._digits(row, width)
+            assert terms == block_terms(d, scheme.edges), scheme
+            top = max(terms)
+            assert rumer.oracle._lead(row, width) == (top, terms[top]), scheme
+            assert rumer.oracle._lead(-row, width) == (top, -terms[top]), scheme
+    assert rumer.oracle._lead(0, width) is None
+
+
+def test_lead_and_digits_at_the_coefficient_bound():
+    """Balanced digits of size up to 2^(width-1) - 1, of either sign, at
+    every position decode back, and the top one is the lead."""
+    width, big = 4, 7
+    for digits in [(big, -big, big), (-big, big, -big), (1, -big), (-1, big), (big, 0, 0, -1)]:
+        row = sum(c << width * k for k, c in enumerate(digits))
+        assert rumer.oracle._digits(row, width) == {k: c for k, c in enumerate(digits) if c}
+        assert rumer.oracle._lead(row, width) == (len(digits) - 1, digits[-1])
 
 
 class TestUnimodular:
@@ -403,6 +452,36 @@ def test_each_multidegree_block_has_full_rank(n, m):
         assert rank_of_span(fs) == n_recurrence(d) == len(enumerate_rumer_by_multidegree(d)), d
 
 
+def patch_rows(monkeypatch, change):
+    """Patch both expansion routines, the block coder that the basis check
+    reads (_block_rows) and the term-map one behind expand (_expansions), so
+    that each row, as a term map, is change(edges, terms, real): real(edges)
+    gives any edge list's true row in the same keys.  Within a block both
+    keep the lexicographic order of monomials, so min and max pick the same
+    monomial in either."""
+    expansions, block_rows = rumer.oracle._expansions, rumer.oracle._block_rows
+
+    def patched_expansions(edge_lists, x1, x2):
+        def real(edges):
+            return next(expansions([edges], x1, x2))
+
+        edge_lists = list(edge_lists)
+        for edges, terms in zip(edge_lists, expansions(edge_lists, x1, x2)):
+            yield change(edges, terms, real)
+
+    def patched_block_rows(d, width, edge_lists):
+        def real(edges):
+            return rumer.oracle._digits(next(block_rows(d, width, [edges])), width)
+
+        edge_lists = list(edge_lists)
+        for edges, row in zip(edge_lists, block_rows(d, width, edge_lists)):
+            terms = change(edges, rumer.oracle._digits(row, width), real)
+            yield sum(c << width * k for k, c in terms.items())
+
+    monkeypatch.setattr(rumer.oracle, "_expansions", patched_expansions)
+    monkeypatch.setattr(rumer.oracle, "_block_rows", patched_block_rows)
+
+
 class TestVerifyBasis:
     def test_four_two(self):
         report = verify_basis(4, 2)
@@ -461,19 +540,16 @@ class TestVerifyBasis:
     def test_corrupted_expansion_term(self, monkeypatch, straighten_each):
         """One wrong coefficient in one scheme's expansion: its row leaves the
         span of the Rumer rows, and its straightened output no longer matches.
-        The one expansion routine is patched, so the block's coded rows and
+        Both expansion routines are patched, so the block's integer rows and
         the full-coordinate expand both see the wrong coefficient."""
-        real = rumer.oracle._expansions
         crossing = ((1, 3), (2, 4))
 
-        def corrupt(edge_lists, x1, x2):
-            edge_lists = list(edge_lists)
-            for edges, terms in zip(edge_lists, real(edge_lists, x1, x2)):
-                if edges == crossing:
-                    terms = combine([*terms.items(), (min(terms), 1)])
-                yield terms
+        def corrupt(edges, terms, real):
+            if edges == crossing:
+                terms = combine([*terms.items(), (min(terms), 1)])
+            return terms
 
-        monkeypatch.setattr(rumer.oracle, "_expansions", corrupt)
+        patch_rows(monkeypatch, corrupt)
         report = verify_basis(4, 2)
         assert (report["rumer_rank"], report["full_rank"], report["rho"]) == (20, 21, 20)
         assert report["straighten_failures"] == [
@@ -516,15 +592,15 @@ class TestVerifyBasis:
         list has no row of the block: it is expanded on its own, multiplies
         back, and only the ranks fall back to elimination."""
         twin = ((1, 2), (3, 4))
-        real = rumer.oracle._expansions
+        real = rumer.oracle._block_rows
         calls = []
 
-        def record(edge_lists, x1, x2):
+        def record(d, width, edge_lists):
             edge_lists = list(edge_lists)
             calls.append(edge_lists)
-            return real(edge_lists, x1, x2)
+            return real(d, width, edge_lists)
 
-        monkeypatch.setattr(rumer.oracle, "_expansions", record)
+        monkeypatch.setattr(rumer.oracle, "_block_rows", record)
         straighten_each(rumer.brackets.straighten)
         diagrams = [d for d in enumerate_rumer(4, 2) if d.edges != twin]
         schemes = [s for s in enumerate_valence_schemes(4, 2) if s.edges != twin]
@@ -555,16 +631,10 @@ class TestVerifyBasis:
     ):
         """A Rumer row whose lead coefficient is 2 is no unit pivot: its block
         is ranked by elimination, whose ranks are those of the corrupted rows."""
-        real = rumer.oracle._expansions
+        def corrupt(edges, terms, real):
+            return {**terms, max(terms): 2} if edges == target else terms
 
-        def corrupt(edge_lists, x1, x2):
-            edge_lists = list(edge_lists)
-            for edges, terms in zip(edge_lists, real(edge_lists, x1, x2)):
-                if edges == target:
-                    terms = {**terms, max(terms): 2}
-                yield terms
-
-        monkeypatch.setattr(rumer.oracle, "_expansions", corrupt)
+        patch_rows(monkeypatch, corrupt)
         schemes = enumerate_valence_schemes(4, 2)
         rows = {s: expand(BracketPolynomial.monomial(4, s.edges)) for s in schemes}
         lead = max(rows[ValenceScheme(4, target)].terms)
@@ -582,23 +652,66 @@ class TestVerifyBasis:
         """Two different Rumer rows with one lead: with no crossing scheme in
         the list to multiply back, only the repeated lead shows that the
         diagram count may overstate the rows' rank."""
-        real = rumer.oracle._expansions
         twin = ((1, 2), (3, 4))
 
-        def corrupt(edge_lists, x1, x2):
-            edge_lists = list(edge_lists)
-            for edges, terms in zip(edge_lists, real(edge_lists, x1, x2)):
-                if edges == ((1, 4), (2, 3)):
-                    (terms,) = real([twin], x1, x2)
-                    terms = combine([*terms.items(), (min(terms), 1)])
-                yield terms
+        def corrupt(edges, terms, real):
+            if edges == ((1, 4), (2, 3)):
+                terms = real(twin)
+                terms = combine([*terms.items(), (min(terms), 1)])
+            return terms
 
-        monkeypatch.setattr(rumer.oracle, "_expansions", corrupt)
+        patch_rows(monkeypatch, corrupt)
         schemes = [s for s in enumerate_valence_schemes(4, 2) if is_rumer(s)]
         rows = [expand(BracketPolynomial.monomial(4, s.edges)) for s in schemes]
+        stats = rumer.oracle._new_stats()
         blocks = rumer.oracle._multidegree_blocks(enumerate_rumer(4, 2), schemes)
-        report = rumer.oracle._verify_basis(4, 2, blocks, rumer.oracle._new_stats())
+        report = rumer.oracle._verify_basis(4, 2, blocks, stats)
+        assert (stats["blocks"], stats["fallback_blocks"]) == (19, 1)
         assert report["rumer_rank"] == report["full_rank"] == reference_rank(rows) == 20
+
+    def test_difference_at_the_coefficient_bound_is_a_mismatch(
+        self, monkeypatch, straighten_each
+    ):
+        """A multiply-back difference whose one coefficient is the bound
+        (S + 1) 2^m, S the largest output's coefficient sum, is reported.
+        The crossing scheme's output is 3 times [1,2][3,4], so S = 3, and
+        the rows, of coefficients at most 2^m = 4, are 4 for [1,2][3,4] and
+        y - 4 for [1,3][2,4], y the digit base: the difference is 16 - y,
+        which a digit width of 4 would read as the integer 0."""
+        twin, crossing = ((1, 2), (3, 4)), ((1, 3), (2, 4))
+        real = rumer.oracle._block_rows
+
+        def rows(d, width, edge_lists):
+            edge_lists = list(edge_lists)
+            for edges, row in zip(edge_lists, real(d, width, edge_lists)):
+                if d == (1, 1, 1, 1) and edges in (twin, crossing):
+                    row = 4 if edges == twin else (1 << width) - 4
+                yield row
+
+        monkeypatch.setattr(rumer.oracle, "_block_rows", rows)
+        straighten = rumer.brackets.straighten
+        straighten_each(
+            lambda poly: parse("3*[1,2][3,4]", 4) if poly == parse("[1,3][2,4]", 4)
+            else straighten(poly)
+        )
+        report = verify_basis(4, 2)
+        assert report["straighten_failures"] == [
+            {"scheme": "n=4; (1,3)(2,4)", "reason": "expansion mismatch"}
+        ]
+
+    def test_large_output_coefficients_verify(self):
+        """The central block of (4,14) straightens to outputs whose
+        coefficients sum to 128 in size: the digits widen with them, and
+        the block still passes with no elimination."""
+        d = (7, 7, 7, 7)
+        diagrams = enumerate_rumer_by_multidegree(d)
+        schemes = enumerate_valence_schemes_by_multidegree(d)
+        outputs, _ = rumer.brackets._normal_forms(schemes)
+        assert max(sum(map(abs, terms.values())) for terms in outputs) == 128
+        stats = rumer.oracle._new_stats()
+        rumer_rank, full_rank, failures = rumer.oracle._check_block(d, diagrams, schemes, stats)
+        assert rumer_rank == full_rank == len(diagrams) == n_recurrence(d)
+        assert (failures, stats["fallback_blocks"]) == ([], 0)
 
     def test_rumer_expansions_are_independent(self):
         fs = [
