@@ -15,11 +15,11 @@ from .counting import _degrees, binomial, even_triangle, triangle_range
 from .diagrams import (
     RumerDiagram,
     ValenceScheme,
-    _diagram,
     _edge,
     _scheme,
     enumerate_rumer_by_multidegree,
     enumerate_valence_schemes_by_multidegree,
+    first_crossing,
     is_rumer,
 )
 
@@ -83,15 +83,23 @@ def psi_section(diagram: RumerDiagram, m_n: int, m_n1: int) -> RumerDiagram:
     """
     if m_n < 0 or m_n1 < 0:
         raise ValueError(f"target degrees must be nonnegative, got ({m_n},{m_n1})")
-    nv = diagram.n
-    # the edges at the last vertex are those (v, nv), sorted, so ascending in v
-    far_ends = [e[0] for e in diagram.edges if e[1] == nv]
-    mu = len(far_ends)
+    mu = diagram.multidegree()[-1]
     if not even_triangle(m_n, m_n1, mu):
         raise ValueError(
             f"targets ({m_n},{m_n1}) and current degree {mu} do not form an even triangle"
         )
-    r = (m_n + m_n1 - mu) // 2
+    return RumerDiagram(_section(diagram, m_n, m_n1))
+
+
+def _section(diagram: ValenceScheme, m_n: int, m_n1: int) -> ValenceScheme:
+    """psi_section's preimage, as a scheme with sorted edges, of a diagram
+    whose last degree makes an even triangle with m_n and m_n1, built
+    without the checks of either: the merge check compares it with a known
+    diagram instead."""
+    nv = diagram.n
+    # the edges at the last vertex are those (v, nv), sorted, so ascending in v
+    far_ends = [e[0] for e in diagram.edges if e[1] == nv]
+    r = (m_n + m_n1 - len(far_ends)) // 2
     new_vertex = nv + 1
     moved, kept = far_ends[: m_n1 - r], far_ends[m_n1 - r :]
     edges = [e for e in diagram.edges if e[1] != nv]
@@ -99,7 +107,7 @@ def psi_section(diagram: RumerDiagram, m_n: int, m_n1: int) -> RumerDiagram:
     edges.extend(_edge((v, nv)) for v in kept)
     edges.extend(_edge((v, new_vertex)) for v in moved)
     edges.extend([_edge((nv, new_vertex))] * r)
-    return RumerDiagram(new_vertex, edges)
+    return _scheme((new_vertex, tuple(sorted(edges))))
 
 
 def verify_psi_bijection(degrees) -> dict:
@@ -121,19 +129,23 @@ def verify_psi_bijection(degrees) -> dict:
     d = _degrees(degrees)
     if len(d) < 2:
         raise ValueError("need at least two degree entries to merge")
+    schemes = enumerate_valence_schemes_by_multidegree(d)
     return _verify_psi_bijection(
-        d, enumerate_rumer_by_multidegree(d), enumerate_valence_schemes_by_multidegree(d), {},
+        d, enumerate_rumer_by_multidegree(d), schemes, list(map(first_crossing, schemes)), {},
         enumerate_valence_schemes_by_multidegree,
     )
 
 
-def _verify_psi_bijection(d, diagrams, schemes, merged_sets: dict, schemes_of) -> dict:
+def _verify_psi_bijection(d, diagrams, schemes, pairs, merged_sets: dict, schemes_of) -> dict:
     """verify_psi_bijection of a checked prescription d, given its Rumer
-    diagrams and its valence schemes, each in canonical order, with the
+    diagrams and its valence schemes, each in canonical order, the schemes'
+    scan, each one's first crossing pair (first_crossing) or None, and the
     merged prescriptions' enumerations kept in merged_sets.
 
     One pass over the valence schemes merges each scheme once and tallies its
-    image; the schemes that pass is_rumer form the brute-force Rumer list.
+    image; the schemes that the scan passes form the brute-force Rumer list.
+    Each one's preimage is rebuilt by the unchecked _section and compared
+    with it, so a wrong or crossing preimage is a counterexample.
     Counterexamples come per Rumer diagram, then the image union, that list
     against the walk's, each new merged prescription's, and the hit bounds.
 
@@ -153,11 +165,11 @@ def _verify_psi_bijection(d, diagrams, schemes, merged_sets: dict, schemes_of) -
     hits: dict[ValenceScheme, int] = {}
     images: dict[ValenceScheme, ValenceScheme] = {}  # merged scheme -> its Rumer preimage
     brute_force = []
-    for scheme in schemes:
+    for scheme, pair in zip(schemes, pairs):
         result = psi(scheme)
         merged = result.scheme
         hits[merged] = hits.get(merged, 0) + 1
-        if not is_rumer(scheme):
+        if pair is not None:
             continue
         brute_force.append(scheme)
         if result.mu_n != m_n + m_n1 - 2 * result.m_join:
@@ -172,8 +184,7 @@ def _verify_psi_bijection(d, diagrams, schemes, merged_sets: dict, schemes_of) -
             reason = f"collides with {images[merged]}"
         else:
             images[merged] = scheme
-            # merged passed is_rumer above
-            back = psi_section(_diagram(merged), m_n, m_n1)
+            back = _section(merged, m_n, m_n1)
             if back == scheme:
                 continue
             reason = f"section returned {back}"

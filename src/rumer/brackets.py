@@ -20,19 +20,18 @@ does not set the order: the weight is a sum over chords and needs no scan of
 pairs of chords.  `straighten` takes monomials from the heaviest down and
 rewrites each at its first crossing pair until every monomial is a Rumer
 diagram.  Each rewrite touches only four vertices and preserves every vertex
-degree, so straightening is multidegree-preserving term by term.  So the
-schemes of one multidegree block straighten together: `_normal_forms` takes
-them in ascending weight and writes each crossing scheme's normal form as the
-sum of its two children's, rewriting each scheme once.
+degree, so straightening is multidegree-preserving term by term.  The basis
+check of `oracle` certifies the rule itself, one exchange at a time: for each
+crossing scheme of a block, both children (`_children`) weigh less
+(`_weight`) and are schemes of the block, and their expansions sum to the
+scheme's.  It never reads `straighten`'s output.
 """
 from __future__ import annotations
 
 import re
 from bisect import insort
 from heapq import heapify, heappop, heappush
-from itertools import chain
-from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .counting import _vertices
 from .diagrams import Edge, ValenceScheme, _edge, _scheme, edges_cross, first_crossing, is_rumer
@@ -260,53 +259,6 @@ def straighten(poly: BracketPolynomial) -> BracketPolynomial:
                 f"internal error: straightened term {_monomial_text(mono.edges)} still crosses"
             )
     return BracketPolynomial._of(poly.n, out)
-
-
-def _normal_forms(
-    schemes: Sequence[ValenceScheme],
-) -> tuple[list[dict[ValenceScheme, int] | Exception], int]:
-    """The straightened form of every scheme of one multidegree block, in
-    input order, as a BracketPolynomial term map, and the number of rewrites
-    made.
-
-    An exchange keeps every vertex degree and lowers the weight by 2yw or
-    2xz, so both children of a block's scheme are lighter schemes of the
-    block.  A scheme that `first_crossing` passes is its own normal form;
-    every entry is a sum of such schemes, so that scan is the non-crossing
-    output guard.  The others are taken in ascending weight and each is
-    rewritten once, as in `straighten`: its normal form is the sum of its
-    two children's entries, already in the table.  A child that does not
-    weigh less than its parent, and a child that is not a scheme of the
-    block, is an error of that scheme, and so of every scheme whose normal
-    form would need its entry; it is returned in place of the form, never
-    raised.
-    """
-    table: dict[ValenceScheme, dict[ValenceScheme, int] | Exception] = {}
-    crossing = []
-    for scheme in schemes:
-        pair = first_crossing(scheme)
-        if pair is None:
-            table[scheme] = {scheme: 1}
-        else:
-            crossing.append((_weight(scheme), scheme, pair))
-    crossing.sort(key=itemgetter(0))
-    for k, scheme, (e, f) in crossing:
-        forms = []
-        for child in _children(scheme, e, f):
-            j = _weight(child)
-            form = table.get(child) if j < k else _descent_error(scheme, e, f, j, k)
-            if form is None:
-                form = RuntimeError(
-                    f"exchanging {e} and {f} in {_monomial_text(scheme.edges)} gives "
-                    f"{_monomial_text(child.edges)}, which is not a scheme of the block"
-                )
-            if isinstance(form, Exception):  # this scheme's failure, not the block's
-                table[scheme] = form
-                break
-            forms.append(form)
-        else:
-            table[scheme] = combine(chain.from_iterable(form.items() for form in forms))
-    return [table[scheme] for scheme in schemes], len(crossing)
 
 
 #: A number, a symbol of the grammar, or any other non-space character, which

@@ -15,12 +15,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import chain
-from math import gcd
+from math import gcd, prod
 from operator import add, itemgetter
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from .brackets import BracketPolynomial, _monomial_text, _normal_forms
+from .brackets import BracketPolynomial, _children, _monomial_text, _weight
 from .bijection import _verify_psi_bijection
 from .counting import rho_closed, rho_product, rho_sum_over_compositions
 from .diagrams import (
@@ -29,6 +29,7 @@ from .diagrams import (
     ValenceScheme,
     enumerate_rumer,
     enumerate_valence_schemes,
+    first_crossing,
     is_rumer,
 )
 from .sparse import SparseCombination, combine
@@ -328,30 +329,42 @@ def verify_basis(n: int, m: int) -> dict:
 
     The report records the Rumer diagram count, the exact rank of their
     expansions, the rank of the expansions of all valence schemes, the
-    closed-formula count, and a list of straightening violations (expansion
-    mismatch, a crossing output term, or a changed multidegree).  All four
-    numbers agreeing with an empty violation list is a pass; see basis_ok.
+    closed-formula count, and a list of failures of the exchange rule that
+    straightens each crossing scheme: an exchange child that does not weigh
+    less than its scheme, one that is not a scheme of the block, or an
+    expansion mismatch, the scheme's row not the sum of its children's.  All
+    four numbers agreeing with an empty failure list is a pass; see
+    basis_ok.
     """
     blocks = _multidegree_blocks(enumerate_rumer(n, m), enumerate_valence_schemes(n, m))
     return _verify_basis(n, m, blocks, _new_stats())
 
 
-def _verify_basis(n: int, m: int, blocks: Mapping, stats: dict) -> dict:
+def _verify_basis(n: int, m: int, blocks: Mapping, stats: dict, merge=None) -> dict:
     """verify_basis of the cell (n, m), given its Rumer diagrams and its
     valence schemes grouped by multidegree (_multidegree_blocks): each block
-    is checked in sorted order (_check_block), its work added to stats
-    (_new_stats).  Blocks have disjoint monomials, so the cell's ranks are
-    the sums of its blocks' ranks.  Failures are reported in canonical
-    scheme order, each scheme's in the order found.  Only one block's rows
-    are held at a time."""
+    is scanned once, each scheme's first crossing pair or None by
+    first_crossing, and checked in sorted order (_check_block), its work
+    added to stats (_new_stats).  Given merge, each block and its scan are
+    then handed to merge(d, diagrams, schemes, pairs), so that the scan
+    serves the merge check too.  Blocks have disjoint monomials, so the
+    cell's ranks are the sums of its blocks' ranks.  Failures are reported
+    in canonical scheme order, each scheme's in the order found.  Only one
+    block's rows and scan are held at a time."""
+    seconds = stats["seconds"]
     rumer_count = rumer_rank = full_rank = 0
     failures: list[tuple[ValenceScheme, str]] = []  # (scheme, reason)
     for d, (diagrams, schemes) in sorted(blocks.items()):
-        block_rumer, block_full, found = _check_block(d, diagrams, schemes, stats)
+        start = perf_counter()
+        pairs = list(map(first_crossing, schemes))
+        seconds["straighten"] += perf_counter() - start
+        block_rumer, block_full, found = _check_block(d, diagrams, schemes, pairs, stats)
         rumer_count += len(diagrams)
         rumer_rank += block_rumer
         full_rank += block_full
         failures += found
+        if merge is not None:
+            merge(d, diagrams, schemes, pairs)
     failures.sort(key=itemgetter(0))  # stable: a scheme's failures keep their order
     return {
         "n": n,
@@ -434,12 +447,13 @@ def _lead(row: int, width: int) -> tuple[int, int] | None:
 
 
 def _check_block(
-    d: Multidegree, diagrams: list, schemes: list, stats: dict
+    d: Multidegree, diagrams: list, schemes: list, pairs: list, stats: dict
 ) -> tuple[int, int, list[tuple[ValenceScheme, str]]]:
     """The Rumer rank, the full rank and the failures, each a pair (scheme,
-    reason), of one multidegree block: its multidegree d, its Rumer diagrams
-    and its valence schemes.  Its work goes into the stats record
-    (_new_stats).
+    reason), of one multidegree block: its multidegree d, its Rumer
+    diagrams, its valence schemes and their scan, each scheme's first
+    crossing pair (first_crossing) or None.  Its work goes into the stats
+    record (_new_stats).
 
     In every monomial of a block's expansions the exponents of x1^(v) and
     x2^(v) sum to d_v, so setting x2 = 1 is injective on the block's span
@@ -450,51 +464,59 @@ def _check_block(
     Rumer row should have its own lead with coefficient 1: a
     unit-triangular basis.  Nothing here assumes that: if the leads read off
     the computed rows (_lead) are distinct, each with coefficient 1, the
-    Rumer rank is the diagram count.
+    Rumer rank is the diagram count.  A block whose only scheme is its only
+    Rumer diagram, as every block with n = 3 is, builds no row: its row's
+    value at x1^(v) = v is the product of i - j over its edges, which is
+    not 0, so both ranks are 1.
 
-    The block's schemes are straightened first, together, through one table
-    of normal forms (brackets._normal_forms), and each scheme's output is
-    multiplied back over the rows on its own: the sum of coefficient times
-    row over its terms must equal the scheme's row, the division's
-    certificate with the quotient given.  The rows, one per scheme, the
-    Rumer set and the normal forms are all keyed by scheme.  An output that
-    is the scheme itself, times 1, of a scheme among the block's Rumer
-    diagrams passes as it is.  Terms of another multidegree share no
-    monomial with the block, so together they must expand to zero
-    (_same_expansion).  Any difference is an expansion mismatch; a crossing
-    term, or one of another multidegree, is named, its multidegree, crossing
-    and text read off its scheme.  If every output passes using only the
-    block's Rumer schemes, those rows span the block and the full rank is
-    the Rumer rank.  A rank not certified this way comes from fraction-free
-    elimination of the same rows, decoded (_digits), Rumer rows first.
+    Spanning is certified one exchange at a time, by the three-term Plücker
+    relation with which straighten rewrites a crossing scheme s at its
+    first crossing pair.  Both exchange children of s
+    (brackets._children) must weigh less than s (brackets._weight) and be
+    schemes of the block, and the row of s less the rows of its children
+    must be the integer 0.  Every non-crossing scheme must be one of the
+    block's Rumer diagrams that passes first_crossing; a diagram equal to a
+    scheme that the scan passed is not scanned again.  By induction on the
+    weight every row of the block then lies in the span of the diagrams'
+    rows, and the full rank is the Rumer rank.  A child that does not weigh
+    less, or that is no scheme of the block, is named, and its scheme's
+    difference is not formed; a nonzero difference is an expansion
+    mismatch.  Each is a failure of that one scheme, never raised.  A rank
+    not certified this way comes from fraction-free elimination of the same
+    rows, decoded (_digits), Rumer rows first.
 
     The integer test is exact.  A row is a product of m brackets, each a
     binomial with coefficients 1 and -1, so no coefficient of a row exceeds
-    2^m in size, and the multiply-back difference, the sum of c_t times R_t
-    less R_s, has coefficients of size at most (S + 1) 2^m, where S, the sum
-    of |c_t|, is at most the largest over the block's outputs.  The digit
-    width is m + 2 + bit_length(S + 1), so that bound is below 2^(width-2).
-    Balanced base-2^width digits below 2^(width-1) in size are unique, so
-    the difference is the integer 0 exactly when it is the zero
-    polynomial.  The check stays a coordinate expansion, independent of the
-    straightener; the straightener only sets the width.
+    2^m in size, and the difference of a row and two others has
+    coefficients of size at most 3 2^m.  The digit width is m + 3, so that
+    bound is below 2^(width-1).  Balanced base-2^width digits below
+    2^(width-1) in size are unique, so the difference is the integer 0
+    exactly when it is the zero polynomial.  The check stays a coordinate
+    expansion, independent of the straighteners, whose output it never
+    reads.
     """
     seconds = stats["seconds"]
-    start = perf_counter()
     stats["blocks"] += 1
     stats["schemes"] += len(schemes)
     stats["rumer_diagrams"] += len(diagrams)
-    outputs, rewrites = _normal_forms(schemes)
-    stats["rewrites"] += rewrites
+    if (
+        diagrams == schemes and len(schemes) == 1 and pairs[0] is None
+        and prod(i - j for i, j in schemes[0].edges)
+    ):
+        stats["pivots"] += 1
+        return 1, 1, []
+    start = perf_counter()
+    exchanges = [
+        (scheme, pair, _children(scheme, *pair))
+        for scheme, pair in zip(schemes, pairs)
+        if pair is not None
+    ]
+    stats["rewrites"] += len(exchanges)
     now = perf_counter()
     seconds["straighten"] += now - start
     start = now
-    total = max(
-        (sum(map(abs, terms.values())) for terms in outputs if not isinstance(terms, Exception)),
-        default=0,
-    )
-    width = sum(d) // 2 + 2 + (total + 1).bit_length()
-    # rows and the Rumer set are keyed by scheme, as _normal_forms' forms are
+    width = sum(d) // 2 + 3
+    # the rows and the Rumer set are keyed by scheme
     keys = list(dict.fromkeys(chain(schemes, diagrams)))
     rows = dict(zip(keys, _block_rows(d, width, (key.edges for key in keys))))
     leads = set()
@@ -503,38 +525,36 @@ def _check_block(
         if lead is not None and lead[1] == 1:
             leads.add(lead[0])
     unit_triangular = len(leads) == len(diagrams)
-    basis = {diagram for diagram in diagrams if is_rumer(diagram)}
+    noncrossing = {scheme for scheme, pair in zip(schemes, pairs) if pair is None}
+    basis = {diagram for diagram in diagrams if diagram in noncrossing or is_rumer(diagram)}
     now = perf_counter()
     seconds["expand"] += now - start
     start = now
     failures = []
-    spanned = True  # every output so far passed, using only basis terms
-    for scheme, terms in zip(schemes, outputs):
-        if isinstance(terms, Exception):
-            spanned = False
-            failures.append((scheme, f"straighten raised: {terms}"))
+    spanned = noncrossing <= basis  # and, so far, every exchange passed
+    for scheme, (e, f), children in exchanges:
+        k = _weight(scheme)
+        difference = rows[scheme]
+        reasons = []
+        for child in children:
+            j = _weight(child)
+            row = rows.get(child)
+            if j >= k:
+                reasons.append(f"leaves weight {j}, not less than {k}")
+            elif row is None:
+                reasons.append(
+                    f"gives {_monomial_text(child.edges)}, which is not a scheme of the block"
+                )
+            else:
+                difference -= row
+        if reasons:
+            exchanging = f"exchanging {e} and {f} in {_monomial_text(scheme.edges)}"
+            reasons = [f"{exchanging} {reason}" for reason in reasons]
+        elif difference:
+            reasons = ["expansion mismatch"]
+        else:
             continue
-        if scheme in basis and terms == {scheme: 1}:
-            continue  # the scheme's own row times 1
-        difference, foreign, reasons = -rows[scheme], {}, []
-        for mono, coeff in terms.items():
-            if mono not in basis:
-                spanned = False
-                degrees = mono.multidegree()
-                if not is_rumer(mono):
-                    reasons.append(f"crossing term {_monomial_text(mono.edges)}")
-                elif degrees != d:
-                    reasons.append(f"multidegree changed in {_monomial_text(mono.edges)}")
-                if degrees != d:
-                    foreign[mono] = coeff
-                    continue
-            row = rows.get(mono)
-            if row is None:
-                (row,) = _block_rows(d, width, [mono.edges])
-            difference += coeff * row
-        if difference or (foreign and not _same_expansion(foreign, {})):
-            spanned = False
-            reasons.insert(0, "expansion mismatch")
+        spanned = False
         failures += ((scheme, reason) for reason in reasons)
     now = perf_counter()
     seconds["divide"] += now - start
@@ -562,14 +582,18 @@ def basis_ok(report: dict) -> bool:
     )
 
 
-#: The stages of verify that its stats record times, in pipeline order.
+#: The stages of verify that its stats record times.  straighten is the
+#: crossing scan and the exchange children, expand the block rows and their
+#: leads, divide the exchange checks and row differences, fallback the
+#: elimination, and psi the merge check.
 STAGES = ("enumerate", "expand", "divide", "straighten", "fallback", "psi")
 
 
 def _new_stats() -> dict:
     """An empty stats record of verify's work: seconds per stage, and counts
     of blocks, blocks that fell back to elimination, valence schemes, Rumer
-    diagrams, pivots and straightening rewrites."""
+    diagrams, pivots and straightening rewrites, one exchange per crossing
+    scheme."""
     counts = ("blocks", "fallback_blocks", "schemes", "rumer_diagrams", "pivots", "rewrites")
     return {"seconds": dict.fromkeys(STAGES, 0.0), **dict.fromkeys(counts, 0)}
 
@@ -577,8 +601,9 @@ def _new_stats() -> dict:
 def _verify_cell(n: int, m: int, stats: dict) -> dict:
     """One cell's verify report: the four counts of its diagrams agree, its
     Rumer diagrams form a basis (_verify_basis), and merging the last vertex
-    is a bijection on each of its blocks (_verify_psi_bijection).  Its work
-    is added to stats (_new_stats)."""
+    is a bijection on each of its blocks (_verify_psi_bijection), which
+    reads the basis check's scan of the block.  Its work is added to stats
+    (_new_stats)."""
     seconds = stats["seconds"]
     start = perf_counter()
     rumer = enumerate_rumer(n, m)
@@ -590,17 +615,21 @@ def _verify_cell(n: int, m: int, stats: dict) -> dict:
         enumerate_valence_schemes(n - 1, k) for k in range(m + 1 if n >= 2 else 0)
     ))
     seconds["enumerate"] += perf_counter() - start
-    basis = _verify_basis(n, m, blocks, stats)
     bijection_failures = []
     merged_sets: dict = {}  # this cell's merged prescriptions, each enumerated once
-    for d in sorted(blocks) if n >= 2 else ():  # a merge needs two vertices
+
+    def merge(d, diagrams, schemes, pairs):
         start = perf_counter()
         report = _verify_psi_bijection(
-            d, *blocks[d], merged_sets, lambda e: lower[e][1] if e in lower else []
+            d, diagrams, schemes, pairs, merged_sets,
+            lambda e: lower[e][1] if e in lower else [],
         )
         seconds["psi"] += perf_counter() - start
         if not report["bijection_ok"]:
             bijection_failures.append(report)
+
+    # a merge needs two vertices
+    basis = _verify_basis(n, m, blocks, stats, merge if n >= 2 else None)
     counts = {
         "formula": rho_closed(n, m),
         "recurrence": rho_sum_over_compositions(n, m),

@@ -119,6 +119,11 @@ class TestPsiSection:
                         lifted = psi_section(diagram, m_n, m_n1)
                         assert lifted == strict_psi_section(diagram, m_n, m_n1), diagram
                         assert all(type(e) is Edge for e in lifted.edges)
+                        # the merge check's unchecked preimage is the same,
+                        # with its edges already sorted
+                        unchecked = rumer.bijection._section(diagram, m_n, m_n1)
+                        assert tuple(unchecked) == tuple(lifted), diagram
+                        assert all(type(e) is Edge for e in unchecked.edges)
 
     def test_rejects_incompatible_targets(self):
         G = RumerDiagram(3, [(1, 3), (2, 3)])  # degree 2 at vertex 3
@@ -224,8 +229,14 @@ BROKEN_MERGE_CHECKS = {
         (1, 1, 1, 1, 2), "collides with n=5; (1,2)(3,5)(4,5)",
     ),
     "section": (
-        "psi_section", lambda diagram, m_n, m_n1: RumerDiagram(ValenceScheme(diagram.n + 1)),
+        "_section", lambda diagram, m_n, m_n1: ValenceScheme(diagram.n + 1),
         (1, 1, 1, 1), "section returned n=4;",
+    ),
+    "crossing section": (
+        # the merge check builds the preimage unchecked, so a crossing one is
+        # a counterexample, not a ValueError out of RumerDiagram
+        "_section", lambda diagram, m_n, m_n1: ValenceScheme(4, [(1, 3), (2, 4)]),
+        (1, 1, 1, 1), "section returned n=4; (1,3)(2,4)",
     ),
     "union": (
         "enumerate_rumer_by_multidegree", lambda e: enumerate_rumer_by_multidegree(e)[1:],

@@ -14,7 +14,6 @@ from rumer.brackets import (
     BracketPolynomial,
     _children,
     _exchange,
-    _normal_forms,
     _weight,
     LoopBracketError,
     PolynomialSyntaxError,
@@ -232,63 +231,30 @@ def blocks(n, m):
     return grouped
 
 
-def straightened(scheme):
-    """straighten's output on one scheme, as a term map keyed by scheme like
-    _normal_forms' forms."""
-    return dict(straighten(BracketPolynomial.monomial(scheme.n, scheme.edges)).terms)
-
-
 class TestNormalForms:
-    """The block straightener that verify runs, against straighten one
-    scheme at a time."""
+    """straighten's normal forms, block by block, against the exchange rule
+    that verify certifies one crossing scheme at a time."""
 
     @pytest.mark.parametrize(
         "n,m", [(n, m) for n in range(1, 7) for m in range(5)] + [(7, 4)]
     )
     def test_equals_straighten_on_every_block(self, n, m):
+        """The exchange recursion, composed over each block, is straighten:
+        a Rumer scheme is its own normal form, and a crossing scheme's is
+        the sum of its two children's, each a lighter scheme of the block."""
         for schemes in blocks(n, m).values():
-            forms, rewrites = _normal_forms(schemes)
-            assert rewrites == len([s for s in schemes if not is_rumer(s)])
-            for scheme, form in zip(schemes, forms):
-                assert form == straightened(scheme), scheme
-
-    def test_block_missing_a_child_fails_its_parents_only(self):
-        """Without one exchange child, the schemes whose rewrites reach it
-        carry an error in place of a form, and the call does not raise."""
-        removed = ValenceScheme(6, [(1, 2), (3, 4), (5, 6)])
-        schemes = [s for s in blocks(6, 3)[(1,) * 6] if s != removed]
-
-        def reaches(scheme):
-            pair = first_crossing(scheme)
-            if pair is None:
-                return False
-            rest = list(scheme.edges)
-            rest.remove(pair[0])
-            rest.remove(pair[1])
-            children = [ValenceScheme(6, rest + list(g)) for g in _exchange(*pair)]
-            return removed in children or any(reaches(child) for child in children)
-
-        forms, rewrites = _normal_forms(schemes)
-        assert rewrites == 10  # 15 perfect matchings, 5 of them Rumer diagrams
-        failed = {s for s, form in zip(schemes, forms) if isinstance(form, Exception)}
-        assert failed == {s for s in schemes if reaches(s)}
-        assert ValenceScheme(6, [(1, 3), (2, 4), (5, 6)]) in failed and len(failed) < 10
-        for scheme, form in zip(schemes, forms):
-            if scheme in failed:
-                assert "[1,2][3,4][5,6], which is not a scheme of the block" in str(form)
-            else:
-                assert form == straightened(scheme), scheme
-
-    def test_exchange_that_keeps_the_crossing_fails_the_descent(self, monkeypatch):
-        monkeypatch.setattr(rumer.brackets, "_exchange", lambda e, f: ((e, f),))
-        schemes = blocks(4, 2)[(1, 1, 1, 1)]
-        forms, _ = _normal_forms(schemes)
-        for scheme, form in zip(schemes, forms):
-            if is_rumer(scheme):
-                assert form == {scheme: 1}
-            else:
-                assert isinstance(form, RuntimeError)
-                assert str(form).startswith("internal error: exchanging (1,3) and (2,4)")
+            forms = {
+                s: straighten(BracketPolynomial.monomial(n, s.edges)) for s in schemes
+            }
+            for scheme, form in forms.items():
+                pair = first_crossing(scheme)
+                if pair is None:
+                    assert form.terms == {scheme: 1}, scheme
+                    continue
+                children = _children(scheme, *pair)
+                assert len(children) == 2
+                assert all(_weight(child) < _weight(scheme) for child in children)
+                assert form == forms[children[0]] + forms[children[1]], scheme
 
 
 class TestParse:

@@ -8,6 +8,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from itertools import islice
 from unittest import mock
 
@@ -469,13 +470,15 @@ class TestVerify:
         assert [cell["counts"]["enumerate"] for cell in json.loads(out)["cells"]] == [1, 1, 1, 3]
 
     def test_builds_each_object_once(self, capsys, monkeypatch):
-        """verify enumerates each cell once and checks it by multiplying each
-        straightened output back over its block's rows, with no elimination on
-        a clean cell.  At (5, 4) each cell enumerator is called once, and the
-        valence schemes of each cell (4, k), k <= 4, once more for the merge
-        check; nothing is expanded through expand, every valence scheme's row
-        is built exactly once, no row goes into the echelon form, the
-        backtracker by multidegree is never called, and the walk by
+        """verify enumerates each cell once and checks it by one exchange per
+        crossing scheme over its block's rows, with no elimination on a clean
+        cell.  At (5, 4) each cell enumerator is called once, and the valence
+        schemes of each cell (4, k), k <= 4, once more for the merge check;
+        each valence scheme of the cell is scanned by first_crossing once,
+        for both checks; nothing is expanded through expand, the row of every
+        valence scheme of a block with more than one is built exactly once,
+        and a block of one scheme builds none; no row goes into the echelon
+        form, the backtracker by multidegree is never called, and the walk by
         multidegree sees each merged prescription exactly once."""
         calls = {}
 
@@ -496,6 +499,7 @@ class TestVerify:
             counting(rumer.diagrams, name, tuple)
         counting(rumer.oracle, "expand", lambda poly: poly)
         counting(rumer.oracle, "_insert", lambda pivots, terms: len(terms))
+        counting(rumer.diagrams, "first_crossing", lambda scheme: scheme)
         rows, block_rows = [], rumer.oracle._block_rows
 
         def recorded(d, width, edge_lists):
@@ -513,7 +517,10 @@ class TestVerify:
         assert len(calls["expand"]) == 0  # a clean cell never leaves the coded rows
         assert len(calls["_insert"]) == 0
         schemes = list(rumer.diagrams.enumerate_valence_schemes(5, 4))
-        assert sorted(rows) == [s.edges for s in schemes]
+        assert sorted(calls["first_crossing"]) == schemes
+        sizes = Counter(s.multidegree() for s in schemes)
+        assert sorted(rows) == [s.edges for s in schemes if sizes[s.multidegree()] > 1]
+        assert min(sizes.values()) == 1
         assert calls["enumerate_valence_schemes_by_multidegree"] == []
         merged = {
             d[:-2] + (mu,)
@@ -573,17 +580,12 @@ class TestVerify:
         assert stats["fallback_blocks"] == 0
         assert stats["seconds"]["fallback"] == 0
 
-    def test_broken_straightener_takes_the_exact_route(self, capsys, straighten_each):
-        """A straightener that returns [1,3][2,4] with a crossing term added
-        breaks one block of (4, 2), and only that block falls back."""
-        real = rumer.brackets.straighten
-        crossing = rumer.brackets.parse("[1,3][2,4]", 4)
-
-        def broken(poly):
-            flat = real(poly)
-            return flat + crossing if poly == crossing else flat
-
-        straighten_each(broken)
+    def test_broken_straightener_takes_the_exact_route(self, capsys, monkeypatch):
+        """An exchange rule that adds the crossing pair itself to the children
+        of [1,3][2,4], a child that does not weigh less, breaks one block of
+        (4, 2), and only that block falls back."""
+        real = rumer.brackets._exchange
+        monkeypatch.setattr(rumer.brackets, "_exchange", lambda e, f: (*real(e, f), (e, f)))
         code, _, err = run(capsys, "verify", "--n", "4..4", "--m", "2..2", "--stats")
         assert code == 1
         assert json.loads(err)["fallback_blocks"] == 1

@@ -8,7 +8,7 @@ import pytest
 
 import rumer.brackets
 import rumer.oracle
-from rumer.brackets import BracketPolynomial, parse
+from rumer.brackets import BracketPolynomial, parse, straighten
 from rumer.counting import compositions, n_recurrence, rho_closed
 from rumer.diagrams import (
     ValenceScheme,
@@ -17,6 +17,7 @@ from rumer.diagrams import (
     enumerate_rumer_by_multidegree,
     enumerate_valence_schemes,
     enumerate_valence_schemes_by_multidegree,
+    first_crossing,
     is_rumer,
 )
 from rumer.oracle import (
@@ -522,24 +523,31 @@ class TestVerifyBasis:
         assert report["straighten_failures"] == []
         assert not basis_ok(report)
 
-    def test_crossing_scheme_listed_as_a_diagram(self, straighten_each):
+    def test_crossing_scheme_listed_as_a_diagram(self, monkeypatch):
         """The Rumer list is not trusted to be non-crossing: a crossing scheme
-        listed as a diagram and left as it is by the straightener is still
-        reported as a crossing term, and its shared lead fails the count."""
+        listed as a diagram stays out of the Rumer set, and its shared lead
+        fails the count.  With an exchange that leaves it as it is, it is
+        also reported, as an exchange that does not lower the weight."""
         crossing = ValenceScheme(4, ((1, 3), (2, 4)))
-        real = rumer.brackets.straighten
-        straighten_each(lambda poly: poly if poly == parse("[1,3][2,4]", 4) else real(poly))
         diagrams = enumerate_rumer(4, 2) + [_diagram(crossing)]
-        blocks = rumer.oracle._multidegree_blocks(diagrams, enumerate_valence_schemes(4, 2))
-        report = rumer.oracle._verify_basis(4, 2, blocks, rumer.oracle._new_stats())
-        assert (report["rumer_count"], report["rumer_rank"], report["full_rank"]) == (21, 20, 20)
-        assert report["straighten_failures"] == [
-            {"scheme": "n=4; (1,3)(2,4)", "reason": "crossing term [1,3][2,4]"}
-        ]
+        for keep, failures in [
+            (False, []),
+            (True, [{
+                "scheme": "n=4; (1,3)(2,4)",
+                "reason": "exchanging (1,3) and (2,4) in [1,3][2,4] leaves weight 8, not less than 8",
+            }]),
+        ]:
+            if keep:
+                monkeypatch.setattr(rumer.brackets, "_exchange", lambda e, f: ((e, f),))
+            blocks = rumer.oracle._multidegree_blocks(diagrams, enumerate_valence_schemes(4, 2))
+            report = rumer.oracle._verify_basis(4, 2, blocks, rumer.oracle._new_stats())
+            assert (report["rumer_count"], report["rumer_rank"], report["full_rank"]) == (21, 20, 20)
+            assert report["straighten_failures"] == failures
 
-    def test_corrupted_expansion_term(self, monkeypatch, straighten_each):
+    def test_corrupted_expansion_term(self, monkeypatch):
         """One wrong coefficient in one scheme's expansion: its row leaves the
-        span of the Rumer rows, and its straightened output no longer matches.
+        span of the Rumer rows, and no longer is the sum of its exchange
+        children's rows.
         Both expansion routines are patched, so the block's integer rows and
         the full-coordinate expand both see the wrong coefficient."""
         crossing = ((1, 3), (2, 4))
@@ -557,40 +565,41 @@ class TestVerifyBasis:
         ]
         assert not basis_ok(report)
 
-        # a second case: straighten raises on that scheme, which certifies
-        # nothing, so its row is still ranked
-        def straighten(poly):
-            if poly == parse("[1,3][2,4]", 4):
-                raise RuntimeError("no basis today")
-            return rumer.brackets.straighten(poly)
-
-        straighten_each(straighten)
+        # a second case: that scheme's exchange leaves the block, which
+        # certifies nothing, so its row is still ranked
+        monkeypatch.setattr(
+            rumer.oracle, "_children", lambda scheme, e, f: [ValenceScheme(4, [(1, 2)])]
+        )
         report = verify_basis(4, 2)
         assert (report["rumer_rank"], report["full_rank"], report["rho"]) == (20, 21, 20)
-        assert report["straighten_failures"] == [
-            {"scheme": "n=4; (1,3)(2,4)", "reason": "straighten raised: no basis today"}
-        ]
+        assert report["straighten_failures"] == [{
+            "scheme": "n=4; (1,3)(2,4)",
+            "reason": "exchanging (1,3) and (2,4) in [1,3][2,4] gives [1,2], "
+            "which is not a scheme of the block",
+        }]
 
     def test_scheme_list_missing_an_exchange_child(self):
-        """A block whose scheme list lacks an exchange child fails the
-        crossing scheme that needs it, and the sweep goes on."""
-        missing = ValenceScheme(4, ((1, 2), (3, 4)))
-        schemes = [s for s in enumerate_valence_schemes(4, 2) if s != missing]
-        blocks = rumer.oracle._multidegree_blocks(enumerate_rumer(4, 2), schemes)
-        report = rumer.oracle._verify_basis(4, 2, blocks, rumer.oracle._new_stats())
+        """A block whose scheme list lacks a crossing exchange child fails the
+        crossing scheme that needs it, and the sweep goes on.  (A Rumer child
+        missing from the scheme list is still a listed diagram, whose row is
+        a Rumer row.)"""
+        missing = ValenceScheme(6, ((1, 5), (2, 4), (3, 6)))
+        schemes = [s for s in enumerate_valence_schemes(6, 3) if s != missing]
+        blocks = rumer.oracle._multidegree_blocks(enumerate_rumer(6, 3), schemes)
+        report = rumer.oracle._verify_basis(6, 3, blocks, rumer.oracle._new_stats())
         assert report["straighten_failures"] == [
             {
-                "scheme": "n=4; (1,3)(2,4)",
-                "reason": "straighten raised: exchanging (1,3) and (2,4) in [1,3][2,4] "
-                "gives [1,2][3,4], which is not a scheme of the block",
+                "scheme": "n=6; (1,4)(2,5)(3,6)",
+                "reason": "exchanging (1,4) and (2,5) in [1,4][2,5][3,6] "
+                "gives [1,5][2,4][3,6], which is not a scheme of the block",
             }
         ]
-        assert (report["rumer_rank"], report["full_rank"]) == (20, 20)
+        assert report["rumer_rank"] == report["full_rank"] == rho_closed(6, 3)
 
-    def test_straightened_term_missing_from_the_scheme_list(self, monkeypatch, straighten_each):
-        """A straightened term of the block's multidegree that is in neither
-        list has no row of the block: it is expanded on its own, multiplies
-        back, and only the ranks fall back to elimination."""
+    def test_straightened_term_missing_from_the_scheme_list(self, monkeypatch):
+        """An exchange child of the block's multidegree that is in neither
+        list has no row of the block and is not expanded on its own: its
+        parent fails, and the ranks fall back to elimination."""
         twin = ((1, 2), (3, 4))
         real = rumer.oracle._block_rows
         calls = []
@@ -601,15 +610,45 @@ class TestVerifyBasis:
             return real(d, width, edge_lists)
 
         monkeypatch.setattr(rumer.oracle, "_block_rows", record)
-        straighten_each(rumer.brackets.straighten)
         diagrams = [d for d in enumerate_rumer(4, 2) if d.edges != twin]
         schemes = [s for s in enumerate_valence_schemes(4, 2) if s.edges != twin]
         blocks = rumer.oracle._multidegree_blocks(diagrams, schemes)
-        report = rumer.oracle._verify_basis(4, 2, blocks, rumer.oracle._new_stats())
+        stats = rumer.oracle._new_stats()
+        report = rumer.oracle._verify_basis(4, 2, blocks, stats)
         assert (report["rumer_count"], report["rumer_rank"]) == (19, 19)
         assert (report["full_rank"], report["rho"]) == (20, 20)
-        assert report["straighten_failures"] == []
-        assert [edge_lists for edge_lists in calls if twin in edge_lists] == [[twin]]
+        assert report["straighten_failures"] == [{
+            "scheme": "n=4; (1,3)(2,4)",
+            "reason": "exchanging (1,3) and (2,4) in [1,3][2,4] gives [1,2][3,4], "
+            "which is not a scheme of the block",
+        }]
+        assert [edge_lists for edge_lists in calls if twin in edge_lists] == []
+        assert stats["fallback_blocks"] == 1
+
+    def test_block_missing_a_child_fails_its_parents_only(self):
+        """Without one exchange child, only the crossing schemes whose own
+        exchange gives it fail; a scheme whose children pass is certified by
+        them, however far down its straightening would reach the missing
+        one.  The check does not raise."""
+        removed = ValenceScheme(6, [(1, 2), (3, 4), (5, 6)])
+        d = (1,) * 6
+        diagrams = [s for s in enumerate_rumer_by_multidegree(d) if s != removed]
+        schemes = [s for s in enumerate_valence_schemes_by_multidegree(d) if s != removed]
+        pairs = [first_crossing(s) for s in schemes]
+        parents = {
+            s for s, pair in zip(schemes, pairs)
+            if pair is not None and removed in rumer.brackets._children(s, *pair)
+        }
+        stats = rumer.oracle._new_stats()
+        rumer_rank, full_rank, failures = rumer.oracle._check_block(
+            d, diagrams, schemes, pairs, stats
+        )
+        assert stats["rewrites"] == 10  # 15 perfect matchings, 5 of them Rumer diagrams
+        assert {s for s, _ in failures} == parents
+        assert ValenceScheme(6, [(1, 3), (2, 4), (5, 6)]) in parents and len(parents) < 10
+        for _, reason in failures:
+            assert reason.endswith("gives [1,2][3,4][5,6], which is not a scheme of the block")
+        assert (rumer_rank, full_rank, stats["fallback_blocks"]) == (4, 5, 1)
 
     @pytest.mark.parametrize(
         "target,full_rank,failures",
@@ -620,17 +659,19 @@ class TestVerifyBasis:
                 21,
                 [{"scheme": "n=4; (1,3)(2,4)", "reason": "expansion mismatch"}],
             ),
-            # a block with no crossing scheme: every output multiplies back, so
-            # only the lead coefficient shows the fault, and the corrupted row
-            # is still a basis of its block
+            # a block whose only scheme is its only Rumer diagram builds no row:
+            # its rank is read off the nonzero product of i - j over its edges,
+            # so the corrupted row coder never reaches it, and the corrupted
+            # row would still be a basis of its block
             (((1, 2), (1, 2)), 20, []),
         ],
     )
     def test_lead_coefficient_two_falls_back_to_exact_ranks(
         self, monkeypatch, target, full_rank, failures
     ):
-        """A Rumer row whose lead coefficient is 2 is no unit pivot: its block
-        is ranked by elimination, whose ranks are those of the corrupted rows."""
+        """A Rumer row whose lead coefficient is 2 is no unit pivot: its block,
+        if it builds rows, is ranked by elimination, whose ranks are those of
+        the corrupted rows."""
         def corrupt(edges, terms, real):
             return {**terms, max(terms): 2} if edges == target else terms
 
@@ -643,7 +684,8 @@ class TestVerifyBasis:
         stats = rumer.oracle._new_stats()
         blocks = rumer.oracle._multidegree_blocks(enumerate_rumer(4, 2), rows)
         report = rumer.oracle._verify_basis(4, 2, blocks, stats)
-        assert (stats["blocks"], stats["fallback_blocks"]) == (19, 1)
+        # only the block with a failure builds its rows and falls back
+        assert (stats["blocks"], stats["fallback_blocks"]) == (19, len(failures))
         assert report["rumer_rank"] == reference_rank(rumer_rows) == 20
         assert report["full_rank"] == reference_rank(list(rows.values())) == full_rank
         assert report["straighten_failures"] == failures
@@ -669,47 +711,52 @@ class TestVerifyBasis:
         assert (stats["blocks"], stats["fallback_blocks"]) == (19, 1)
         assert report["rumer_rank"] == report["full_rank"] == reference_rank(rows) == 20
 
-    def test_difference_at_the_coefficient_bound_is_a_mismatch(
-        self, monkeypatch, straighten_each
-    ):
-        """A multiply-back difference whose one coefficient is the bound
-        (S + 1) 2^m, S the largest output's coefficient sum, is reported.
-        The crossing scheme's output is 3 times [1,2][3,4], so S = 3, and
-        the rows, of coefficients at most 2^m = 4, are 4 for [1,2][3,4] and
-        y - 4 for [1,3][2,4], y the digit base: the difference is 16 - y,
-        which a digit width of 4 would read as the integer 0."""
-        twin, crossing = ((1, 2), (3, 4)), ((1, 3), (2, 4))
+    def test_difference_at_the_coefficient_bound_is_a_mismatch(self, monkeypatch):
+        """An exchange difference whose one coefficient is the bound 3 2^m is
+        reported, and the digit width m + 3 holds it as one balanced digit.
+        At (4, 2) the rows of the crossing scheme [1,3][2,4] and of its
+        children [1,2][3,4] and [1,4][2,3] are set to -4, 4 and 4, each at
+        the bound 2^m = 4 of a row's coefficients: the difference is -12,
+        which balanced digits one bit narrower would read as 4 - 2^4."""
+        crossing = ((1, 3), (2, 4))
+        children = (((1, 2), (3, 4)), ((1, 4), (2, 3)))
         real = rumer.oracle._block_rows
+        widths = set()
 
         def rows(d, width, edge_lists):
+            widths.add(width)
             edge_lists = list(edge_lists)
             for edges, row in zip(edge_lists, real(d, width, edge_lists)):
-                if d == (1, 1, 1, 1) and edges in (twin, crossing):
-                    row = 4 if edges == twin else (1 << width) - 4
+                if edges == crossing:
+                    row = -4
+                elif edges in children:
+                    row = 4
                 yield row
 
         monkeypatch.setattr(rumer.oracle, "_block_rows", rows)
-        straighten = rumer.brackets.straighten
-        straighten_each(
-            lambda poly: parse("3*[1,2][3,4]", 4) if poly == parse("[1,3][2,4]", 4)
-            else straighten(poly)
-        )
         report = verify_basis(4, 2)
         assert report["straighten_failures"] == [
             {"scheme": "n=4; (1,3)(2,4)", "reason": "expansion mismatch"}
         ]
+        assert widths == {2 + 3}
+        assert rumer.oracle._digits(-12, 5) == {0: -12}
+        assert rumer.oracle._digits(-12, 4) == {0: 4, 1: -1}
 
     def test_large_output_coefficients_verify(self):
         """The central block of (4,14) straightens to outputs whose
-        coefficients sum to 128 in size: the digits widen with them, and
-        the block still passes with no elimination."""
+        coefficients sum to 128 in size.  The exchange certificate never
+        reads them: the block passes at the digit width m + 3, with no
+        elimination."""
         d = (7, 7, 7, 7)
         diagrams = enumerate_rumer_by_multidegree(d)
         schemes = enumerate_valence_schemes_by_multidegree(d)
-        outputs, _ = rumer.brackets._normal_forms(schemes)
-        assert max(sum(map(abs, terms.values())) for terms in outputs) == 128
+        outputs = [straighten(BracketPolynomial.monomial(4, s.edges)) for s in schemes]
+        assert max(sum(map(abs, flat.terms.values())) for flat in outputs) == 128
         stats = rumer.oracle._new_stats()
-        rumer_rank, full_rank, failures = rumer.oracle._check_block(d, diagrams, schemes, stats)
+        pairs = [first_crossing(s) for s in schemes]
+        rumer_rank, full_rank, failures = rumer.oracle._check_block(
+            d, diagrams, schemes, pairs, stats
+        )
         assert rumer_rank == full_rank == len(diagrams) == n_recurrence(d)
         assert (failures, stats["fallback_blocks"]) == ([], 0)
 
@@ -747,99 +794,113 @@ def test_verify_basis_holds_little_beyond_the_rumer_expansions():
 
 
 class TestBrokenStraightenerIsCaught:
-    """A broken straightener's output no longer multiplies back to the
-    scheme's row, or it names a term outside the block's Rumer diagrams, so
-    each block it breaks is ranked by elimination; every fault must be
-    reported under the same reasons as before."""
+    """A broken exchange rule, the one rewrite of straighten, or a broken
+    row, no longer certifies the crossing scheme it breaks, so each block it
+    breaks is ranked by elimination.  Every fault is named as a
+    failure of that scheme, never raised.  The one crossing scheme of (4, 2)
+    is [1,3][2,4], whose children are [1,2][3,4] and [1,4][2,3]."""
 
     N, M = 4, 2
 
-    def broken(self, straighten_each, mutate):
-        real = rumer.brackets.straighten
-        straighten_each(lambda poly: mutate(real(poly)))
+    def broken(self):
         report = verify_basis(self.N, self.M)
         assert not basis_ok(report)
+        assert report["rumer_rank"] == report["full_rank"] == report["rho"]
         return report["straighten_failures"]
 
-    def test_flipped_coefficient(self, straighten_each):
-        def flip(flat):
-            terms = dict(flat.terms)
-            first = min(terms, key=lambda mono: mono.edges)
-            terms[first] = -terms[first]
-            return BracketPolynomial(flat.n, terms)
+    def test_flipped_coefficient(self, monkeypatch):
+        """The crossing scheme's row with every sign flipped."""
+        def flip(edges, terms, real):
+            return {k: -c for k, c in terms.items()} if edges == ((1, 3), (2, 4)) else terms
 
-        failures = self.broken(straighten_each, flip)
-        assert len(failures) == 21  # every scheme of (4, 2)
-        assert {f["reason"] for f in failures} == {"expansion mismatch"}
-        assert failures[0] == {"scheme": "n=4; (1,2)(1,2)", "reason": "expansion mismatch"}
-
-    def test_dropped_term(self, straighten_each):
-        def drop(flat):
-            terms = dict(flat.terms)
-            if len(terms) > 1:
-                del terms[min(terms, key=lambda mono: mono.edges)]
-            return BracketPolynomial(flat.n, terms)
-
-        failures = self.broken(straighten_each, drop)
-        # only the crossing scheme straightens to more than one term
+        patch_rows(monkeypatch, flip)
+        failures = self.broken()
         assert failures == [{"scheme": "n=4; (1,3)(2,4)", "reason": "expansion mismatch"}]
 
-    def test_added_crossing_term(self, straighten_each):
-        crossing = parse("[1,3][2,4]", self.N)
-        failures = self.broken(straighten_each, lambda flat: flat + crossing)
-        # outside its own block the crossing term is of another multidegree,
-        # which the full coordinates expand, so the sum no longer matches
-        assert failures[:2] == [
-            {"scheme": "n=4; (1,2)(1,2)", "reason": "expansion mismatch"},
-            {"scheme": "n=4; (1,2)(1,2)", "reason": "crossing term [1,3][2,4]"},
-        ]
-        assert {"scheme": "n=4; (1,3)(2,4)", "reason": "expansion mismatch"} in failures
+    def test_dropped_term(self, monkeypatch):
+        real = rumer.brackets._exchange
+        monkeypatch.setattr(rumer.brackets, "_exchange", lambda e, f: real(e, f)[:1])
+        failures = self.broken()
+        assert failures == [{"scheme": "n=4; (1,3)(2,4)", "reason": "expansion mismatch"}]
 
-    def test_added_term_of_another_multidegree(self, straighten_each):
-        other = parse("[3,4][3,4]", self.N)  # a Rumer diagram of the cell
-        failures = self.broken(straighten_each, lambda flat: flat + other)
-        assert failures[:2] == [
-            {"scheme": "n=4; (1,2)(1,2)", "reason": "expansion mismatch"},
-            {"scheme": "n=4; (1,2)(1,2)", "reason": "multidegree changed in [3,4][3,4]"},
-        ]
+        # a second case: one child taken twice, in place of the other
+        monkeypatch.setattr(rumer.brackets, "_exchange", lambda e, f: real(e, f)[:1] * 2)
+        failures = self.broken()
+        assert failures == [{"scheme": "n=4; (1,3)(2,4)", "reason": "expansion mismatch"}]
+
+    def test_added_crossing_term(self, monkeypatch):
+        """The crossing pair itself added to the exchange: the scheme is its
+        own third child, which does not weigh less."""
+        real = rumer.brackets._exchange
+        monkeypatch.setattr(rumer.brackets, "_exchange", lambda e, f: (*real(e, f), (e, f)))
+        failures = self.broken()
+        assert failures == [{
+            "scheme": "n=4; (1,3)(2,4)",
+            "reason": "exchanging (1,3) and (2,4) in [1,3][2,4] leaves weight 8, not less than 8",
+        }]
+
+    def test_added_term_of_another_multidegree(self, monkeypatch):
+        other = ValenceScheme(self.N, [(3, 4), (3, 4)])  # a Rumer diagram of the cell
+        real = rumer.oracle._children
+        monkeypatch.setattr(rumer.oracle, "_children", lambda *args: [*real(*args), other])
+        failures = self.broken()
+        assert failures == [{
+            "scheme": "n=4; (1,3)(2,4)",
+            "reason": "exchanging (1,3) and (2,4) in [1,3][2,4] gives [3,4][3,4], "
+            "which is not a scheme of the block",
+        }]
         assert all("crossing" not in f["reason"] for f in failures)
 
-        # a second case: terms of one other multidegree that cancel in the
-        # expansion are each named, with no mismatch outside their own block
-        zero = parse("[1,3][2,4] - [1,2][3,4] - [1,4][2,3]", self.N)
-        failures = self.broken(straighten_each, lambda flat: flat + zero)
-        named = [
-            "crossing term [1,3][2,4]",
-            "multidegree changed in [1,2][3,4]",
-            "multidegree changed in [1,4][2,3]",
-        ]
-        assert failures[:3] == [{"scheme": "n=4; (1,2)(1,2)", "reason": r} for r in named]
-        # in that block the sum is a crossing term plus a Rumer diagram
-        assert {"scheme": "n=4; (1,2)(3,4)", "reason": named[0]} in failures
-        assert len(failures) == 18 * 3 + 3  # 18 schemes outside the block, 3 in it
-        assert {f["reason"] for f in failures} == set(named)
+    def test_added_term_of_another_bond_count(self, monkeypatch):
+        real = rumer.oracle._children
+        exchanging = "exchanging (1,3) and (2,4) in [1,3][2,4]"
+        for other, reason in [
+            # lighter, but not in the cell
+            ([(1, 2)], f"{exchanging} gives [1,2], which is not a scheme of the block"),
+            # more bonds than the cell, and heavier than the scheme
+            ([(1, 2)] * 5, f"{exchanging} leaves weight 15, not less than 8"),
+        ]:
+            child = ValenceScheme(self.N, other)
+            monkeypatch.setattr(rumer.oracle, "_children", lambda *args: [*real(*args), child])
+            failures = self.broken()
+            assert failures == [{"scheme": "n=4; (1,3)(2,4)", "reason": reason}]
 
-    def test_added_term_of_another_bond_count(self, straighten_each):
-        other = parse("[1,2]", self.N)  # not in the cell: expanded directly
-        failures = self.broken(straighten_each, lambda flat: flat + other)
-        assert failures[:2] == [
-            {"scheme": "n=4; (1,2)(1,2)", "reason": "expansion mismatch"},
-            {"scheme": "n=4; (1,2)(1,2)", "reason": "multidegree changed in [1,2]"},
-        ]
-
-        # a second case: more bonds than the cell, so more than any digit of
-        # a block's codes holds; it is still expanded, in the full coordinates
-        other = BracketPolynomial.monomial(self.N, [(1, 2)] * 5)
-        failures = self.broken(straighten_each, lambda flat: flat + other)
-        reasons = ["expansion mismatch", "multidegree changed in [1,2][1,2][1,2][1,2][1,2]"]
-        assert failures[:2] == [{"scheme": "n=4; (1,2)(1,2)", "reason": r} for r in reasons]
-        assert len(failures) == 2 * 21  # both reasons for every scheme of (4, 2)
-        assert {f["reason"] for f in failures} == set(reasons)
-
-    def test_raising_straightener(self, straighten_each):
-        def fail(flat):
+    def test_raising_straightener(self, monkeypatch):
+        """The composed straightener never runs in the basis check: one that
+        raises on every input leaves verify_basis passing."""
+        def fail(poly):
             raise RuntimeError("no basis today")
 
-        failures = self.broken(straighten_each, fail)
-        assert len(failures) == 21
-        assert failures[0] == {"scheme": "n=4; (1,2)(1,2)", "reason": "straighten raised: no basis today"}
+        monkeypatch.setattr(rumer.brackets, "straighten", fail)
+        report = verify_basis(self.N, self.M)
+        assert basis_ok(report)
+        assert report["straighten_failures"] == []
+
+    @pytest.mark.parametrize("fault", ["not_lighter", "outside_block"])
+    def test_broken_exchange_fails_its_scheme_only(self, monkeypatch, fault):
+        """An exchange broken on one scheme of (6, 3), [1,3][2,4][5,6], names
+        that scheme alone and ranks its block by elimination: a child that
+        does not weigh less (the scheme itself), or one outside the block."""
+        target = ValenceScheme(6, [(1, 3), (2, 4), (5, 6)])
+        child = target if fault == "not_lighter" else ValenceScheme(6, [(1, 2)] * 4)
+        real = rumer.oracle._children
+
+        def children(scheme, e, f):
+            found = real(scheme, e, f)
+            return [found[0], child] if scheme == target else found
+
+        monkeypatch.setattr(rumer.oracle, "_children", children)
+        stats = rumer.oracle._new_stats()
+        blocks = rumer.oracle._multidegree_blocks(
+            enumerate_rumer(6, 3), enumerate_valence_schemes(6, 3)
+        )
+        report = rumer.oracle._verify_basis(6, 3, blocks, stats)
+        exchanging = "exchanging (1,3) and (2,4) in [1,3][2,4][5,6]"
+        reason = {
+            "not_lighter": f"{exchanging} leaves weight 21, not less than 21",
+            "outside_block": f"{exchanging} gives [1,2][1,2][1,2][1,2], "
+            "which is not a scheme of the block",
+        }[fault]
+        assert report["straighten_failures"] == [{"scheme": target.to_text(), "reason": reason}]
+        assert report["rumer_rank"] == report["full_rank"] == rho_closed(6, 3)
+        assert stats["fallback_blocks"] == 1
