@@ -27,7 +27,7 @@ print()
 
 # verify_basis bundles the whole cross-check for one (n, m) cell:
 # independence of the non-crossing monomials, spanning by all schemes, and
-# straightening correctness for every scheme.
+# the exchange rule that straightens every crossing scheme, one at a time.
 for n, m in [(3, 2), (4, 2), (2, 3), (5, 2)]:
     report = verify_basis(n, m)
     status = "pass" if basis_ok(report) else "FAIL"

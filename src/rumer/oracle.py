@@ -30,7 +30,6 @@ from .diagrams import (
     enumerate_rumer,
     enumerate_valence_schemes,
     first_crossing,
-    is_rumer,
 )
 from .sparse import SparseCombination, combine
 
@@ -474,11 +473,12 @@ def _check_block(
     first crossing pair.  Both exchange children of s
     (brackets._children) must weigh less than s (brackets._weight) and be
     schemes of the block, and the row of s less the rows of its children
-    must be the integer 0.  Every non-crossing scheme must be one of the
-    block's Rumer diagrams that passes first_crossing; a diagram equal to a
-    scheme that the scan passed is not scanned again.  By induction on the
-    weight every row of the block then lies in the span of the diagrams'
-    rows, and the full rank is the Rumer rank.  A child that does not weigh
+    must be the integer 0.  Every scheme that the scan passes must be one of
+    the block's Rumer diagrams.  By induction on the weight every row of the
+    block then lies in the span of the diagrams' rows, and the full rank is
+    the Rumer rank.  No diagram is scanned, since the certificate needs only
+    that each non-crossing scheme is listed; in verify the merge check
+    compares the listed diagrams with the scan's non-crossing schemes.  A child that does not weigh
     less, or that is no scheme of the block, is named, and its scheme's
     difference is not formed; a nonzero difference is an expansion
     mismatch.  Each is a failure of that one scheme, never raised.  A rank
@@ -516,7 +516,7 @@ def _check_block(
     seconds["straighten"] += now - start
     start = now
     width = sum(d) // 2 + 3
-    # the rows and the Rumer set are keyed by scheme
+    # the rows are keyed by scheme
     keys = list(dict.fromkeys(chain(schemes, diagrams)))
     rows = dict(zip(keys, _block_rows(d, width, (key.edges for key in keys))))
     leads = set()
@@ -525,13 +525,13 @@ def _check_block(
         if lead is not None and lead[1] == 1:
             leads.add(lead[0])
     unit_triangular = len(leads) == len(diagrams)
-    noncrossing = {scheme for scheme, pair in zip(schemes, pairs) if pair is None}
-    basis = {diagram for diagram in diagrams if diagram in noncrossing or is_rumer(diagram)}
     now = perf_counter()
     seconds["expand"] += now - start
     start = now
     failures = []
-    spanned = noncrossing <= basis  # and, so far, every exchange passed
+    # every non-crossing scheme is a listed diagram, and every exchange so
+    # far passed
+    spanned = {s for s, pair in zip(schemes, pairs) if pair is None}.issubset(diagrams)
     for scheme, (e, f), children in exchanges:
         k = _weight(scheme)
         difference = rows[scheme]

@@ -525,9 +525,9 @@ class TestVerifyBasis:
 
     def test_crossing_scheme_listed_as_a_diagram(self, monkeypatch):
         """The Rumer list is not trusted to be non-crossing: a crossing scheme
-        listed as a diagram stays out of the Rumer set, and its shared lead
-        fails the count.  With an exchange that leaves it as it is, it is
-        also reported, as an exchange that does not lower the weight."""
+        listed as a diagram shares its lead, which fails the count.  With an
+        exchange that leaves it as it is, it is also reported, as an
+        exchange that does not lower the weight."""
         crossing = ValenceScheme(4, ((1, 3), (2, 4)))
         diagrams = enumerate_rumer(4, 2) + [_diagram(crossing)]
         for keep, failures in [
