@@ -470,17 +470,17 @@ def _check_block(
 
     Spanning is certified one exchange at a time, by the three-term Plücker
     relation with which straighten rewrites a crossing scheme s at its
-    first crossing pair.  Both exchange children of s
-    (brackets._children) must weigh less than s (brackets._weight) and be
-    schemes of the block, and the row of s less the rows of its children
-    must be the integer 0.  Every scheme that the scan passes must be one of
-    the block's Rumer diagrams.  By induction on the weight every row of the
-    block then lies in the span of the diagrams' rows, and the full rank is
-    the Rumer rank.  No diagram is scanned, since the certificate needs only
-    that each non-crossing scheme is listed; in verify the merge check
-    compares the listed diagrams with the scan's non-crossing schemes.  A child that does not weigh
-    less, or that is no scheme of the block, is named, and its scheme's
-    difference is not formed; a nonzero difference is an expansion
+    first crossing pair.  Both exchange children of s (brackets._children)
+    must weigh less than s (brackets._weight) and be schemes of the block,
+    and the row of s less the rows of its children must be the integer 0.
+    Every scheme that the scan passes must be one of the block's Rumer
+    diagrams.  By induction on the weight every row of the block then lies
+    in the span of the diagrams' rows, and the full rank is the Rumer rank.
+    No diagram is scanned, since the certificate needs only that each
+    non-crossing scheme is listed; in verify the merge check compares the
+    listed diagrams with the scan's non-crossing schemes.  A child that does
+    not weigh less, or that is no scheme of the block, is named, and its
+    scheme's difference is not formed; a nonzero difference is an expansion
     mismatch.  Each is a failure of that one scheme, never raised.  A rank
     not certified this way comes from fraction-free elimination of the same
     rows, decoded (_digits), Rumer rows first.
@@ -492,8 +492,7 @@ def _check_block(
     bound is below 2^(width-1).  Balanced base-2^width digits below
     2^(width-1) in size are unique, so the difference is the integer 0
     exactly when it is the zero polynomial.  The check stays a coordinate
-    expansion, independent of the straighteners, whose output it never
-    reads.
+    expansion, independent of straighten, whose output it never reads.
     """
     seconds = stats["seconds"]
     stats["blocks"] += 1
