@@ -505,15 +505,6 @@ def _check_block(
         stats["pivots"] += 1
         return 1, 1, []
     start = perf_counter()
-    exchanges = [
-        (scheme, pair, _children(scheme, *pair))
-        for scheme, pair in zip(schemes, pairs)
-        if pair is not None
-    ]
-    stats["rewrites"] += len(exchanges)
-    now = perf_counter()
-    seconds["straighten"] += now - start
-    start = now
     width = sum(d) // 2 + 3
     # the rows are keyed by scheme
     keys = list(dict.fromkeys(chain(schemes, diagrams)))
@@ -531,11 +522,14 @@ def _check_block(
     # every non-crossing scheme is a listed diagram, and every exchange so
     # far passed
     spanned = {s for s, pair in zip(schemes, pairs) if pair is None}.issubset(diagrams)
-    for scheme, (e, f), children in exchanges:
+    for scheme, pair in zip(schemes, pairs):
+        if pair is None:
+            continue
+        stats["rewrites"] += 1
         k = _weight(scheme)
         difference = rows[scheme]
         reasons = []
-        for child in children:
+        for child in _children(scheme, *pair):
             j = _weight(child)
             row = rows.get(child)
             if j >= k:
@@ -547,6 +541,7 @@ def _check_block(
             else:
                 difference -= row
         if reasons:
+            e, f = pair
             exchanging = f"exchanging {e} and {f} in {_monomial_text(scheme.edges)}"
             reasons = [f"{exchanging} {reason}" for reason in reasons]
         elif difference:
@@ -582,9 +577,9 @@ def basis_ok(report: dict) -> bool:
 
 
 #: The stages of verify that its stats record times.  straighten is the
-#: crossing scan and the exchange children, expand the block rows and their
-#: leads, divide the exchange checks and row differences, fallback the
-#: elimination, and psi the merge check.
+#: crossing scan, expand the block rows and their leads, divide the exchange
+#: children, their checks and the row differences, fallback the elimination,
+#: and psi the merge check.
 STAGES = ("enumerate", "expand", "divide", "straighten", "fallback", "psi")
 
 

@@ -653,30 +653,31 @@ class TestVerifyBasis:
     @pytest.mark.parametrize(
         "target,full_rank,failures",
         [
-            # the crossing scheme's output sums the corrupted Rumer row
+            # with the crossing scheme listed, its exchange sums the corrupted
+            # Rumer row as well
             (
                 ((1, 2), (3, 4)),
                 21,
                 [{"scheme": "n=4; (1,3)(2,4)", "reason": "expansion mismatch"}],
             ),
-            # a block whose only scheme is its only Rumer diagram builds no row:
-            # its rank is read off the nonzero product of i - j over its edges,
-            # so the corrupted row coder never reaches it, and the corrupted
-            # row would still be a basis of its block
-            (((1, 2), (1, 2)), 20, []),
+            # with only the Rumer schemes listed, the block of (1,1,1,1) has
+            # two schemes and nothing to exchange: only the lead coefficient
+            # of 2 sends it to elimination
+            (((1, 2), (3, 4)), 20, []),
         ],
     )
     def test_lead_coefficient_two_falls_back_to_exact_ranks(
         self, monkeypatch, target, full_rank, failures
     ):
-        """A Rumer row whose lead coefficient is 2 is no unit pivot: its block,
-        if it builds rows, is ranked by elimination, whose ranks are those of
-        the corrupted rows."""
+        """A Rumer row whose lead coefficient is 2 is no unit pivot: its block
+        is ranked by elimination, whose ranks are those of the corrupted
+        rows.  The crossing scheme [1,3][2,4] is listed only in the case whose
+        failure it is."""
         def corrupt(edges, terms, real):
             return {**terms, max(terms): 2} if edges == target else terms
 
         patch_rows(monkeypatch, corrupt)
-        schemes = enumerate_valence_schemes(4, 2)
+        schemes = [s for s in enumerate_valence_schemes(4, 2) if failures or is_rumer(s)]
         rows = {s: expand(BracketPolynomial.monomial(4, s.edges)) for s in schemes}
         lead = max(rows[ValenceScheme(4, target)].terms)
         assert rows[ValenceScheme(4, target)].terms[lead] == 2
@@ -684,11 +685,33 @@ class TestVerifyBasis:
         stats = rumer.oracle._new_stats()
         blocks = rumer.oracle._multidegree_blocks(enumerate_rumer(4, 2), rows)
         report = rumer.oracle._verify_basis(4, 2, blocks, stats)
-        # only the block with a failure builds its rows and falls back
-        assert (stats["blocks"], stats["fallback_blocks"]) == (19, len(failures))
+        assert (stats["blocks"], stats["fallback_blocks"]) == (19, 1)
         assert report["rumer_rank"] == reference_rank(rumer_rows) == 20
         assert report["full_rank"] == reference_rank(list(rows.values())) == full_rank
         assert report["straighten_failures"] == failures
+
+    def test_one_scheme_block_builds_no_row(self, monkeypatch):
+        """A block whose only scheme is its only Rumer diagram builds no row:
+        its rank is read off the nonzero product of i - j over its edges, so
+        a corrupted row coder never reaches it.  At (4, 2) only the three
+        schemes of the block of (1,1,1,1) are coded, and no block falls back
+        to elimination."""
+        coded = set()
+
+        def corrupt(edges, terms, real):
+            coded.add(edges)
+            return {**terms, max(terms): 2} if edges == ((1, 2), (1, 2)) else terms
+
+        patch_rows(monkeypatch, corrupt)
+        stats = rumer.oracle._new_stats()
+        blocks = rumer.oracle._multidegree_blocks(
+            enumerate_rumer(4, 2), enumerate_valence_schemes(4, 2)
+        )
+        report = rumer.oracle._verify_basis(4, 2, blocks, stats)
+        assert coded == {((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))}
+        assert (stats["blocks"], stats["fallback_blocks"], stats["pivots"]) == (19, 0, 20)
+        assert report["rumer_rank"] == report["full_rank"] == 20
+        assert report["straighten_failures"] == []
 
     def test_repeated_lead_falls_back_to_exact_ranks(self, monkeypatch):
         """Two different Rumer rows with one lead: with no crossing scheme in
