@@ -196,63 +196,64 @@ def _realizable(degrees: Sequence[int]) -> bool:
 
 
 def _degree_constrained_edge_lists(degrees: Sequence[int]) -> Iterator[tuple[Edge, ...]]:
-    """Backtracking core of enumerate_valence_schemes_by_multidegree.
+    """Search core of enumerate_valence_schemes_by_multidegree.
 
     Chords are chosen in nondecreasing lexicographic order, so every multiset
-    is produced exactly once and already canonically sorted.  The next edge
-    must cover the smallest vertex v that still has free valence, since later
-    edges cannot reach it; after each edge (v, w) the search backs out unless
-    the free valences are still realizable and v's fits in those of the
-    vertices from w on.  That spares a star its exponentially many dead ends,
-    but not every dead end is caught: on (2, 2, 2), (1, 3) passes and fails.
-    An odd degree sum, or a degree above the sum of the others, has no
+    is produced exactly once and already canonically sorted.  The next chord
+    (v, x) covers the first vertex v with free valence, since later chords
+    cannot reach it, and x is at or after v's last partner (or v + 1).  Let r
+    be v's free valence.  Once v's r bonds are placed, the vertices after v
+    hold 2h, the sum of their free valences less r; so h is the same for every
+    chord of v, and by the rule of _realizable those vertices then have a
+    multigraph iff none of them holds more than h.  So v must give each later
+    vertex w at least max(0, f_w - h) of its free valence f_w.  The chord
+    (v, x) is taken iff that can be done with x taking one more bond: every
+    vertex it skips, from v's last partner up to but not including x, gets
+    nothing more from v and must hold at most h, so once one holds more no
+    later x will do; and the vertices from x on must be owed at most r in
+    all, counting at least 1 for x, and hold at least r.  The test is exact,
+    so every chord lies on a scheme and the search has no dead branch.  An
+    odd degree sum, or a degree above the sum of the others, has no
     multigraph at all and yields nothing without a search.  The search runs
-    on an explicit stack, so its depth is the bond count, not Python's
-    recursion limit.
+    on an explicit stack, one frame per chord, so its depth is the bond
+    count, not Python's recursion limit.
     """
     if not _realizable(degrees):
         return
-    n = len(degrees)
-    remaining = [0, *degrees]  # 1-based
-    chosen: list[Edge] = []
-
-    def free_from(u: int) -> int | None:
-        return next((x for x in range(u, n + 1) if remaining[x]), None)
-
-    def unchoose() -> None:
-        v, w = chosen.pop()
-        remaining[v] += 1
-        remaining[w] += 1
-
-    v = free_from(1)
-    if v is None:
-        yield ()
-        return
-    # One frame [v, next partner to try] per chosen edge plus the open one.
-    stack = [[v, v + 1]]
+    # One frame per chord on the path: the states (free valences by vertex,
+    # edges) after each next chord left to try, starting from the degrees.
+    stack = [iter([((0, *degrees), ())])]
     while stack:
-        frame = stack[-1]
-        v = frame[0]
-        w = free_from(frame[1])
-        if w is None:
+        state = next(stack[-1], None)
+        if state is None:
             stack.pop()
-            if chosen:
-                unchoose()
-            continue
-        frame[1] = w + 1
-        remaining[v] -= 1
-        remaining[w] -= 1
-        chosen.append(_edge((v, w)))  # w > v
-        if not (_realizable(remaining) and remaining[v] <= sum(remaining[w:])):
-            unchoose()  # the rest has no multigraph, or v too few partners from w on
-            continue
-        u = free_from(v)
-        if u is None:
-            yield tuple(chosen)
-            unchoose()
+        elif any(state[0]):
+            stack.append(_next_chords(*state))
         else:
-            # a parallel copy of (v, w) is allowed
-            stack.append([u, w if u == v else u + 1])
+            yield state[1]
+
+
+def _next_chords(free: tuple[int, ...], edges: tuple[Edge, ...]) -> Iterator[tuple]:
+    """The states (free valences, edges) after each next chord (v, x) of
+    _degree_constrained_edge_lists that lies on a scheme, in increasing
+    order of x, from the free valences by vertex (index 0 unused) and the
+    edges so far."""
+    v = next(u for u, f in enumerate(free) if f)
+    r = free[v]
+    h = (sum(free[v + 1 :]) - r) // 2
+    start = edges[-1][1] if edges and edges[-1][0] == v else v + 1
+    hold = sum(free[start:])  # of the vertices from x on
+    need = sum(f - h for f in free[start:] if f > h)  # what v must give them
+    for x in range(start, len(free)):
+        f = free[x]
+        if f and need + (f <= h) <= r <= hold:
+            rest = free[:v] + (r - 1,) + free[v + 1 : x] + (f - 1,) + free[x + 1 :]
+            yield rest, edges + (_edge((v, x)),)
+        if f > h:
+            return  # every later chord would skip x
+        hold -= f
+        if hold < r:
+            return
 
 
 #: moves(v, h, bonds): the (closed, opened) bond-end counts allowed at vertex v

@@ -158,15 +158,15 @@ def _summed(terms: Mapping[ValenceScheme, int], x1: Codes, x2: Codes) -> dict[in
     )
 
 
-def _codes(maps: Sequence[Mapping]) -> tuple[int, dict, dict]:
+def _codes(terms: Mapping[ValenceScheme, int]) -> tuple[int, dict, dict]:
     """The bits of one digit and the _expansions codes, keyed by vertex, of
-    only the vertices the term maps use.  Each, in increasing order, takes
+    only the vertices the term map uses.  Each, in increasing order, takes
     the next two digits from the top, for x1 and then x2, so integer order
     is the lexicographic order of exponent vectors.  No exponent exceeds its
     monomial's factor count, so digits as wide as the largest count never
     carry and the code is one-to-one."""
-    used = sorted({v for terms in maps for mono in terms for e in mono.edges for v in e})
-    width = max((len(mono.edges) for terms in maps for mono in terms), default=0).bit_length() or 1
+    used = sorted({v for mono in terms for e in mono.edges for v in e})
+    width = max((len(mono.edges) for mono in terms), default=0).bit_length() or 1
     top = 2 * len(used)
     x1 = {v: 1 << width * (top - 1 - 2 * k) for k, v in enumerate(used)}
     x2 = {v: 1 << width * (top - 2 - 2 * k) for k, v in enumerate(used)}
@@ -180,7 +180,7 @@ def expand(poly: BracketPolynomial) -> XPolynomial:
     the empty monomial expands to the constant 1.
     """
     n = poly.n
-    width, x1, x2 = _codes([poly.terms])
+    width, x1, x2 = _codes(poly.terms)
     # the low bit of each coded variable's digit, by its place in the vector
     shift = {variable_index(v, 1): code.bit_length() - 1 for v, code in x1.items()}
     shift.update((variable_index(v, 2), code.bit_length() - 1) for v, code in x2.items())
@@ -194,10 +194,15 @@ def expand(poly: BracketPolynomial) -> XPolynomial:
 
 def _same_expansion(left: Mapping, right: Mapping) -> bool:
     """Whether two term maps, sums of bracket monomials, expand to the same
-    polynomial.  Only the vertices either uses get codes, so the cost
-    follows the terms, not n."""
-    _, x1, x2 = _codes([left, right])
-    return _summed(left, x1, x2) == _summed(right, x1, x2)
+    polynomial: whether their difference expands to zero, since expansion is
+    linear.  Monomials on both sides with equal coefficients cancel before
+    any expansion, and only the vertices the difference uses get codes, so
+    the cost follows the terms that differ, not n."""
+    difference = combine(chain(left.items(), ((mono, -c) for mono, c in right.items())))
+    if not difference:
+        return True
+    _, x1, x2 = _codes(difference)
+    return not _summed(difference, x1, x2)
 
 
 @dataclass(frozen=True)

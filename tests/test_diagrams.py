@@ -416,25 +416,34 @@ class TestEnumerateValenceSchemes:
     @pytest.mark.parametrize("degrees", [(1,) * 12 + (12,), (12,) + (1,) * 12])
     def test_star_and_hub_back_out_at_once(self, monkeypatch, degrees):
         """Each leaf of a 12-leaf star or hub has one partner, the centre: the
-        backtracker backs out of every other edge as soon as it is tried, so
-        it tries at most C(13, 2) = 78 edges, not exponentially many."""
+        search builds no chord off the one scheme, so it builds 12 chords,
+        one per edge, not exponentially many."""
         real = rumer.diagrams._edge
         tried = []
         monkeypatch.setattr(rumer.diagrams, "_edge", lambda pair: tried.append(pair) or real(pair))
         assert len(enumerate_valence_schemes_by_multidegree(degrees)) == 1
-        assert len(tried) <= 78
+        assert len(tried) == 12
 
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_by_multidegree_equals_the_cell_route(self, n):
-        """The backtracker by multidegree gives, in order, the schemes of the
-        cell (n, m) with that multidegree, which the cell route lists as all
-        m-multisets of edges, with no degree constraint to prune by."""
+    def test_by_multidegree_equals_the_cell_route(self, monkeypatch, n):
+        """The search by multidegree gives, in order, the schemes of the cell
+        (n, m) with that multidegree, which the cell route lists as all
+        m-multisets of edges, with no degree constraint to prune by.  It has
+        no dead branch: it builds one chord per distinct non-empty prefix of
+        its edge lists, and none that lies on no scheme."""
+        real = rumer.diagrams._edge
+        built = []
+        monkeypatch.setattr(rumer.diagrams, "_edge", lambda pair: built.append(pair) or real(pair))
         for m in range(5):
             cell: dict = {}
             for scheme in enumerate_valence_schemes(n, m):
                 cell.setdefault(scheme.multidegree(), []).append(scheme)
             for d in compositions(2 * m, n):
-                assert enumerate_valence_schemes_by_multidegree(d) == cell.get(d, []), d
+                built.clear()
+                schemes = enumerate_valence_schemes_by_multidegree(d)
+                assert schemes == cell.get(d, []), d
+                prefixes = {s.edges[:k] for s in schemes for k in range(1, len(s.edges) + 1)}
+                assert len(built) == len(prefixes), d
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_equals_the_strict_construction(self, n):
