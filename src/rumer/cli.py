@@ -108,6 +108,24 @@ def _emit_json(document, out: str | None) -> None:
     _emit(json.dumps(document, indent=2), out)
 
 
+def _diagrams_json(label: dict, diagrams: list) -> str:
+    """The bytes of json.dumps({**label, "count": ..., "diagrams": [d.to_json_dict()
+    for d in diagrams]}, indent=2), written without the pure-Python encoder
+    that indent selects: each distinct chord's text is formatted once per
+    call, and each diagram is one join of those texts."""
+    head = json.dumps({**label, "count": len(diagrams), "diagrams": []}, indent=2)
+    if not diagrams:
+        return head
+    chord = functools.cache("        [\n          {0[0]},\n          {0[1]}\n        ]".format)
+
+    def item(diagram) -> str:
+        n, edges = diagram
+        body = "[\n" + ",\n".join(map(chord, edges)) + "\n      ]" if edges else "[]"
+        return f'{{\n      "n": {n},\n      "edges": {body}\n    }}'
+
+    return head[: -len("[]\n}")] + "[\n    " + ",\n    ".join(map(item, diagrams)) + "\n  ]\n}"
+
+
 def _scheme_space(n: int, m: int) -> int:
     """Number of loop-free multigraphs with m edges on n vertices."""
     return binomial(binomial(n, 2) + m - 1, m) if m else 1
@@ -188,10 +206,7 @@ def _cmd_enumerate(args) -> int:
     label, _, listing = _selection(args)
     diagrams = listing()
     if args.format == "json":
-        _emit_json(
-            {**label, "count": len(diagrams), "diagrams": [d.to_json_dict() for d in diagrams]},
-            args.out,
-        )
+        _emit(_diagrams_json(label, diagrams), args.out)
     else:
         lines = [d.to_text() for d in diagrams]
         lines.append(f"count: {len(diagrams)}")

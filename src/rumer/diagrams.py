@@ -272,10 +272,14 @@ def _ballot_walk(n: int, moves: _Moves) -> Iterator[tuple[Edge, ...]]:
     end with an empty stack, each met once.  `moves` must allow only moves
     that still lead to such an end, so the walk has no dead branch.  It runs
     on an explicit stack, so n is not bounded by Python's recursion limit.
+    Each chord is built once per walk and shared by every list that holds
+    it; the chords are kept in a dict of those met, not a table of all
+    n(n-1)/2, so a walk over many vertices with few bonds stays small.
     """
     # One frame per vertex on the path: the moves left to try there, and the
     # open ends (their vertices, bottom to top) and edges before the vertex.
     stack = [(iter(moves(1, 0, 0)), (), ())]
+    chords: dict[tuple[int, int], Edge] = {}
     while stack:
         untried, open_ends, edges = stack[-1]
         move = next(untried, None)
@@ -285,7 +289,11 @@ def _ballot_walk(n: int, moves: _Moves) -> Iterator[tuple[Edge, ...]]:
         v = len(stack)
         c, o = move
         keep = len(open_ends) - c
-        edges += tuple(_edge((u, v)) for u in open_ends[keep:])  # each open end u < v
+        for u in open_ends[keep:]:  # each open end u < v
+            edge = chords.get((u, v))
+            if edge is None:
+                edge = chords[u, v] = _edge((u, v))
+            edges += (edge,)
         open_ends = open_ends[:keep] + (v,) * o
         if v == n:
             yield edges

@@ -241,6 +241,30 @@ class TestEnumerate:
         assert {"n": 4, "edges": [[1, 2]]} in doc["diagrams"]
 
     @pytest.mark.parametrize(
+        "label",
+        [{"n": n, "m": m} for n in range(1, 13) for m in range(4)]
+        + [{"multidegree": d} for d in ([1, 1, 2, 2, 3, 3], [2, 2, 1, 1, 2, 2, 1, 1, 2, 2, 2, 2],
+                                        [3, 1])],  # the last has no diagram
+        ids=lambda label: "-".join(f"{key}{value}".replace(" ", "")
+                                   for key, value in label.items()),
+    )
+    def test_json_is_the_indented_dump(self, capsys, tmp_path, label):
+        # the listing is written without json.dumps; to_json_dict is its reference
+        if "multidegree" in label:
+            argv = ["--multidegree", ",".join(map(str, label["multidegree"]))]
+            diagrams = rumer.diagrams.enumerate_rumer_by_multidegree(label["multidegree"])
+        else:
+            argv = ["--n", str(label["n"]), "--m", str(label["m"])]
+            diagrams = rumer.diagrams.enumerate_rumer(label["n"], label["m"])
+        document = {**label, "count": len(diagrams),
+                    "diagrams": [d.to_json_dict() for d in diagrams]}
+        expected = json.dumps(document, indent=2) + "\n"
+        assert run(capsys, "enumerate", *argv, "--format", "json") == (0, expected, "")
+        out = tmp_path / "listing.json"
+        assert run(capsys, "enumerate", *argv, "--format", "json", "--out", str(out)) == (0, "", "")
+        assert out.read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize(
         "argv,steps",
         [
             # one empty diagram, but the ballot walk keeps one frame per vertex

@@ -376,6 +376,18 @@ class TestEnumerateRumer:
                 assert list(edges) == sorted(edges), diagram
                 assert diagram == RumerDiagram(ValenceScheme(n, edges)), diagram
 
+    def test_each_chord_is_built_once(self):
+        # the walk shares one Edge per chord among all the diagrams that hold it
+        edges = [e for diagram in enumerate_rumer(6, 5) for e in diagram.edges]
+        assert len({id(e) for e in edges}) == len(set(edges))
+
+    def test_chords_are_kept_sparse(self):
+        # 100,002 vertices and one chord: the walk keeps the chords it meets,
+        # not a table of every pair of vertices
+        n = 10**5 + 2
+        diagrams = enumerate_rumer_by_multidegree((1,) + (0,) * (n - 2) + (1,))
+        assert [d.edges for d in diagrams] == [(Edge(1, n),)]
+
 
 class TestGeneratorAgainstBruteForce:
     """The ballot walk, in canonical order, against filtering every valence
