@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rumer.brackets
+import rumer.diagrams
 from rumer.brackets import (
     BracketPolynomial,
     _children,
@@ -26,6 +27,7 @@ from rumer.brackets import (
 from rumer.diagrams import (
     Edge,
     ValenceScheme,
+    edges_cross,
     enumerate_valence_schemes,
     first_crossing,
     is_rumer,
@@ -80,6 +82,14 @@ class TestPolynomial:
         assert p.terms == {m: 1}
         assert not BracketPolynomial(2, [(m, 1), (m, -1)])
 
+    def test_equal_polynomials_hash_alike(self):
+        # the same terms in another order: equal, one hash, one set element
+        p = poly("[1,2][3,4] - 2*[1,4][2,3] + [1,3]", 4)
+        q = poly("[1,3] - 2*[1,4][2,3] + [1,2][3,4]", 4)
+        assert list(p.terms) != list(q.terms)
+        assert p == q and hash(p) == hash(q)
+        assert len({p, q, poly("[1,3]", 4)}) == 2
+
     def test_arithmetic(self):
         a = poly("[1,2]", 4)
         b = poly("[3,4]", 4)
@@ -101,6 +111,9 @@ class TestPolynomial:
         assert poly("-[1,2]", 2).to_text() == "-[1,2]"
         assert BracketPolynomial.monomial(3, (), 2).to_text() == "2"
         assert (BracketPolynomial.monomial(2, (), 3) - poly("[1,2]", 2)).to_text() == "3 - [1,2]"
+        p = poly("[1,2] - 2*[1,3]", 3)
+        assert str(p) == "[1,2] - 2*[1,3]"
+        assert repr(p) == "BracketPolynomial(n=3, '[1,2] - 2*[1,3]')"
 
     def test_json_round_trip(self):
         p = poly("2*[1,2][3,4] - [1,4][2,3]", 4)
@@ -210,17 +223,18 @@ class TestStraighten:
 
 
 class TestStraightenGuards:
-    """Both runtime checks of straighten fire when their invariant breaks."""
+    """The one runtime check of straighten, the descent, fires when an
+    exchange does not lower the weight."""
 
     def test_exchange_that_keeps_the_crossing_fails_the_descent(self, monkeypatch):
         monkeypatch.setattr(rumer.brackets, "_exchange", lambda e, f: ((e, f),))
         with pytest.raises(RuntimeError, match="internal error: exchanging"):
             straighten(poly("[1,3][2,4]", 4))
 
-    def test_output_that_fails_is_rumer_is_refused(self, monkeypatch):
-        monkeypatch.setattr(rumer.brackets, "is_rumer", lambda scheme: False)
-        with pytest.raises(RuntimeError, match="internal error: .* still crosses"):
-            straighten(poly("[1,3][2,4]", 4))
+
+def crossing_free(scheme):
+    """No two chords of a scheme cross, by edges_cross over all pairs."""
+    return not any(edges_cross(e, f) for e, f in combinations(scheme.edges, 2))
 
 
 def blocks(n, m):
@@ -353,6 +367,17 @@ class TestStraightenProperties:
     @given(polynomials())
     def test_preserves_expansion(self, p):
         assert expand(straighten(p)) == expand(p)
+
+    @property_settings
+    @given(polynomials())
+    def test_no_output_term_crosses_by_all_pairs(self, p):
+        assert all(crossing_free(mono) for mono in straighten(p).terms)
+
+    def test_no_term_of_eight_diameters_crosses_by_all_pairs(self):
+        diameters = BracketPolynomial.monomial(16, [(i, i + 8) for i in range(1, 9)])
+        flat = straighten(diameters)
+        assert len(flat.terms) == 1430
+        assert all(crossing_free(mono) for mono in flat.terms)
 
 
 def brute_crossings(edges):
@@ -487,3 +512,18 @@ class TestTermination:
         assert expand(straighten(p)) == expand(p)
         assert len(rewritten) == len(set(rewritten))
         assert set(rewritten) == crossing_closure(diameters)  # 977 monomials
+
+    def test_crossing_diameters_scan_each_monomial_once(self, monkeypatch):
+        # 977 rewritten and 429 output terms: each distinct scheme is scanned
+        # once, also through is_rumer, which calls the scan of rumer.diagrams
+        scanned = []
+
+        def scan(scheme):
+            scanned.append(scheme)
+            return first_crossing(scheme)
+
+        monkeypatch.setattr(rumer.brackets, "first_crossing", scan)
+        monkeypatch.setattr(rumer.diagrams, "first_crossing", scan)
+        flat = straighten(BracketPolynomial.monomial(14, [(i, i + 7) for i in range(1, 8)]))
+        assert len(flat.terms) == 429
+        assert len(scanned) == len(set(scanned)) == 1406

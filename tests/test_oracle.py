@@ -53,10 +53,13 @@ class TestXPolynomial:
         assert (a * b).terms == {(1, 0, 0, 1): 1}
         assert (2 * a).terms == {(1, 0, 0, 0): 2}
         assert (a - a).is_zero()
+        assert repr(a * b + b) == "XPolynomial(n=2, 2 terms)"
 
     def test_length_validation(self):
         with pytest.raises(ValueError):
             XPolynomial(2, {(1, 0): 1})
+        with pytest.raises(ValueError, match="negative exponent"):
+            XPolynomial(1, {(1, -1): 1})
 
     def test_other_polynomial_type_rejected(self):
         # a bracket polynomial and a coordinate polynomial on the same n do
@@ -83,6 +86,10 @@ class TestXPolynomial:
         assert variable_index(1, 1) == 0
         assert variable_index(1, 2) == 1
         assert variable_index(3, 1) == 4
+        with pytest.raises(ValueError, match="component must be 1 or 2"):
+            variable_index(1, 3)
+        with pytest.raises(ValueError, match="vertex must be positive"):
+            variable_index(0, 1)
 
 
 class TestExpand:
