@@ -273,73 +273,63 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+#: A bracket after its "[": each token's kind and, when it is missing, what
+#: the error expects.
+_BRACKET = (("int", "a vertex index"), (",", "','"), ("int", "a vertex index"), ("]", "']'"))
+
+
 def parse(text: str, n: int) -> BracketPolynomial:
     """Parse bracket polynomial text into canonical form.
 
     Grammar: polynomial := term (("+"|"-") term)* with an optional leading
     sign; term := [coeff "*"] bracket+; bracket := "[" int "," int "]".
     Whitespace is insignificant.  Reversed index pairs normalize with a sign
-    flip, so "[3,1]" parses to -[1,3].
+    flip, so "[3,1]" parses to -[1,3].  The grammar has no nesting, so the
+    tokens are read in one pass, one term per loop, up to an end token.
     """
     n = _vertices(n)
     tokens = _tokenize(text)
-    pos = 0
-
-    def peek() -> tuple[str, str, int]:
-        return tokens[pos] if pos < len(tokens) else ("end", "", len(text))
-
-    def take() -> tuple[str, str, int]:
-        nonlocal pos
-        tok = peek()
-        pos += 1
-        return tok
-
-    def expect(kind: str, what: str) -> tuple[str, str, int]:
-        tok = take()
-        if tok[0] != kind:
-            raise PolynomialSyntaxError(f"expected {what}", tok[2])
-        return tok
-
-    def parse_index() -> tuple[int, int]:
-        tok = expect("int", "a vertex index")
-        value = int(tok[1])
-        if not 1 <= value <= n:
-            raise VertexRangeError(f"vertex index {value} outside 1..{n}", tok[2])
-        return value, tok[2]
-
-    def parse_bracket() -> SignedBracket:
-        expect("[", "'['")
-        a, a_pos = parse_index()
-        expect(",", "','")
-        b, _ = parse_index()
-        expect("]", "']'")
-        if a == b:
-            raise LoopBracketError(f"bracket [{a},{b}] pairs a vertex with itself", a_pos)
-        return bracket(a, b)
-
-    def parse_term(sign: int) -> tuple[ValenceScheme, int]:
-        coeff = sign
-        if peek()[0] == "int":
-            tok = take()
-            coeff *= int(tok[1])
-            expect("*", "'*' after a coefficient")
-        factors = []
-        if peek()[0] != "[":
-            raise PolynomialSyntaxError("expected a bracket '[i,j]'", peek()[2])
-        while peek()[0] == "[":
-            sb = parse_bracket()
-            coeff *= sb.sign
-            factors.append(sb.edge)
-        return ValenceScheme(n, tuple(factors)), coeff
-
+    tokens.append(("end", "", len(text)))
+    kind = tokens[0][0]
+    pos = 1 if kind in ("+", "-") else 0
+    sign = -1 if kind == "-" else 1
     terms: list[tuple[ValenceScheme, int]] = []
-    sign = 1
-    if peek()[0] in ("+", "-"):
-        sign = -1 if take()[0] == "-" else 1
-    terms.append(parse_term(sign))
-    while peek()[0] != "end":
-        tok = take()
-        if tok[0] not in ("+", "-"):
-            raise PolynomialSyntaxError("expected '+' or '-' between terms", tok[2])
-        terms.append(parse_term(-1 if tok[0] == "-" else 1))
-    return BracketPolynomial(n, terms)
+    while True:
+        kind, value, at = tokens[pos]
+        coeff = sign
+        if kind == "int":
+            coeff *= int(value)
+            kind, _, at = tokens[pos + 1]
+            if kind != "*":
+                raise PolynomialSyntaxError("expected '*' after a coefficient", at)
+            pos += 2
+            kind, _, at = tokens[pos]
+        if kind != "[":
+            raise PolynomialSyntaxError("expected a bracket '[i,j]'", at)
+        factors = []
+        while kind == "[":
+            ends = []
+            # the end token matches no entry, so the table never outruns the tokens
+            for (want, what), (kind, value, at) in zip(_BRACKET, tokens[pos + 1 : pos + 5]):
+                if kind != want:
+                    raise PolynomialSyntaxError(f"expected {what}", at)
+                if kind == "int":
+                    index = int(value)
+                    if not 1 <= index <= n:
+                        raise VertexRangeError(f"vertex index {index} outside 1..{n}", at)
+                    ends.append((index, at))
+            (a, at), (b, _) = ends
+            if a == b:
+                raise LoopBracketError(f"bracket [{a},{b}] pairs a vertex with itself", at)
+            edge, flip = bracket(a, b)
+            coeff *= flip
+            factors.append(edge)
+            pos += 5
+            kind, _, at = tokens[pos]
+        terms.append((ValenceScheme(n, tuple(factors)), coeff))
+        if kind == "end":
+            return BracketPolynomial(n, terms)
+        if kind not in ("+", "-"):
+            raise PolynomialSyntaxError("expected '+' or '-' between terms", at)
+        sign = -1 if kind == "-" else 1
+        pos += 1

@@ -6,7 +6,8 @@ stdout and diagnostics to stderr only.  Exit codes are stable: 0 success,
 1 verification failure, 2 usage or parse error.
 Work guards are explicit flags with safe defaults, never silent truncation.
 Straightening needs no guard: every exchange lowers a nonnegative integer
-weight of the scheme, so it always ends.
+weight of the scheme, so it always ends.  Its --verify expansion is estimated
+before it starts and refused over 10^7 terms.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import functools
 import json
 import math
 import sys
+from collections import Counter
 from typing import Callable, Sequence
 
 from .brackets import ParseError, parse as parse_polynomial, straighten
@@ -222,6 +224,13 @@ def _cmd_straighten(args) -> int:
     flat = straighten(poly)
     verified = None
     if args.verify:
+        # a monomial of the difference input - output expands to at most the
+        # product, over its distinct chords, of (multiplicity + 1) terms
+        terms = sum(math.prod(c + 1 for c in Counter(mono.edges).values())
+                    for mono in (poly - flat).terms)
+        if terms > DEFAULT_MAX_SCHEMES:
+            raise _UsageError(
+                f"--verify would expand {terms} terms, over the bound {DEFAULT_MAX_SCHEMES}")
         verified = _same_expansion(poly.terms, flat.terms)
     if args.format == "json":
         document = {"input": args.polynomial, **flat.to_json_dict()}

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import combinations
 from typing import Iterator, Sequence
 
 
@@ -153,21 +154,12 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    current = [0] * parts
-    current[-1] = total
-    while True:
-        yield tuple(current)
-        # Successor: move one unit from the last nonzero entry to the entry
-        # before it, and put the rest of that entry's value at the end.
-        p = parts - 1
-        while p and not current[p]:
-            p -= 1
-        if not p:
-            return
-        rest = current[p] - 1
-        current[p] = 0
-        current[p - 1] += 1
-        current[-1] = rest
+    # stars and bars: parts - 1 bars among total + parts - 1 places, and each
+    # part is the gap between consecutive bars.  The bar positions come in
+    # lexicographic order, which is the lexicographic order of the parts.
+    places = total + parts - 1
+    for bars in combinations(range(places), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, places)))
 
 
 def rho_sum_over_compositions(n: int, m: int) -> int:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 from math import gcd, prod
 from operator import add, itemgetter
@@ -48,16 +49,6 @@ def variable_index(vertex: int, component: int) -> int:
     return 2 * (vertex - 1) + (component - 1)
 
 
-def _mul_terms(
-    left: Mapping[ExponentVector, int], right: Mapping[ExponentVector, int]
-) -> dict[ExponentVector, int]:
-    return combine(
-        (tuple(map(add, e1, e2)), c1 * c2)
-        for e1, c1 in left.items()
-        for e2, c2 in right.items()
-    )
-
-
 class XPolynomial(SparseCombination):
     """Sparse integer polynomial in the 2n coordinate variables.
 
@@ -85,7 +76,11 @@ class XPolynomial(SparseCombination):
         return cls(n, {tuple(evec): 1})
 
     def _multiply(self, other: "XPolynomial") -> dict[ExponentVector, int]:
-        return _mul_terms(self.terms, other.terms)
+        return combine(
+            (tuple(map(add, e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        )
 
     def __repr__(self) -> str:
         return f"XPolynomial(n={self.n}, {len(self.terms)} terms)"
@@ -250,46 +245,29 @@ def act(sigma: UnimodularMatrix, f: XPolynomial) -> XPolynomial:
     inverse matrix applied to it, then expand.  Degree-preserving."""
     inv = sigma.inverse()
     n = f.n
-    images: list[dict[ExponentVector, int]] = []
+    images = []
     for vertex in range(1, n + 1):
         x1, x2 = XPolynomial.variable(n, vertex, 1), XPolynomial.variable(n, vertex, 2)
-        images.append((inv.a * x1 + inv.b * x2).terms)
-        images.append((inv.c * x1 + inv.d * x2).terms)
+        images += (inv.a * x1 + inv.b * x2, inv.c * x1 + inv.d * x2)
+    one = XPolynomial.constant(n, 1)
 
-    power_cache: dict[tuple[int, int], dict[ExponentVector, int]] = {}
+    @cache
+    def power(var: int, exponent: int) -> XPolynomial:
+        out = one
+        for _ in range(exponent):  # a loop: an exponent may exceed the recursion limit
+            out *= images[var]
+        return out
 
-    def image_power(var: int, exponent: int) -> dict[ExponentVector, int]:
-        key = (var, exponent)
-        cached = power_cache.get(key)
-        if cached is None:
-            cached = {(0,) * (2 * n): 1}
-            for _ in range(exponent):
-                cached = _mul_terms(cached, images[var])
-            power_cache[key] = cached
-        return cached
-
-    def image(evec: ExponentVector, coeff: int) -> dict[ExponentVector, int]:
-        prod: dict[ExponentVector, int] = {(0,) * (2 * n): coeff}
-        for var, exponent in enumerate(evec):
-            if exponent:
-                prod = _mul_terms(prod, image_power(var, exponent))
-        return prod
-
-    return XPolynomial._of(
-        n,
-        combine(item for evec, coeff in f.terms.items() for item in image(evec, coeff).items()),
+    terms = (
+        coeff * prod((power(var, e) for var, e in enumerate(evec) if e), start=one)
+        for evec, coeff in f.terms.items()
     )
+    return XPolynomial._of(n, combine(item for term in terms for item in term.terms.items()))
 
 
 def _reduce_row(row: dict[ExponentVector, int]) -> dict[ExponentVector, int]:
-    g = 0
-    for c in row.values():
-        g = gcd(g, c)
-        if g == 1:
-            return row
-    if g > 1:
-        return {k: c // g for k, c in row.items()}
-    return row
+    g = gcd(*row.values())
+    return {k: c // g for k, c in row.items()} if g > 1 else row
 
 
 def _insert(pivots: dict, terms: dict[ExponentVector, int]) -> None:

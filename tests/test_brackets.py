@@ -297,6 +297,30 @@ class TestParse:
             with pytest.raises(PolynomialSyntaxError):
                 parse(bad, 4)
 
+    @pytest.mark.parametrize("text, error, message", [
+        ("", PolynomialSyntaxError, "expected a bracket '[i,j]' (at position 0)"),
+        ("2 [1,2]", PolynomialSyntaxError, "expected '*' after a coefficient (at position 2)"),
+        ("[1,2", PolynomialSyntaxError, "expected ']' (at position 4)"),
+        ("[1 2]", PolynomialSyntaxError, "expected ',' (at position 3)"),
+        ("[,2]", PolynomialSyntaxError, "expected a vertex index (at position 1)"),
+        ("[1,]", PolynomialSyntaxError, "expected a vertex index (at position 3)"),
+        ("[5,1]", VertexRangeError, "vertex index 5 outside 1..4 (at position 1)"),
+        ("[1,5]", VertexRangeError, "vertex index 5 outside 1..4 (at position 3)"),
+        # an index is checked as soon as it is read, before the missing comma
+        ("[5 2]", VertexRangeError, "vertex index 5 outside 1..4 (at position 1)"),
+        ("[2,2]", LoopBracketError, "bracket [2,2] pairs a vertex with itself (at position 1)"),
+        ("[1,2]*", PolynomialSyntaxError, "expected '+' or '-' between terms (at position 5)"),
+        ("[1,2] - ", PolynomialSyntaxError, "expected a bracket '[i,j]' (at position 8)"),
+        # every character is tokenized before any grammar error
+        ("]x", PolynomialSyntaxError, "unexpected character 'x' (at position 1)"),
+    ])
+    def test_error_messages_and_positions(self, text, error, message):
+        with pytest.raises(error) as info:
+            parse(text, 4)
+        assert type(info.value) is error
+        assert str(info.value) == message
+        assert info.value.position == int(message.rsplit(" ", 1)[1][:-1])
+
     def test_range_error(self):
         with pytest.raises(VertexRangeError) as info:
             parse("[1,5]", 4)

@@ -403,6 +403,38 @@ class TestStraighten:
         assert time.perf_counter() - start < 2
         assert (code, out) == (0, f"{chords}\nverify: pass\n")
 
+    @staticmethod
+    def crossing_pairs(k):
+        """k disjoint pairs of crossing chords, [1,3][2,4][5,7][6,8]..., on 4k points."""
+        return "".join(f"[{4 * i + 1},{4 * i + 3}][{4 * i + 2},{4 * i + 4}]" for i in range(k))
+
+    def test_verify_refuses_an_expansion_over_the_bound(self, capsys):
+        """9 crossing pairs straighten to 2^9 terms of 18 chords each: the
+        difference of input and output would expand 2^18 + 2^27 terms."""
+        start = time.perf_counter()
+        code, out, err = run(capsys, "straighten", self.crossing_pairs(9), "--n", "36", "--verify")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == "error: --verify would expand 134479872 terms, over the bound 10000000\n"
+
+    def test_verify_under_the_bound_still_expands(self, capsys):
+        # 2^14 + 2^7 * 2^14 = 2,113,536 terms
+        code, out, err = run(capsys, "straighten", self.crossing_pairs(7), "--n", "28", "--verify")
+        assert (code, out.splitlines()[-1], err) == (0, "verify: pass", "")
+
+    def test_verify_estimates_nothing_for_what_straightening_leaves_alone(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(rumer.cli, "DEFAULT_MAX_SCHEMES", 0)
+        chords = "".join(f"[{2 * k - 1},{2 * k}]" for k in range(1, 23))
+        for text, n in (("[1,2]", "100000000"), (chords, "44")):
+            code, out, err = run(capsys, "straighten", text, "--n", n, "--verify")
+            assert (code, out, err) == (0, f"{text}\nverify: pass\n", "")
+        # [1,3][2,4] - [1,2][3,4] - [1,4][2,3]: three monomials of two chords
+        code, out, err = run(capsys, "straighten", "[1,3][2,4]", "--n", "4", "--verify")
+        assert (code, out) == (2, "")
+        assert err == "error: --verify would expand 12 terms, over the bound 0\n"
+
     @pytest.mark.parametrize(
         "broken",
         [

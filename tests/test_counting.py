@@ -263,8 +263,9 @@ class TestDeepInputs:
 
 class TestCompositionsReference:
     def test_matches_filtered_product(self):
-        for parts in range(1, 5):
-            for total in range(0, 6):
+        # product yields in lexicographic order, and every tuple once
+        for parts in range(1, 6):
+            for total in range(0, 7):
                 expected = [t for t in product(range(total + 1), repeat=parts) if sum(t) == total]
                 assert list(compositions(total, parts)) == expected, (total, parts)
 

@@ -245,6 +245,11 @@ class TestAct:
     def test_identity_fixes_everything(self):
         f = expand(parse("[1,2][1,3]", 3))
         assert act(UnimodularMatrix.identity(), f) == f
+        # a power computed by recursion would pass the recursion limit here
+        f = XPolynomial(2, {(1500, 0, 0, 0): 3})
+        assert act(UnimodularMatrix.identity(), f) == f
+        f = XPolynomial.constant(2, -5)
+        assert act(UnimodularMatrix.identity(), f) == f
 
     def test_shear_fixes_bracket_expansion(self):
         f = expand(parse("[1,2]", 2))
