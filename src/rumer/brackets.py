@@ -19,17 +19,23 @@ rewritten.  The number of crossing pairs falls at each exchange too, but it
 does not set the order: the weight is a sum over chords and needs no scan of
 pairs of chords.  `straighten` takes monomials from the heaviest down and
 rewrites each at its first crossing pair until every monomial is a Rumer
-diagram.  Each rewrite touches only four vertices and preserves every vertex
-degree, so straightening is multidegree-preserving term by term.  The basis
-check of `oracle` certifies the rule itself, one exchange at a time: for each
-crossing scheme of a block, both children (`_children`) weigh less
-(`_weight`) and are schemes of the block, and their expansions sum to the
-scheme's.  It never reads `straighten`'s output.
+diagram.  A child's weight is read from four chords, the parent's weight less
+the crossing pair's arc products plus the new pair's.  A child is scanned
+from where its parent crossed: a chord before the pair (a,c)(b,d) crosses
+neither of them, so it crosses none of the four exchange chords (a,b),
+(c,d), (a,d), (b,c) either.  Each rewrite touches only four vertices and
+preserves every vertex degree, so straightening is multidegree-preserving
+term by term.  The basis check of `oracle` certifies the rule itself, one
+exchange at a time: for each crossing scheme of a block, both children
+(`_children`) weigh less by full sums (`_weight`) and are schemes of the
+block, and their expansions sum to the scheme's.  It never reads
+`straighten`'s output.
 """
 from __future__ import annotations
 
+import functools
 import re
-from bisect import insort
+from bisect import bisect_left, insort
 from heapq import heapify, heappop, heappush
 from typing import Iterable, NamedTuple
 
@@ -111,18 +117,22 @@ class BracketPolynomial(SparseCombination):
         return sorted(self.terms.items(), key=lambda t: (len(t[0].edges), t[0].edges))
 
     def to_text(self) -> str:
+        """The polynomial as bracket text, terms in canonical order; each
+        distinct chord's bracket text is formatted once per call."""
         if not self.terms:
             return "0"
+        chord = functools.cache("[{0[0]},{0[1]}]".format)
         pieces = []
         for k, (mono, coeff) in enumerate(self.sorted_terms()):
             sign = "-" if coeff < 0 else "+"
             mag = abs(coeff)
-            if not mono.edges:
+            edges = mono[1]
+            if not edges:
                 body = str(mag)
             elif mag == 1:
-                body = _monomial_text(mono.edges)
+                body = "".join(map(chord, edges))
             else:
-                body = f"{mag}*{_monomial_text(mono.edges)}"
+                body = f"{mag}*" + "".join(map(chord, edges))
             if k == 0:
                 pieces.append(body if coeff > 0 else f"-{body}")
             else:
@@ -206,7 +216,7 @@ def _descent_error(scheme: ValenceScheme, e: Edge, f: Edge, j: int, k: int) -> R
     )
 
 
-def straighten(poly: BracketPolynomial) -> BracketPolynomial:
+def straighten(poly: BracketPolynomial, stats: dict | None = None) -> BracketPolynomial:
     """Rewrite a bracket polynomial into the non-crossing (Rumer) basis.
 
     The result is equal to the input as a polynomial function, every
@@ -222,39 +232,86 @@ def straighten(poly: BracketPolynomial) -> BracketPolynomial:
     monomial that `first_crossing` passes is then an output term; any other
     is rewritten once, at its first crossing pair.
 
+    A child is scanned from where its parent crossed, not from its first
+    chord.  Let the parent's first crossing pair be (a,c)(b,d) at positions
+    i < j.  No chord before position i crosses any chord of the parent, so
+    none crosses (a,c) or (b,d); such a chord has both ends on one arc
+    between a, b, c and d, or shares an end with them, so it crosses none of
+    the exchange chords (a,b), (c,d), (a,d), (b,c) either.  Those chords keep
+    their places in the child ahead of the smaller new chord, which lands at
+    some position p, so no chord of the child before min(i, p) crosses any
+    chord, and its first crossing pair starts there or later.  That holds of
+    every parent's start; a monomial keeps the smallest one.
+
+    A child's weight is its parent's, less the two crossing chords' arc
+    products, plus those of the two chords that `_exchange` returns, and its
+    chords are the parent's with the pair's positions (found by bisection)
+    cut out and the two new chords put in.
+
     The one runtime check is the descent: a child that does not weigh less
     is an error, which also stops an endless loop.  An output term is exactly
     a monomial that the scan passed, so a second scan could not fail; the
     tests, CI and bench/checks.py check outputs by scans of their own.
+
+    When stats is a dict, the work is recorded in it: the rewrites, the
+    heaviest input weight (0 for the zero polynomial), the most monomials
+    that one bucket held when it was taken, and the terms in and out.  The
+    counters are local integers, kept whether or not stats is given.
     """
-    buckets: dict[int, dict[ValenceScheme, int]] = {}
+    n = poly.n
+    buckets: dict[int, dict[ValenceScheme, list[int]]] = {}
     for mono, coeff in poly.terms.items():
-        buckets.setdefault(_weight(mono), {})[mono] = coeff
+        buckets.setdefault(_weight(mono), {})[mono] = [coeff, 0]  # coefficient, start
+    heaviest = max(buckets, default=0)
     heap = [-k for k in buckets]
     heapify(heap)
     out = {}
+    rewrites = peak = 0
     while heap:
         k = -heappop(heap)
-        for mono, coeff in buckets.pop(k).items():
-            pair = first_crossing(mono)
+        taken = buckets.pop(k)
+        peak = max(peak, len(taken))
+        for mono, (coeff, start) in taken.items():
+            pair = first_crossing(mono, start)
             if pair is None:
                 out[mono] = coeff
                 continue
+            rewrites += 1
             e, f = pair
-            for child in _children(mono, e, f):
-                j = _weight(child)
+            edges = mono[1]
+            i = bisect_left(edges, e)
+            rest = list(edges)
+            del rest[bisect_left(edges, f, i + 1)]
+            del rest[i]
+            # each chord (u, v) weighs (v - u) * (n - v + u), as in _weight
+            kept = k - (e[1] - e[0]) * (n - e[1] + e[0]) - (f[1] - f[0]) * (n - f[1] + f[0])
+            for g, h in _exchange(e, f):
+                j = kept + (g[1] - g[0]) * (n - g[1] + g[0]) + (h[1] - h[0]) * (n - h[1] + h[0])
                 if j >= k:
                     raise _descent_error(mono, e, f, j, k)
+                chords = rest.copy()
+                # min(i, the position of g), the smaller new chord; h sorts after g
+                at = bisect_left(chords, g, 0, i)
+                insort(chords, g, at)
+                insort(chords, h, at)
+                child = _scheme((n, tuple(chords)))
                 bucket = buckets.get(j)
                 if bucket is None:
                     bucket = buckets[j] = {}
                     heappush(heap, -j)
-                new = bucket.get(child, 0) + coeff
-                if new:
-                    bucket[child] = new
+                entry = bucket.get(child)
+                if entry is None:
+                    bucket[child] = [coeff, at]
+                elif entry[0] + coeff:
+                    entry[0] += coeff
+                    if at < entry[1]:
+                        entry[1] = at
                 else:
                     del bucket[child]
-    return BracketPolynomial._of(poly.n, out)
+    if stats is not None:
+        stats.update(rewrites=rewrites, heaviest_weight=heaviest, peak_bucket=peak,
+                     terms_in=len(poly.terms), terms_out=len(out))
+    return BracketPolynomial._of(n, out)
 
 
 #: A number, a symbol of the grammar, or any other non-space character, which

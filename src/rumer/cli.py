@@ -128,6 +128,16 @@ def _diagrams_json(label: dict, diagrams: list) -> str:
     return head[: -len("[]\n}")] + "[\n    " + ",\n    ".join(map(item, diagrams)) + "\n  ]\n}"
 
 
+def _diagrams_text(diagrams: list) -> str:
+    """The lines d.to_text() of the diagrams and a count line, written with
+    each distinct chord's text formatted once per call, as in _diagrams_json."""
+    chord = functools.cache("({0[0]},{0[1]})".format)
+    lines = [f"n={n}; " + "".join(map(chord, edges)) if edges else f"n={n};"
+             for n, edges in diagrams]
+    lines.append(f"count: {len(diagrams)}")
+    return "\n".join(lines)
+
+
 def _scheme_space(n: int, m: int) -> int:
     """Number of loop-free multigraphs with m edges on n vertices."""
     return binomial(binomial(n, 2) + m - 1, m) if m else 1
@@ -210,9 +220,7 @@ def _cmd_enumerate(args) -> int:
     if args.format == "json":
         _emit(_diagrams_json(label, diagrams), args.out)
     else:
-        lines = [d.to_text() for d in diagrams]
-        lines.append(f"count: {len(diagrams)}")
-        _emit("\n".join(lines), args.out)
+        _emit(_diagrams_text(diagrams), args.out)
     return OK
 
 
@@ -221,13 +229,15 @@ def _cmd_straighten(args) -> int:
         poly = parse_polynomial(args.polynomial, args.n)
     except ParseError as exc:
         raise _UsageError(str(exc)) from None
-    flat = straighten(poly)
+    stats: dict = {}
+    flat = straighten(poly, stats)
     verified = None
     if args.verify:
         # a monomial of the difference input - output expands to at most the
         # product, over its distinct chords, of (multiplicity + 1) terms
-        terms = sum(math.prod(c + 1 for c in Counter(mono.edges).values())
-                    for mono in (poly - flat).terms)
+        terms = stats["verify_terms"] = sum(
+            math.prod(c + 1 for c in Counter(mono.edges).values()) for mono in (poly - flat).terms
+        )
         if terms > DEFAULT_MAX_SCHEMES:
             raise _UsageError(
                 f"--verify would expand {terms} terms, over the bound {DEFAULT_MAX_SCHEMES}")
@@ -242,6 +252,8 @@ def _cmd_straighten(args) -> int:
         if verified is not None:
             lines.append(f"verify: {'pass' if verified else 'FAIL'}")
         _emit("\n".join(lines), args.out)
+    if args.stats:
+        print(json.dumps(stats), file=sys.stderr)
     return OK if verified in (None, True) else FAIL
 
 
@@ -344,6 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="check the result against full coordinate expansion")
     flat.add_argument("--format", choices=["text", "json"], default="text")
     flat.add_argument("--out")
+    flat.add_argument("--stats", action="store_true",
+                      help="print the rewrite counters to stderr as one JSON line")
     flat.set_defaults(func=_cmd_straighten)
 
     verify = sub.add_parser("verify", help="run the full verification suite over ranges")

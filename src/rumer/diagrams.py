@@ -157,19 +157,23 @@ def edges_cross(e1: Edge, e2: Edge) -> bool:
     return a < c < b < d or c < a < d < b
 
 
-def first_crossing(scheme: ValenceScheme) -> tuple[Edge, Edge] | None:
-    """The lexicographically first crossing pair of distinct edges, or None.
+def first_crossing(scheme: ValenceScheme, start: int = 0) -> tuple[Edge, Edge] | None:
+    """The lexicographically first crossing pair of distinct edges whose first
+    chord sits at position start or later, or None.
 
     The scan runs over the sorted edges.  A later chord (c, d) of a chord
     (a, b) has a <= c, so the two cross exactly when a < c < b < d; once
     c >= b no later chord crosses (a, b) either, and the scan moves on to the
     next first chord.  Parallel copies never cross, so a repeat of the first
-    chord is skipped and a repeat of the second fails the test.
+    chord is skipped and a repeat of the second fails the test.  When no
+    chord before start crosses any chord, as `brackets.straighten` knows of
+    an exchange child, the pair is the scheme's first crossing pair.
     """
     edges = scheme[1]  # indexing beats the property
     size = len(edges)
     previous = None
-    for i, e1 in enumerate(edges):
+    for i in range(start, size):
+        e1 = edges[i]
         if e1 == previous:
             continue
         previous = e1

@@ -15,6 +15,7 @@ from rumer.brackets import (
     BracketPolynomial,
     _children,
     _exchange,
+    _monomial_text,
     _weight,
     LoopBracketError,
     PolynomialSyntaxError,
@@ -37,6 +38,24 @@ from rumer.oracle import expand
 
 def poly(text, n):
     return parse(text, n)
+
+
+def text_by_monomial(p):
+    """A polynomial's text with each monomial formatted on its own by
+    _monomial_text, one bracket per chord occurrence."""
+    if not p.terms:
+        return "0"
+    pieces = []
+    for mono, coeff in p.sorted_terms():
+        mag = abs(coeff)
+        body = _monomial_text(mono.edges)
+        if not mono.edges:
+            body = str(mag)
+        elif mag != 1:
+            body = f"{mag}*{body}"
+        pieces.append(("-" if coeff < 0 else "+", body))
+    (sign, body), rest = pieces[0], pieces[1:]
+    return ("-" if sign == "-" else "") + body + "".join(f" {s} {b}" for s, b in rest)
 
 
 class TestBracket:
@@ -114,6 +133,12 @@ class TestPolynomial:
         p = poly("[1,2] - 2*[1,3]", 3)
         assert str(p) == "[1,2] - 2*[1,3]"
         assert repr(p) == "BracketPolynomial(n=3, '[1,2] - 2*[1,3]')"
+
+    def test_text_formats_each_chord_as_its_own_bracket(self):
+        p = poly("-[10,1][2,11][2,11] + 12*[3,12] + [9,10] - 3*[1,2]", 12)
+        p = p - BracketPolynomial.monomial(12, (), 7)
+        assert p.to_text() == "-7 - 3*[1,2] + 12*[3,12] + [9,10] + [1,10][2,11][2,11]"
+        assert p.to_text() == text_by_monomial(p)
 
     def test_json_round_trip(self):
         p = poly("2*[1,2][3,4] - [1,4][2,3]", 4)
@@ -397,11 +422,100 @@ class TestStraightenProperties:
     def test_no_output_term_crosses_by_all_pairs(self, p):
         assert all(crossing_free(mono) for mono in straighten(p).terms)
 
+    @property_settings
+    @given(st.integers(2, 14).flatmap(polynomials))
+    def test_text_is_each_monomial_formatted_on_its_own(self, p):
+        """Two-digit labels, signs, coefficients 1 and constants."""
+        assert p.to_text() == text_by_monomial(p)
+        assert straighten(p).to_text() == text_by_monomial(straighten(p))
+
+    @property_settings
+    @given(polynomials())
+    def test_equals_the_reference_straightener(self, p):
+        flat, stats, scans = scanned_by_straighten(p)
+        expected, rewritten, peak = reference_straighten(p)
+        assert flat == expected
+        assert [s for s, _ in scans if first_crossing(s) is not None] == rewritten
+        assert stats == {
+            "rewrites": len(rewritten),
+            "heaviest_weight": max(map(_weight, p.terms), default=0),
+            "peak_bucket": peak,
+            "terms_in": len(p.terms),
+            "terms_out": len(expected.terms),
+        }
+
+    @property_settings
+    @given(polynomials())
+    def test_no_chord_before_the_start_crosses_any_chord(self, p):
+        _, _, scans = scanned_by_straighten(p)
+        assert all(crossing_free_before(scheme, start) for scheme, start in scans)
+
+    def test_seven_diameters_resume_and_equal_the_reference(self):
+        p = BracketPolynomial.monomial(14, [(i, i + 7) for i in range(1, 8)])
+        flat, stats, scans = scanned_by_straighten(p)
+        expected, rewritten, peak = reference_straighten(p)
+        assert flat == expected
+        assert [s for s, _ in scans if first_crossing(s) is not None] == rewritten
+        assert (stats["rewrites"], stats["terms_out"], stats["peak_bucket"]) == (977, 429, peak)
+        assert stats["heaviest_weight"] == 7 * 7 * 7
+        assert all(crossing_free_before(scheme, start) for scheme, start in scans)
+        # most scans resume past the first chord
+        assert sum(start > 0 for _, start in scans) > len(scans) // 2
+
     def test_no_term_of_eight_diameters_crosses_by_all_pairs(self):
         diameters = BracketPolynomial.monomial(16, [(i, i + 8) for i in range(1, 9)])
         flat = straighten(diameters)
         assert len(flat.terms) == 1430
         assert all(crossing_free(mono) for mono in flat.terms)
+
+
+def reference_straighten(p):
+    """straighten's loop with no resumed scan: each monomial scanned from its
+    first chord, its children from _children and their weights from full
+    _weight sums.  Returns the result, the schemes rewritten in order and
+    the largest bucket taken."""
+    buckets = {}
+    for mono, coeff in p.terms.items():
+        buckets.setdefault(_weight(mono), {})[mono] = coeff
+    out, rewritten, peak = {}, [], 0
+    while buckets:
+        k = max(buckets)
+        bucket = buckets.pop(k)
+        peak = max(peak, len(bucket))
+        for mono, coeff in bucket.items():
+            pair = first_crossing(mono)
+            if pair is None:
+                out[mono] = coeff
+                continue
+            rewritten.append(mono)
+            for child in _children(mono, *pair):
+                assert _weight(child) < k
+                terms = buckets.setdefault(_weight(child), {})
+                terms[child] = terms.get(child, 0) + coeff
+                if not terms[child]:
+                    del terms[child]
+    return BracketPolynomial(p.n, out), rewritten, peak
+
+
+def scanned_by_straighten(p):
+    """straighten(p), its stats and each (scheme, start) that it scanned."""
+    scans, stats = [], {}
+
+    def scan(scheme, start=0):
+        scans.append((scheme, start))
+        return first_crossing(scheme, start)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rumer.brackets, "first_crossing", scan)
+        flat = straighten(p, stats)
+    return flat, stats, scans
+
+
+def crossing_free_before(scheme, start):
+    """No chord at a position before start crosses any chord of the scheme,
+    by edges_cross over all pairs."""
+    edges = scheme.edges
+    return not any(edges_cross(edges[k], g) for k in range(start) for g in edges)
 
 
 def brute_crossings(edges):
@@ -454,14 +568,17 @@ def crossing_closure(scheme):
 
 @pytest.fixture
 def rewritten(monkeypatch):
-    """The schemes that straighten rewrites, one entry per rewrite."""
+    """The schemes that straighten rewrites, one entry per rewrite: each one
+    whose scan finds a crossing pair, since straighten rewrites it there."""
     calls = []
 
-    def children(scheme, e, f):
-        calls.append(scheme)
-        return _children(scheme, e, f)
+    def scan(scheme, start=0):
+        pair = first_crossing(scheme, start)
+        if pair is not None:
+            calls.append(scheme)
+        return pair
 
-    monkeypatch.setattr(rumer.brackets, "_children", children)
+    monkeypatch.setattr(rumer.brackets, "first_crossing", scan)
     return calls
 
 
@@ -542,9 +659,9 @@ class TestTermination:
         # once, also through is_rumer, which calls the scan of rumer.diagrams
         scanned = []
 
-        def scan(scheme):
+        def scan(scheme, start=0):
             scanned.append(scheme)
-            return first_crossing(scheme)
+            return first_crossing(scheme, start)
 
         monkeypatch.setattr(rumer.brackets, "first_crossing", scan)
         monkeypatch.setattr(rumer.diagrams, "first_crossing", scan)

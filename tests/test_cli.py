@@ -265,6 +265,24 @@ class TestEnumerate:
         assert out.read_text(encoding="utf-8") == expected
 
     @pytest.mark.parametrize(
+        "label",
+        [{"n": n, "m": m} for n in (1, 3, 12) for m in range(4)]
+        + [{"multidegree": d} for d in ([2, 2, 1, 1, 2, 2, 1, 1, 2, 2, 2, 2], [0], [3, 1])],
+        ids=lambda label: "-".join(f"{key}{value}".replace(" ", "")
+                                   for key, value in label.items()),
+    )
+    def test_text_is_each_diagrams_text(self, capsys, label):
+        # the listing formats each distinct chord once; to_text is its reference
+        if "multidegree" in label:
+            argv = ["--multidegree", ",".join(map(str, label["multidegree"]))]
+            diagrams = rumer.diagrams.enumerate_rumer_by_multidegree(label["multidegree"])
+        else:
+            argv = ["--n", str(label["n"]), "--m", str(label["m"])]
+            diagrams = rumer.diagrams.enumerate_rumer(label["n"], label["m"])
+        lines = [d.to_text() for d in diagrams] + [f"count: {len(diagrams)}"]
+        assert run(capsys, "enumerate", *argv) == (0, "\n".join(lines) + "\n", "")
+
+    @pytest.mark.parametrize(
         "argv,steps",
         [
             # one empty diagram, but the ballot walk keeps one frame per vertex
@@ -435,6 +453,37 @@ class TestStraighten:
         assert (code, out) == (2, "")
         assert err == "error: --verify would expand 12 terms, over the bound 0\n"
 
+    @pytest.mark.parametrize("extra", [[], ["--format", "json"], ["--verify"]])
+    def test_stats_go_to_stderr_only(self, capsys, extra):
+        """Seven crossing diameters: 977 rewrites from the weight 7 * 7 * 7 of
+        the input down to 429 output terms, and with --verify the expansion
+        estimate.  tests/test_brackets.py holds the bucket peak to a
+        reference straightener."""
+        argv = ("straighten", "".join(f"[{i},{i + 7}]" for i in range(1, 8)), "--n", "14", *extra)
+        code, plain, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, *argv, "--stats")
+        assert (code, out) == (0, plain)
+        (line,) = err.splitlines()
+        stats = json.loads(line)
+        keys = ["rewrites", "heaviest_weight", "peak_bucket", "terms_in", "terms_out"]
+        assert list(stats) == keys + ["verify_terms"] * ("--verify" in extra)
+        assert [stats[key] for key in keys if key != "peak_bucket"] == [977, 343, 1, 429]
+        assert 1 <= stats["peak_bucket"] <= 429
+        if "--verify" in extra:
+            # the difference: the input's 2^7 terms and each output term's 2^7
+            assert stats["verify_terms"] == 2**7 * (1 + 429)
+
+    def test_stats_of_what_straightening_leaves_alone(self, capsys):
+        code, out, err = run(capsys, "straighten", "[1,2][3,4] - [1,2][3,4]", "--n", "4", "--stats")
+        assert (code, out) == (0, "0\n")
+        assert json.loads(err) == {"rewrites": 0, "heaviest_weight": 0, "peak_bucket": 0,
+                                   "terms_in": 0, "terms_out": 0}
+        code, out, err = run(capsys, "straighten", "[1,2][3,4]", "--n", "4", "--stats", "--verify")
+        assert (code, out) == (0, "[1,2][3,4]\nverify: pass\n")
+        assert json.loads(err) == {"rewrites": 0, "heaviest_weight": 6, "peak_bucket": 1,
+                                   "terms_in": 1, "terms_out": 1, "verify_terms": 0}
+
     @pytest.mark.parametrize(
         "broken",
         [
@@ -444,7 +493,7 @@ class TestStraighten:
         ids=["drops-a-term", "adds-an-unused-vertex"],
     )
     def test_verify_fails_a_wrong_straightening(self, capsys, monkeypatch, broken):
-        monkeypatch.setattr(rumer.cli, "straighten", lambda p: broken(straighten(p)))
+        monkeypatch.setattr(rumer.cli, "straighten", lambda p, stats: broken(straighten(p, stats)))
         code, out, _ = run(capsys, "straighten", "[1,3][2,4]", "--n", "6", "--verify")
         assert code == 1
         assert out.splitlines()[-1] == "verify: FAIL"
@@ -889,7 +938,7 @@ REQUIRED = {
 OPTIONAL = {
     "count": ["--method", "--format", "--max-schemes"],
     "enumerate": ["--format", "--max-schemes"],
-    "straighten": ["--verify", "--format"],
+    "straighten": ["--verify", "--format", "--stats"],
     "verify": ["--format", "--max-schemes", "--stats"],
     "render": ["--size", "--format"],
 }
